@@ -28,22 +28,18 @@ from .conormal import (
     StratificationError,
     StratifiedComplex,
     Stratum,
-    conormal_variety,
     gecc_assemble,
     relative_conormal_cycle,
 )
-from .decompose import PrimeWitness
 from .hypersurface import (
     AssertionRecord,
     CurveBranch,
     GenericityFailure,
     MorseAtPoint,
     PolarNotCurve,
-    analyze_curve_branches,
     cc_of_tables,
     check_complement_restriction,
     check_polar_genericity,
-    check_shift_identity,
     check_triangle,
     curve_gecc_oracle,
     nearby_gecc,
@@ -51,11 +47,9 @@ from .hypersurface import (
     polar_curve,
     shriek_morse_at_origin,
     star_equals_shriek,
-    vanishing_morse_at_origin,
 )
 from .ideal import (
     CertificationFailure,
-    DEFAULT_LIMITS,
     EngineLimits,
     Ideal,
     NotZeroDimensional,
@@ -172,12 +166,11 @@ def cmd_polar(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_nearby(desc: ProblemDescriptor, args) -> tuple:
-    rng = desc.rng()
-    psi = nearby_gecc(desc.complex, desc.f, rng)
+    psi = nearby_gecc(desc.complex, desc.f)
     report = {"gecc_nearby": psi.to_json(), "cc_nearby": to_ordinary(psi).to_json()}
     lines = _cycle_lines("gecc(nearby cycles, shifted)", psi)
     if desc.L is not None:
-        prep = polar_curve(desc.complex, desc.f, desc.L, rng)
+        prep = polar_curve(desc.complex, desc.f, desc.L, desc.rng())
         morse = nearby_morse_at_origin(prep, desc.f)
         report["morse_at_origin"] = _morse_json(morse)
         lines.append(f"Morse modules at origin: { {k: str(v) for k, v in morse.table.items()} }")
@@ -240,9 +233,8 @@ def cmd_vanishing(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_check(desc: ProblemDescriptor, args) -> tuple:
-    rng = desc.rng()
-    rep = polar_curve(desc.complex, desc.f, desc.L, rng)
-    bound_map = microsupport_phi_bound(desc.complex, desc.f, rng)
+    rep = polar_curve(desc.complex, desc.f, desc.L, desc.rng())
+    bound_map = microsupport_phi_bound(desc.complex, desc.f)
     gen = check_polar_genericity(rep, desc.f, desc.L, bound_map.upper_components())
     iso = isolating_check(desc.complex, desc.f, bound_map.upper_components())
     ok = gen.all_pass() and iso["pass"]
@@ -336,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override descriptor seed")
     parser.add_argument("--f", dest="f_override", default=None, help="override f")
     parser.add_argument("--L", dest="l_override", default=None, help="override L")
-    parser.add_argument("--max-sat-exp", type=int, default=None)
     parser.add_argument("--spair-budget", type=int, default=None)
     parser.add_argument(
         "--experimental-onthefly",
@@ -364,8 +355,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     limits = EngineLimits()
-    if args.max_sat_exp is not None:
-        limits.saturation_cap = args.max_sat_exp
     if args.spair_budget is not None:
         limits.spair_budget = args.spair_budget
     try:

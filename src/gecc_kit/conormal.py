@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from . import modclass as mc
 from .cycles import (
     AmbientSpace,
     Component,
@@ -32,8 +31,7 @@ from .ideal import (
     saturate_element,
     variety_contained_in,
 )
-from .modclass import ModClass
-from .polyring import COTANGENT, Polynomial, VarContext
+from .polyring import Polynomial, VarContext
 
 
 class RankAnomaly(RuntimeError):

@@ -1,10 +1,12 @@
 """Enriched and graded, enriched cycles with module coefficients.
 
 Components are certified prime ideals in one of four ambient spaces;
-coefficients are ModClass values. Intersection with hypersurfaces uses
-generic-slice local lengths for multiplicities, pushforward uses
-elimination plus a fiber-count injectivity check, all randomness comes
-from an explicit seeded generator.
+coefficients are ModClass values. Intersection with hypersurfaces takes
+each multiplicity exactly, as a degree ratio after saturating away the
+sibling components. Pushforward uses elimination plus a mapping degree
+counted over sampled rational points (or generic slices) of the image;
+that sampling is the only randomness, and it comes from an explicit
+seeded generator.
 """
 
 from __future__ import annotations
@@ -12,17 +14,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import modclass as mc
-from .decompose import PrimeWitness, minimal_primes, rational_point
+from .decompose import minimal_primes, rational_point
 from .ideal import (
     DEFAULT_LIMITS,
+    CertificationFailure,
     EngineLimits,
     Ideal,
-    NotZeroDimensional,
+    dimension_and_degree,
     eliminate,
-    local_degree,
     radical_contains,
     saturate_element,
     variety_contained_in,
@@ -517,11 +519,9 @@ def _fiber_point_count(
     return total
 
 
-def separator_polynomial(target: Component, others: Sequence[Component]) -> Polynomial | None:
+def separator_polynomial(target: Component, others: Sequence[Component]) -> Polynomial:
     """Product vanishing on every other component but not on the target."""
-    ctx = target.ideal.ctx
-    prod = ctx.one()
-    found = False
+    prod = target.ideal.ctx.one()
     for o in others:
         pick = None
         for g in o.ideal.generators:
@@ -531,105 +531,51 @@ def separator_polynomial(target: Component, others: Sequence[Component]) -> Poly
         if pick is None:
             raise ValueError("components are not incomparable")
         prod = prod * pick
-        found = True
-    return prod if found else None
+    return prod
 
 
-def _point_slices(ctx, point: Mapping, count: int, rng: random.Random) -> list:
-    """Random affine hyperplanes through the given rational point."""
-    out = []
-    for _ in range(count):
-        form = ctx.zero()
-        while form.is_zero():
-            form = ctx.zero()
-            for v in ctx.variables:
-                c = rng.randint(-9, 9)
-                if c:
-                    form = form + (ctx.gen(v) - ctx.const(point.get(v.name, 0))) * c
-        out.append(form)
-    return out
-
-
-def multiplicity_at_rational_point(
-    parent_with_divisor: Ideal,
-    piece: Component,
-    rng: random.Random,
-    limits: EngineLimits,
-) -> int | None:
-    """Length along the component measured at a random rational point of it.
-
-    The m-adic local degree at a generic point of the component needs no
-    knowledge of sibling components; None when the component carries no
-    solvable rational point. Lengths are upper-semicontinuous, so the
-    generic value is confirmed by agreeing samples (else the minimum of
-    three draws).
-    """
-    cone_dim = piece.ideal.dimension(limits)
-    samples: list = []
-    for _ in range(6):
-        point = rational_point(piece.ideal, rng)
-        if point is None:
-            return None
-        slices = _point_slices(piece.ideal.ctx, point, cone_dim, rng)
-        try:
-            d = local_degree(parent_with_divisor.with_extra(slices), point, limits)
-        except NotZeroDimensional:
-            continue
-        if d > 0:
-            samples.append(d)
-        if len(samples) >= 2 and samples[-1] == samples[-2]:
-            return samples[-1]
-        if len(samples) >= 3:
-            return min(samples)
-    return min(samples) if samples else None
+def first_chart(comp: Component) -> int:
+    """Index of the first tag not vanishing on a component of a tag ambient."""
+    ctx = comp.ideal.ctx
+    return next(
+        i for i, u in enumerate(comp.ambient.projective_vars())
+        if not comp.ideal.contains(ctx.gen(u))
+    )
 
 
 def intersection_multiplicity(
     parent_with_divisor: Ideal,
     piece: Component,
     others: Sequence[Component],
-    rng: random.Random,
     limits: EngineLimits | None = None,
-    others_complete: bool = True,
 ) -> int:
-    """Length of the divisor intersection along the component.
+    """Length of V(J) along the component, as deg(J : s^inf) / deg(piece).
 
-    Fast path: local degree at a rational point of the component.
-    Fallback: slice the component to generic points with random
-    hyperplanes, separate away the sibling components, and divide
-    matched vector-space dimensions; retries on degenerate draws.
+    ``others`` holds every other component of V(J) outside the irrelevant
+    locus, and s is their separator polynomial; in a tag ambient s also
+    carries the tag of the piece's first chart, which vanishes on the
+    irrelevant locus. The saturation then has the piece as its only
+    top-dimensional component, with the length of V(J) along it, and
+    embedded components of lower dimension do not change its degree.
     """
     limits = limits or DEFAULT_LIMITS
-    fast = multiplicity_at_rational_point(parent_with_divisor, piece, rng, limits)
-    if fast is not None:
-        return fast
-    if not others_complete:
-        raise DegenerateSlice(
-            f"no rational point on {piece!r} and sibling components unknown"
+    s = separator_polynomial(piece, others)
+    if piece.ambient.is_projective():
+        s = s * piece.ideal.ctx.gen(piece.ambient.projective_vars()[first_chart(piece)])
+    local = saturate_element(parent_with_divisor, s, limits)
+    dim, degree = dimension_and_degree(local, limits)
+    piece_dim, piece_degree = dimension_and_degree(piece.ideal, limits)
+    if dim != piece_dim or degree % piece_degree:
+        raise CertificationFailure(
+            f"saturation along {piece!r} has dimension {dim} and degree {degree}, "
+            f"against {piece_dim} and {piece_degree} for the component"
         )
-    ambient = piece.ambient
-    sep = separator_polynomial(piece, others)
-    for _ in range(5):
-        slices = _slice_forms(ambient, piece.dim, rng)
-        A = _fiber_point_count(piece.ideal, ambient, slices, limits)
-        if not A:
-            continue
-        J = parent_with_divisor.with_extra(slices)
-        if sep is not None:
-            J = saturate_element(J, sep, limits)
-        B = _fiber_point_count(J, ambient, [], limits)
-        if not B or B % A:
-            continue
-        return B // A
-    raise DegenerateSlice(
-        f"multiplicity slicing failed for component {piece!r}"
-    )
+    return degree // piece_degree
 
 
 def divisor_intersect(
     E: GradedEnrichedCycle,
     g: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Proper intersection with the hypersurface V(g), per Fulton lengths."""
@@ -644,7 +590,7 @@ def divisor_intersect(
         acc = EnrichedCycle(ambient)
         for comp, m in cyc.terms.items():
             if comp not in cache:
-                cache[comp] = _intersect_component(comp, g, ambient, rng, limits)
+                cache[comp] = _intersect_component(comp, g, ambient, limits)
             for piece, mult in cache[comp]:
                 acc = acc.add_term(piece, mc.tensor(m, ModClass.free(mult)))
         if acc:
@@ -656,7 +602,6 @@ def _intersect_component(
     comp: Component,
     g: Polynomial,
     ambient: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits,
 ) -> list:
     if radical_contains(comp.ideal, g, limits):
@@ -678,22 +623,20 @@ def _intersect_component(
     out = []
     for p in pieces:
         others = [q for q in pieces if q is not p]
-        mult = intersection_multiplicity(J, p, others, rng, limits)
-        out.append((p, mult))
+        out.append((p, intersection_multiplicity(J, p, others, limits)))
     return out
 
 
 def ci_intersect(
     E: GradedEnrichedCycle,
     gs: Sequence[Polynomial],
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Left fold of divisor intersections (complete-intersection second factor)."""
     current = E
     for i, g in enumerate(gs):
         try:
-            current = divisor_intersect(current, g, rng, limits)
+            current = divisor_intersect(current, g, limits)
         except ImproperIntersection as exc:
             raise ImproperIntersection(f"step {i} ({g}): {exc}") from exc
         if not current:

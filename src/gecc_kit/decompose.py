@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import sympy
 
@@ -26,7 +25,7 @@ from .ideal import (
     standard_monomials,
     vector_space_dimension,
 )
-from .polyring import DEGREVLEX, Polynomial, VarContext, Variable
+from .polyring import Polynomial, VarContext, Variable
 
 
 @dataclass(frozen=True)
@@ -311,10 +310,6 @@ def _linear_fiber_with(
     return saturate_element(candidate, witness, limits) == J
 
 
-def _no_fiber(p: Polynomial, fiber_names: set) -> bool:
-    return all(p.degree_in(n) == 0 for n in fiber_names)
-
-
 def _row_reduce_mod(rows: list, ncols: int, base_gb: tuple) -> tuple:
     """Cross-multiplication elimination mod the base; returns (pivots, residuals)."""
     pivots = []
@@ -543,19 +538,3 @@ def _minimalize(witnesses: list) -> list:
         if not redundant:
             keep.append(w)
     return keep
-
-
-def certified_prime_from_saturation(
-    full_ideal: Ideal,
-    witness: Polynomial,
-    limits: EngineLimits | None = None,
-    route: str = "linear-fiber-constructed",
-) -> PrimeWitness:
-    """Saturation of prime-base + linear-fiber generators at a unit witness.
-
-    The caller guarantees the construction shape; the result is prime by
-    the localization argument and is returned with a certification tag.
-    """
-    sat = saturate_element(full_ideal, witness, limits)
-    canonical = Ideal(sat.ctx, sat.groebner_basis(limits=limits))
-    return PrimeWitness(canonical, True, route)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import modclass as mc
 from .cycles import (
@@ -20,21 +20,15 @@ from .cycles import (
     Component,
     EnrichedCycle,
     GradedEnrichedCycle,
-    ImproperIntersection,
     OrdinaryCycle,
-    U_KIND,
     ci_intersect,
     component_from_prime,
-    decompose_components,
     divisor_intersect,
-    gap_remove,
     proper_pushforward,
-    scalar_multiply,
     to_ordinary,
 )
 from .conormal import (
     StratifiedComplex,
-    Stratum,
     conormal_variety,
     f_nonconstant_on,
     gecc_assemble,
@@ -140,7 +134,7 @@ def polar_curve(
             continue
         rel = relative_conormal(s, ft, ambient_t, limits)
         cyc = GradedEnrichedCycle.single(0, EnrichedCycle(ambient_t, {rel: ModClass.free(1)}))
-        inter = ci_intersect(cyc, list(graph.generators), rng, limits)
+        inter = ci_intersect(cyc, list(graph.generators), limits)
         if not inter:
             per_stratum[s.name] = []
             diagnostics["strata"][s.name] = "empty"
@@ -196,7 +190,6 @@ def classical_polar_cycle(
     ft: Polynomial,
     lt: Polynomial,
     ambient_u: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> list:
     """Hamm-Le-Teissier polar curve of an ambient function as [(component, mult)].
@@ -223,7 +216,7 @@ def classical_polar_cycle(
             {component_from_prime(Ideal(ctx, []), ambient_u, limits): ModClass.free(1)},
         ),
     )
-    inter = ci_intersect(ambient_cycle, cuts, rng, limits)
+    inter = ci_intersect(ambient_cycle, cuts, limits)
     pieces = []
     for comp, m in inter.degree(0).terms.items():
         if all(radical_contains(comp.ideal, g, limits) for g in sigma.generators):
@@ -238,12 +231,11 @@ def classical_polar_mu(
     lt: Polynomial,
     point: Mapping[str, Fraction],
     ambient_u: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> int:
     """(Gamma^1_{f,l} . V(l))_p: the complex-link sphere count."""
     limits = limits or DEFAULT_LIMITS
-    pieces = classical_polar_cycle(ft, lt, ambient_u, rng, limits)
+    pieces = classical_polar_cycle(ft, lt, ambient_u, limits)
     total = 0
     for comp, mult in pieces:
         if comp.dim != 1:
@@ -353,7 +345,6 @@ def _covector_test(
 def nearby_gecc(
     SC: StratifiedComplex,
     ft: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """gecc of the shifted nearby cycles: relative conormal cycle cut by V(f)."""
@@ -361,7 +352,7 @@ def nearby_gecc(
     rel = relative_conormal_cycle(SC, ft, limits)
     if not rel:
         return rel
-    return divisor_intersect(rel, ft.lift(SC.tstar_ambient().context()), rng, limits)
+    return divisor_intersect(rel, ft.lift(SC.tstar_ambient().context()), limits)
 
 
 def _stratum_local_degrees(
@@ -516,7 +507,6 @@ def star_equals_shriek(
 def shriek_support(
     SC: StratifiedComplex,
     ft: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> dict:
     """Support of gecc(i_!i^!): off-V(f) conormals union the nearby support.
@@ -526,7 +516,7 @@ def shriek_support(
     """
     limits = limits or SC.limits
     full = gecc_assemble(SC, limits)
-    psi = nearby_gecc(SC, ft, rng, limits)
+    psi = nearby_gecc(SC, ft, limits)
     ambient_t = SC.tstar_ambient()
     ctx = ambient_t.context()
     origin = [ctx.gen(v) for v in ambient_t.base_vars()]
@@ -587,14 +577,6 @@ def check_triangle(name: str, A: OrdinaryCycle, B: OrdinaryCycle, C: OrdinaryCyc
     lhs = B
     rhs = A.plus(C)
     return AssertionRecord(name, lhs == rhs, repr(lhs), repr(rhs))
-
-
-def check_union_formula(
-    X: OrdinaryCycle, Y: OrdinaryCycle, Z: OrdinaryCycle, YZ: OrdinaryCycle
-) -> AssertionRecord:
-    lhs = X
-    rhs = Y.plus(Z).minus(YZ)
-    return AssertionRecord("constant-sheaf union formula", lhs == rhs, repr(lhs), repr(rhs))
 
 
 def check_complement_restriction(

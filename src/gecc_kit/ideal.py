@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -38,14 +38,13 @@ class CertificationFailure(RuntimeError):
 
 
 class NotZeroDimensional(RuntimeError):
-    """Local-degree request at a point where the ideal is not finite."""
+    """Local-degree request for an ideal whose quotient ring is not finite."""
 
 
 @dataclass
 class EngineLimits:
     spair_budget: int = 1_000_000
     saturation_cap: int = 32
-    madic_cap: int = 24
     vecdim_cap: int = 200_000
 
 
@@ -350,12 +349,7 @@ class Ideal:
         return f"Ideal({inner})"
 
     def dimension(self, limits: EngineLimits | None = None) -> int:
-        gb = self.groebner_basis(limits=limits)
-        if self.is_trivial():
-            return -1
-        order = DEGREVLEX
-        lms = [g.leading(order)[0] for g in gb]
-        return _staircase_dimension(lms, len(self.ctx))
+        return dimension_and_degree(self, limits)[0]
 
 
 def reduce_exact(p: Polynomial, gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -396,28 +390,72 @@ def reduce_exact(p: Polynomial, gb: Sequence[Polynomial], order: MonomialOrder =
     return Polynomial(ctx, remainder)
 
 
-def _staircase_dimension(lms: list, n: int) -> int:
-    """Krull dimension from leading monomials: largest independent variable set."""
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in lms]
-    if any(not s for s in supports):
-        return -1
-    best = -1
-    vars_all = list(range(n))
+def dimension_and_degree(I: Ideal, limits: EngineLimits | None = None) -> tuple:
+    """(dimension, degree) of the affine scheme V(I); (-1, 0) when I is trivial.
 
-    def rec(i: int, chosen: frozenset) -> None:
-        nonlocal best
-        if len(chosen) + (n - i) <= best:
-            return
-        if i == n:
-            best = max(best, len(chosen))
-            return
-        cand = chosen | {i}
-        if all(not s <= cand for s in supports):
-            rec(i + 1, cand)
-        rec(i + 1, chosen)
+    Read from the degrevlex leading monomials (Bayer-Stillman 1992; Cox,
+    Little and O'Shea, ch. 9): the Hilbert series of Q[ctx]/LT(I) is
+    N(t)/(1-t)^n, the dimension is n less the order of the zero of N at
+    t = 1, and the degree is N(t)/(1-t)^(n-dim) at t = 1. The degree sums
+    the lengths times the degrees of the top-dimensional components only.
+    """
+    gb = I.groebner_basis(limits=limits)
+    num = _hilbert_numerator([g.leading(DEGREVLEX)[0] for g in gb])
+    if not any(num):
+        return -1, 0
+    codim = 0
+    while sum(num) == 0:
+        # N(t) = (1-t) Q(t): Q's coefficients are the prefix sums of N's
+        num = list(itertools.accumulate(num))[:-1]
+        codim += 1
+    return len(I.ctx) - codim, sum(num)
 
-    rec(0, frozenset())
-    return best
+
+def _hilbert_numerator(gens: list) -> list:
+    """Coefficients of N(t), in rising powers of t, for the monomial ideal (gens).
+
+    N(M' + (m)) = N(M') - t^|m| N(M' : m); factors over groups of
+    generators with disjoint supports multiply.
+    """
+    minimal: list = []
+    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+        if not any(exp_divides(h, g) for h in minimal):
+            minimal.append(g)
+    if not minimal:
+        return [1]
+    groups: list = []  # [support, generators]
+    for g in minimal:
+        support = {i for i, x in enumerate(g) if x}
+        joined = [grp for grp in groups if grp[0] & support]
+        for grp in joined:
+            groups.remove(grp)
+            support |= grp[0]
+        groups.append([support, [g] + [h for grp in joined for h in grp[1]]])
+    if len(groups) > 1:
+        product = [1]
+        for _, members in groups:
+            product = _poly_mul(product, _hilbert_numerator(members))
+        return product
+    m, rest = minimal[-1], minimal[:-1]
+    colon = [exp_div(exp_lcm(g, m), m) for g in rest]
+    return _poly_sub(_hilbert_numerator(rest), [0] * sum(m) + _hilbert_numerator(colon))
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +464,6 @@ def _staircase_dimension(lms: list, n: int) -> int:
 
 def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, limits: EngineLimits | None = None) -> tuple:
     return I.groebner_basis(order, limits)
-
-
-def ideal_membership(p: Polynomial, I: Ideal) -> bool:
-    return I.contains(p)
 
 
 def selfcheck_groebner(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> bool:
@@ -688,48 +722,24 @@ def local_degree(
     point: Mapping[str, Fraction] | None = None,
     limits: EngineLimits | None = None,
 ) -> int:
-    """Q-dimension of the local ring at the point (0 if point not on V(I)).
+    """Length of the local ring of Q[ctx]/I at the point (0 off V(I)).
 
-    m-adic stabilization, realized with pure variable powers for speed:
-    join v^N for every variable; once every monomial of degree B+1 (B the
-    top standard-monomial degree) reduces to zero and N >= B+2, the count
-    equals the honest m-adic limit by the Krull intersection argument.
+    Q[ctx]/I must be finite, else NotZeroDimensional. With D its
+    Q-dimension, the local algebra at the point has length at most D, so
+    the D-th power of its maximal ideal is zero, while at every other
+    point of V(I) some centred coordinate is a unit. Joining the D-th
+    power of every centred coordinate therefore leaves exactly the local
+    algebra, whose dimension is counted by standard monomials.
     """
-    limits = limits or DEFAULT_LIMITS
     J = translate(I, point) if point else I
     for g in J.generators:
         if g.constant_term() != 0:
             return 0
-    ctx = J.ctx
-    n = len(ctx)
-    for N in range(2, limits.madic_cap + 1):
-        power_gens = [ctx.gen(v) ** N for v in ctx.variables]
-        K = J.with_extra(power_gens)
-        basis = standard_monomials(K, limits)
-        if basis is None:
-            continue
-        D = len(basis)
-        B = max((sum(e) for e in basis), default=0)
-        if N < B + 2:
-            continue
-        gb = K.groebner_basis(limits=limits)
-        certified = all(
-            reduce_exact(Polynomial(ctx, {e: Fraction(1)}), gb).is_zero()
-            for e in _exponents_of_degree(n, B + 1)
+    D = vector_space_dimension(J, limits)
+    if D is None:
+        raise NotZeroDimensional(
+            "local degree requested for an ideal whose quotient ring is not finite"
         )
-        if certified:
-            return D
-    raise NotZeroDimensional(
-        f"local counts did not stabilize within N={limits.madic_cap}; "
-        "the ideal is not zero-dimensional at the point"
-    )
-
-
-def _exponents_of_degree(n: int, d: int) -> list:
-    if n == 1:
-        return [(d,)]
-    out = []
-    for k in range(d + 1):
-        for rest in _exponents_of_degree(n - 1, d - k):
-            out.append((k,) + rest)
-    return out
+    ctx = J.ctx
+    powers = tuple(ctx.gen(v) ** D for v in ctx.variables)
+    return vector_space_dimension(Ideal(ctx, J.groebner_basis(limits=limits) + powers), limits)

@@ -106,13 +106,6 @@ def direct_sum(a: ModClass, b: ModClass) -> ModClass:
     return ModClass(a.rank + b.rank, a.torsion + b.torsion)
 
 
-def direct_sum_all(terms: Iterable[ModClass]) -> ModClass:
-    total = ModClass.zero()
-    for t in terms:
-        total = direct_sum(total, t)
-    return total
-
-
 def tensor(a: ModClass, b: ModClass) -> ModClass:
     """Tensor product over Z: bilinear on ranks, gcd rule on torsion."""
     torsion = []

@@ -11,8 +11,8 @@ gecc by downward induction over dimension.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from . import modclass as mc
 from .cycles import (
@@ -29,12 +29,12 @@ from .cycles import (
     component_from_prime,
     decompose_components,
     divisor_intersect,
+    first_chart,
     gap_remove,
     intersection_multiplicity,
     irrelevant_ideal,
     proper_pushforward,
     pushforward_with_degree,
-    scalar_multiply,
     to_ordinary,
 )
 from .conormal import (
@@ -54,7 +54,7 @@ from .ideal import (
     variety_contained_in,
 )
 from .modclass import ModClass
-from .polyring import Polynomial, VarContext, Variable
+from .polyring import Polynomial, Variable
 
 
 class InconsistencyError(RuntimeError):
@@ -102,7 +102,6 @@ class MicrosupportBound:
 def microsupport_phi_bound(
     SC: StratifiedComplex,
     ft: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
     psi: GradedEnrichedCycle | None = None,
 ) -> MicrosupportBound:
@@ -110,7 +109,7 @@ def microsupport_phi_bound(
     limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     if psi is None:
-        psi = nearby_gecc(SC, ft, rng, limits)
+        psi = nearby_gecc(SC, ft, limits)
     lower: dict = {}
     upper: dict = {}
     for s in SC.visible_strata():
@@ -262,7 +261,6 @@ class PiDeltaTrace:
 def pi_delta(
     gecc_F: GradedEnrichedCycle,
     ft: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> PiDeltaTrace:
     """The graph-cutting iteration, top cotangent coordinate first."""
@@ -289,7 +287,7 @@ def pi_delta(
             divisor = graph_gens[j]
             cyc = GradedEnrichedCycle.single(0, pi_current)
             try:
-                total = divisor_intersect(cyc, divisor, rng, limits).degree(0)
+                total = divisor_intersect(cyc, divisor, limits).degree(0)
             except Exception as exc:
                 raise ImproperStep(f"degree {k}, step j={j}: {exc}") from exc
             delta_terms: dict = {}
@@ -420,7 +418,7 @@ def char_polar_cycles(
         cuts = [ctx.gen(f"u{i}") for i in range(n, j, -1)]
         for k in sorted(geccP.degrees):
             sliced = ci_intersect(
-                GradedEnrichedCycle.single(0, geccP.degree(k)), cuts, rng, limits
+                GradedEnrichedCycle.single(0, geccP.degree(k)), cuts, limits
             )
             if not sliced:
                 continue
@@ -584,7 +582,7 @@ def blowup_exceptional(
         for comp, m in cyc.terms.items():
             if comp not in cache:
                 cache[comp] = _exceptional_of_component(
-                    comp, graph, graph_gens, ambient_b, rng, limits
+                    comp, graph, graph_gens, ambient_b, limits
                 )
                 per_component.append(cache[comp])
             result = cache[comp]
@@ -603,7 +601,6 @@ def _exceptional_of_component(
     graph: Ideal,
     graph_gens: list,
     ambient_b: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits,
 ):
     ctx_t = comp.ideal.ctx
@@ -622,24 +619,13 @@ def _exceptional_of_component(
     out = []
     ctx_b = ambient_b.context()
     for piece in pieces:
-        chart = next(
-            (
-                i
-                for i in range(ambient_b.n + 1)
-                if not piece.ideal.contains(ctx_b.gen(f"u{i}"))
-            ),
-            None,
-        )
-        if chart is None:
-            continue
-        # multiplicity of the piece in the divisor cut by the chart equation
+        chart = first_chart(piece)
+        # on the chart u_chart != 0 the exceptional divisor is cut out by
+        # the chart's center equation; its components are the pieces there
+        tag = ctx_b.gen(f"u{chart}")
+        others = [q for q in pieces if q is not piece and not q.ideal.contains(tag)]
         mult = intersection_multiplicity(
-            bl.ideal.with_extra([graph_gens[chart]]),
-            piece,
-            [],
-            rng,
-            limits,
-            others_complete=False,
+            bl.ideal.with_extra([graph_gens[chart]]), piece, others, limits
         )
         out.append((piece, mult))
     return BlowupComponentResult(comp, "blown-up", out)
@@ -714,7 +700,7 @@ def vanishing_pipeline(
     """
     limits = limits or SC.limits
     gecc_F = gecc_assemble(SC, limits)
-    bound = microsupport_phi_bound(SC, ft, rng, limits)
+    bound = microsupport_phi_bound(SC, ft, limits)
     iso = isolating_check(SC, ft, bound.upper_components(), None, None, limits)
     trace = lambdas = gecc_phi = cc_phi = None
     blowup = None
@@ -722,7 +708,7 @@ def vanishing_pipeline(
     if not iso["pass"] and require_isolating:
         return VanishingReport(SC, ft, bound, iso, None, None, None, None, None, None)
     if route in ("pidelta", "both"):
-        trace = pi_delta(gecc_F, ft, rng, limits)
+        trace = pi_delta(gecc_F, ft, limits)
         lambdas = lambda_cycles(trace, rng, limits)
         gecc_phi = reconstruct_gecc(lambdas, rng, limits)
         cc_phi = to_ordinary(gecc_phi)

@@ -66,19 +66,19 @@ def ucomp(sc, *gens):
     return component_from_prime(Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), sc.ambient)
 
 
-def test_criterion_1_classical_polar(sc_xyt, rng):
+def test_criterion_1_classical_polar(sc_xyt):
     started = time.monotonic()
     amb = sc_xyt.ambient
     ctx = amb.context()
     f = parse_polynomial(f"y*({SURFACE})", ctx)
-    pieces = classical_polar_cycle(f, parse_polynomial("t", ctx), amb, rng)
+    pieces = classical_polar_cycle(f, parse_polynomial("t", ctx), amb)
     target = Ideal(ctx, [parse_polynomial("3*x+2*t^2", ctx),
                          parse_polynomial("3*y^2-x^3-t^2*x^2", ctx)])
     assert pieces and all(m == 1 for _, m in pieces)
     for comp, _ in pieces:
         assert variety_contained_in(comp.ideal, target)
     # the components exhaust the polar cycle: total slice degree 2 = deg of target
-    assert classical_polar_mu(f, parse_polynomial("t", ctx), None, amb, rng) == 2
+    assert classical_polar_mu(f, parse_polynomial("t", ctx), None, amb) == 2
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     report(1, started, "Gamma^1_{f,t} and (Gamma . V(t))_0 = 2")
@@ -133,7 +133,6 @@ def test_criterion_3_polar_curve(sc_xyt, rng):
     chain = ci_intersect(
         GradedEnrichedCycle.single(0, EnrichedCycle(amb_t, {E: Z(1)})),
         [parse_polynomial(s, ctx) for s in ("w0", "w1", "w2-1")],
-        rng,
     )
     assert chain.degree(0).terms == {tcomp(sc_xyt, "x+t^2", "y", "w0", "w1", "w2-1"): Z(1)}
     elapsed = time.monotonic() - started
@@ -141,9 +140,9 @@ def test_criterion_3_polar_curve(sc_xyt, rng):
     report(3, started, "(Gamma^1_{x,t})^0 = Z^2[V(x+t^2, y)]")
 
 
-def test_criterion_4_nearby_cycles(sc_xyt, rng):
+def test_criterion_4_nearby_cycles(sc_xyt):
     started = time.monotonic()
-    psi = nearby_gecc(sc_xyt, P("x", sc_xyt), rng)
+    psi = nearby_gecc(sc_xyt, P("x", sc_xyt))
     assert psi.degree(0).terms == {
         tcomp(sc_xyt, "x", "y", "w2"): Z(3),
         tcomp(sc_xyt, "x", "y", "t"): Z(4),
@@ -162,7 +161,6 @@ def test_criterion_4_nearby_cycles(sc_xyt, rng):
     sub = divisor_intersect(
         GradedEnrichedCycle.single(0, EnrichedCycle(amb_t, {E: Z(1)})),
         parse_polynomial("x", ctx),
-        rng,
     )
     assert sub.degree(0).terms == {
         tcomp(sc_xyt, "x", "y", "t"): Z(2),
@@ -249,7 +247,7 @@ def test_criterion_7_curve_oracle(label, fixture, expected, request, rng):
     # B-complex point coefficient: Z^m = off-V(f) strata pass-through + beta sum
     m_off = sum(b.mult for b in measured if not b.in_vf)
     assert sum(shr.exponents.values()) == m_off
-    psi = nearby_gecc(SC, f, rng)
+    psi = nearby_gecc(SC, f)
     amb_t = SC.tstar_ambient()
     origin_conormal = conormal_variety(SC.stratum("origin"), amb_t)
     assert psi.degree(0).terms.get(origin_conormal) == oracle["point"]["P"]

@@ -17,11 +17,12 @@ from gecc_kit.cycles import (
     component_from_prime,
     divisor_intersect,
     gap_remove,
+    intersection_multiplicity,
     proper_pushforward,
     scalar_multiply,
     to_ordinary,
 )
-from gecc_kit.ideal import Ideal
+from gecc_kit.ideal import CertificationFailure, Ideal
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
 
@@ -83,49 +84,86 @@ def test_scalar_multiply():
     assert twisted.degree(0).terms[c] == ModClass(0, (2, 2))
 
 
-def test_divisor_intersect_paper_e_component(rng):
+def test_divisor_intersect_paper_e_component():
     # E . V(x) = 2[V(x,y,t)] + 2[V(x,y,w2)]
     E = single(E_component(), Z(1))
-    result = divisor_intersect(E, P("x"), rng)
+    result = divisor_intersect(E, P("x"))
     expected = {comp("x", "y", "t"): Z(2), comp("x", "y", "w2"): Z(2)}
     assert result.degree(0).terms == expected
 
 
-def test_divisor_intersect_parametrization_oracles(rng):
+def test_divisor_intersect_parametrization_oracles():
     # frozen via the parametrization (x,y,t) = (-s^2, 0, s):
     # order of vanishing of t is 1, of x is 2
     c = comp("x+t^2", "y")
-    assert divisor_intersect(single(c, Z(1)), P("t"), rng).degree(0).terms == {
+    assert divisor_intersect(single(c, Z(1)), P("t")).degree(0).terms == {
         comp("x", "y", "t"): Z(1)
     }
-    assert divisor_intersect(single(c, Z(1)), P("x"), rng).degree(0).terms == {
+    assert divisor_intersect(single(c, Z(1)), P("x")).degree(0).terms == {
         comp("x", "y", "t"): Z(2)
     }
 
 
-def test_divisor_intersect_improper(rng):
+AMB_PLANE = AmbientSpace("U", 1, ("x", "y"))
+AMB_PLANE_TAGS = AmbientSpace("UxP", 1, ("x", "y"))
+
+
+def plane_ideal(*gens, amb=AMB_PLANE):
+    ctx = amb.context()
+    return Ideal(ctx, [parse_polynomial(g, ctx) for g in gens])
+
+
+def test_intersection_multiplicity_tangency():
+    J = plane_ideal("y-x^2", "y")
+    assert intersection_multiplicity(J, comp("x", "y", amb=AMB_PLANE), []) == 2
+
+
+def test_intersection_multiplicity_separates_siblings():
+    J = plane_ideal("y", "x^2*(x-1)")
+    origin = comp("x", "y", amb=AMB_PLANE)
+    other = comp("x-1", "y", amb=AMB_PLANE)
+    assert intersection_multiplicity(J, origin, [other]) == 2
+    assert intersection_multiplicity(J, other, [origin]) == 1
+
+
+def test_intersection_multiplicity_tag_ambient():
+    # (x^2, y) meet (u0, u1): the irrelevant component V(u0, u1) has the same
+    # affine dimension as the piece and is not among the siblings
+    J = plane_ideal("x^2*u0", "x^2*u1", "y*u0", "y*u1", amb=AMB_PLANE_TAGS)
+    assert intersection_multiplicity(J, comp("x", "y", amb=AMB_PLANE_TAGS), []) == 2
+
+
+def test_intersection_multiplicity_refuses_to_guess():
+    # a sibling left out keeps a second top-dimensional component: degree 3
+    # over a piece of degree 2
+    J = plane_ideal("y", "x^3-2*x")
+    with pytest.raises(CertificationFailure):
+        intersection_multiplicity(J, comp("y", "x^2-2", amb=AMB_PLANE), [])
+
+
+def test_divisor_intersect_improper():
     c = comp("x+t^2", "y")
     with pytest.raises(ImproperIntersection):
-        divisor_intersect(single(c, Z(1)), P("y"), rng)
+        divisor_intersect(single(c, Z(1)), P("y"))
 
 
-def test_ci_intersect_empty_list(rng):
+def test_ci_intersect_empty_list():
     E = single(comp("x+t^2", "y"), Z(1))
-    assert ci_intersect(E, [], rng) == E
+    assert ci_intersect(E, []) == E
 
 
-def test_ci_intersect_graph_chain(rng):
+def test_ci_intersect_graph_chain():
     # E . V(w0, w1, w2-1) = [V(x+t^2, y, w0, w1, w2-1)]
     E = single(E_component(), Z(1))
-    result = ci_intersect(E, [P("w0"), P("w1"), P("w2-1")], rng)
+    result = ci_intersect(E, [P("w0"), P("w1"), P("w2-1")])
     assert result.degree(0).terms == {
         comp("x+t^2", "y", "w0", "w1", "w2-1"): Z(1)
     }
 
 
-def test_ci_intersect_whole_graph(rng):
+def test_ci_intersect_whole_graph():
     c = comp("x+t^2", "y")
-    result = ci_intersect(single(c, Z(1)), [P("w0"), P("w1"), P("w2-1")], rng)
+    result = ci_intersect(single(c, Z(1)), [P("w0"), P("w1"), P("w2-1")])
     assert result.degree(0).terms == {
         comp("x+t^2", "y", "w0", "w1", "w2-1"): Z(1)
     }

@@ -44,10 +44,10 @@ def P(text, sc):
 # -- classical polar curve (ambient smooth case)
 
 
-def test_classical_polar_running_example(sc_xyt, rng):
+def test_classical_polar_running_example(sc_xyt):
     amb = sc_xyt.ambient
     f = P(f"y*({SURFACE})", sc_xyt)
-    pieces = classical_polar_cycle(f, P("t", sc_xyt), amb, rng)
+    pieces = classical_polar_cycle(f, P("t", sc_xyt), amb)
     # the polar cycle is V(3x+2t^2, 3y^2-x^3-t^2x^2) with multiplicity one;
     # the engine splits it into its two rational branches
     assert all(m == 1 for _, m in pieces)
@@ -58,24 +58,24 @@ def test_classical_polar_running_example(sc_xyt, rng):
         assert variety_contained_in(comp.ideal, target)
     total = sum(m * 1 for _, m in pieces)
     assert total == 2  # two branches, multiplicity one each
-    assert classical_polar_mu(f, P("t", sc_xyt), None, amb, rng) == 2
+    assert classical_polar_mu(f, P("t", sc_xyt), None, amb) == 2
 
 
-def test_classical_polar_a1_point(rng):
+def test_classical_polar_a1_point():
     amb = AmbientSpace("U", 2, ("x", "y", "t"))
     ctx = amb.context()
     f = parse_polynomial("x^2+y^2+t^2", ctx)
     l = parse_polynomial("x+2*y+3*t", ctx)
-    assert classical_polar_mu(f, l, None, amb, rng) == 1
+    assert classical_polar_mu(f, l, None, amb) == 1
 
 
-def test_classical_polar_smooth_function_empty(rng):
+def test_classical_polar_smooth_function_empty():
     amb = AmbientSpace("U", 2, ("x", "y", "t"))
     ctx = amb.context()
     assert classical_polar_cycle(parse_polynomial("x", ctx),
-                                 parse_polynomial("t", ctx), amb, rng) == []
+                                 parse_polynomial("t", ctx), amb) == []
     assert classical_polar_mu(parse_polynomial("x", ctx),
-                              parse_polynomial("t", ctx), None, amb, rng) == 0
+                              parse_polynomial("t", ctx), None, amb) == 0
 
 
 # -- relative polar curve
@@ -137,8 +137,8 @@ def test_polar_extension_independence_spot_check(sc_xyt, rng):
 # -- nearby cycles
 
 
-def test_nearby_gecc_running_example(sc_xyt, rng):
-    psi = nearby_gecc(sc_xyt, P("x", sc_xyt), rng)
+def test_nearby_gecc_running_example(sc_xyt):
+    psi = nearby_gecc(sc_xyt, P("x", sc_xyt))
     ctx = sc_xyt.ambient.context()
     amb_t = sc_xyt.tstar_ambient()
     tctx = amb_t.context()
@@ -198,8 +198,8 @@ def test_star_equals_shriek_records(sc_xyt, rng):
     assert mod_leq(shr.table[0], near.table[0])
 
 
-def test_shriek_support_running_example(sc_xyt, rng):
-    supp = shriek_support(sc_xyt, P("x", sc_xyt), rng)
+def test_shriek_support_running_example(sc_xyt):
+    supp = shriek_support(sc_xyt, P("x", sc_xyt))
     assert sorted(supp) == [0]
     names = {tuple(sorted(c.gen_strings())) for c in supp[0]}
     amb_t = sc_xyt.tstar_ambient()
@@ -214,11 +214,11 @@ def test_shriek_support_running_example(sc_xyt, rng):
     assert len(names) == 5
 
 
-def test_shriek_support_f_nonvanishing(rng):
+def test_shriek_support_f_nonvanishing():
     amb = AmbientSpace("U", 2, ("x", "y", "t"))
     SC = StratifiedComplex(amb, [make_stratum(amb, "M", ["y"], 2, {0: Z(1)})])
     ctx = amb.context()
-    supp = shriek_support(SC, parse_polynomial("x-1", ctx), rng)
+    supp = shriek_support(SC, parse_polynomial("x-1", ctx))
     amb_t = SC.tstar_ambient()
     assert supp == {0: [conormal_variety(SC.stratum("M"), amb_t)]}
 
@@ -361,7 +361,7 @@ def test_curve_engine_vs_oracle_nearby_and_vanishing(curve_cusp_line, rng):
     van = vanishing_morse_at_origin(rep, f, L, {0: oracle["point"]["A"]})
     assert van.table[0] == oracle["point"]["Q"]
     # full nearby gecc: Z^eta over the point conormal
-    psi = nearby_gecc(SC, f, rng)
+    psi = nearby_gecc(SC, f)
     amb_t = SC.tstar_ambient()
     point_conormal = conormal_variety(SC.stratum("origin"), amb_t)
     assert psi.degree(0).terms == {point_conormal: oracle["point"]["P"]}

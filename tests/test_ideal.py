@@ -12,6 +12,7 @@ from gecc_kit.ideal import (
     Ideal,
     NotZeroDimensional,
     dimension,
+    dimension_and_degree,
     eliminate,
     ideal_quotient,
     intersect,
@@ -287,6 +288,29 @@ def test_local_degree_additive_over_disjoint():
     B = I("x-1", "y", "t")
     meet = intersect(A, B)
     assert local_degree(meet) == local_degree(A) == 2
+
+
+# -- dimension and degree from the leading monomials
+
+CTX_XYZ = base_context(["x", "y", "z"])
+
+
+@pytest.mark.parametrize("gens,expected", [
+    (("x^2-y*z",), (2, 2)),             # quadric cone
+    (("y-x^2", "z-x^3"), (1, 3)),       # twisted cubic
+    (("x*y", "x*z"), (2, 1)),           # plane plus a line: the line has lower dimension
+    (("x^2", "x*y"), (2, 1)),           # plane x = 0 with an embedded line
+    (("x^2", "y^2", "x*y*z"), (1, 3)),  # length 3 along the z-axis
+    (("1",), (-1, 0)),
+    ((), (3, 1)),
+])
+def test_dimension_and_degree(gens, expected):
+    assert dimension_and_degree(I(*gens, ctx=CTX_XYZ)) == expected
+
+
+def test_dimension_and_degree_double_line():
+    # (x^2, y) in (x, y, t): the t-axis counted twice
+    assert dimension_and_degree(I("x^2", "y")) == (1, 2)
 
 
 def test_vector_space_dimension():

@@ -93,9 +93,9 @@ def projection_formula_suite(cases=200, seed=103):
             continue
         done += 1
         lhs = proper_pushforward(
-            divisor_intersect(E, h.lift(tctx), rng), amb_u, rng
+            divisor_intersect(E, h.lift(tctx)), amb_u, rng
         )
-        rhs = divisor_intersect(proper_pushforward(E, amb_u, rng), h, rng)
+        rhs = divisor_intersect(proper_pushforward(E, amb_u, rng), h)
         if lhs != rhs:
             failures += 1
     return failures

@@ -62,58 +62,58 @@ def ucomp(sc, *gens):
 # -- microsupport bound
 
 
-def test_microsupport_bound_running_example(sc_txy, rng):
-    bound = microsupport_phi_bound(sc_txy, P("x", sc_txy), rng)
+def test_microsupport_bound_running_example(sc_txy):
+    bound = microsupport_phi_bound(sc_txy, P("x", sc_txy))
     expected = {tcomp(sc_txy, "x", "y", "w0"), tcomp(sc_txy, "t", "x", "y")}
     assert set(bound.lower[0]) == expected
     assert set(bound.upper[0]) == expected  # the sandwich collapses here
     assert bound.support_dimension() == 1
 
 
-def test_microsupport_bound_f_off_strata(rng):
+def test_microsupport_bound_f_off_strata():
     amb = AmbientSpace("U", 2, ("t", "x", "y"))
     SC = StratifiedComplex(amb, [make_stratum(amb, "M", ["y"], 2, {0: Z(1)})])
     ctx = amb.context()
-    bound = microsupport_phi_bound(SC, parse_polynomial("x", ctx), rng)
+    bound = microsupport_phi_bound(SC, parse_polynomial("x", ctx))
     assert bound.lower == {}
 
 
 # -- isolating coordinates
 
 
-def test_isolating_check_good_order(sc_txy, rng):
-    bound = microsupport_phi_bound(sc_txy, P("x", sc_txy), rng)
+def test_isolating_check_good_order(sc_txy):
+    bound = microsupport_phi_bound(sc_txy, P("x", sc_txy))
     iso = isolating_check(sc_txy, P("x", sc_txy), bound.upper_components())
     assert iso["s"] == 1
     assert iso["per_j"] == {0: True}
     assert iso["pass"]
 
 
-def test_isolating_check_bad_order(sc_xyt, rng):
-    bound = microsupport_phi_bound(sc_xyt, P("x", sc_xyt), rng)
+def test_isolating_check_bad_order(sc_xyt):
+    bound = microsupport_phi_bound(sc_xyt, P("x", sc_xyt))
     iso = isolating_check(sc_xyt, P("x", sc_xyt), bound.upper_components())
     assert iso["per_j"] == {0: False}
     assert not iso["pass"]
 
 
-def test_isolating_check_vacuous_for_point_support(rng):
+def test_isolating_check_vacuous_for_point_support():
     # f with an isolated critical point: s = 0, nothing to check
     amb = AmbientSpace("U", 2, ("t", "x", "y"))
     SC = StratifiedComplex(amb, [make_stratum(amb, "M", [], 3, {0: Z(1)})])
     ctx = amb.context()
     f = parse_polynomial("t^2+x^2+y^2", ctx)
-    bound = microsupport_phi_bound(SC, f, rng)
+    bound = microsupport_phi_bound(SC, f)
     iso = isolating_check(SC, f, bound.upper_components())
     assert iso["s"] == 0
     assert iso["per_j"] == {} and iso["pass"]
 
 
-def test_isolating_check_smooth_function_vacuous(rng):
+def test_isolating_check_smooth_function_vacuous():
     amb = AmbientSpace("U", 2, ("t", "x", "y"))
     SC = StratifiedComplex(amb, [make_stratum(amb, "M", [], 3, {0: Z(1)})])
     ctx = amb.context()
     f = parse_polynomial("t", ctx)
-    bound = microsupport_phi_bound(SC, f, rng)
+    bound = microsupport_phi_bound(SC, f)
     iso = isolating_check(SC, f, bound.upper_components())
     assert iso["s"] == -1 and iso["pass"]
 
@@ -123,11 +123,8 @@ def test_isolating_check_smooth_function_vacuous(rng):
 
 @pytest.fixture(scope="module")
 def trace_txy(sc_txy):
-    import random
-
-    rng = random.Random(77)
     gecc_F = gecc_assemble(sc_txy)
-    return pi_delta(gecc_F, parse_polynomial("x", sc_txy.ambient.context()), rng)
+    return pi_delta(gecc_F, parse_polynomial("x", sc_txy.ambient.context()))
 
 
 def test_pi_delta_step_two(sc_txy, trace_txy):
