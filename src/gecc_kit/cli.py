@@ -69,7 +69,16 @@ EXIT_OK = 0
 EXIT_DIAGNOSTIC = 2
 EXIT_RESOURCE = 3
 
+
+class DescriptorError(ValueError):
+    """The descriptor does not fit its schema; names the offending JSON path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"descriptor {path}: {message}")
+
+
 _DIAGNOSTIC_ERRORS = (
+    DescriptorError,
     ImproperIntersection,
     GenericInjectivityFailure,
     GenericityFailure,
@@ -107,20 +116,86 @@ def load_descriptor(path: str, limits: EngineLimits | None = None) -> ProblemDes
     return descriptor_from_json(data, limits)
 
 
+def _is_nat(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_degree(k: str) -> bool:
+    try:
+        int(k)
+    except ValueError:
+        return False
+    return True
+
+
+def _member(obj: Mapping, path: str, key: str, ok, what: str, default=...):
+    """obj[key] checked by ok; default when absent, DescriptorError when required."""
+    if key not in obj:
+        if default is ...:
+            raise DescriptorError(f"{path}.{key}", "missing")
+        return default
+    value = obj[key]
+    if not ok(value):
+        raise DescriptorError(f"{path}.{key}", f"expected {what}, got {json.dumps(value)}")
+    return value
+
+
+def validate_descriptor(data) -> None:
+    """Check the germ-descriptor schema before anything is built from it."""
+    if not isinstance(data, dict):
+        raise DescriptorError("$", "expected an object")
+    amb = _member(data, "$", "ambient", lambda v: isinstance(v, dict), "an object")
+    n = _member(amb, "$.ambient", "n", _is_nat, "a nonnegative integer")
+    coords = _member(amb, "$.ambient", "coords", _is_strings, "a list of strings")
+    if len(coords) != n + 1:
+        raise DescriptorError(
+            "$.ambient.coords", f"has {len(coords)} names, but n = {n} needs {n + 1}")
+    if len(set(coords)) != len(coords):
+        raise DescriptorError("$.ambient.coords", "names are not distinct")
+    strata = _member(data, "$", "strata", lambda v: isinstance(v, list), "a list", [])
+    for i, s in enumerate(strata):
+        path = f"$.strata[{i}]"
+        if not isinstance(s, dict):
+            raise DescriptorError(path, "expected an object")
+        _member(s, path, "name", lambda v: isinstance(v, str), "a string")
+        _member(s, path, "ideal", _is_strings, "a list of strings")
+        _member(s, path, "dim", _is_nat, "a nonnegative integer")
+        morse = _member(s, path, "morse", lambda v: isinstance(v, dict), "an object", {})
+        for k, m in morse.items():
+            mpath = f"{path}.morse[{json.dumps(k)}]"
+            if not _is_degree(k):
+                raise DescriptorError(mpath, "degree key is not an integer")
+            if not isinstance(m, dict):
+                raise DescriptorError(mpath, "expected an object")
+            _member(m, mpath, "rank", _is_nat, "a nonnegative integer", 0)
+            _member(m, mpath, "torsion",
+                    lambda v: isinstance(v, list) and all(_is_nat(d) and d > 0 for d in v),
+                    "a list of positive integers", [])
+    for key in ("f", "L", "label"):
+        _member(data, "$", key, lambda v: v is None or isinstance(v, str), "a string", None)
+    _member(data, "$", "seed", lambda v: isinstance(v, int) and not isinstance(v, bool),
+            "an integer", 0)
+
+
 def descriptor_from_json(data: Mapping, limits: EngineLimits | None = None) -> ProblemDescriptor:
+    validate_descriptor(data)
     amb_data = data["ambient"]
-    ambient = AmbientSpace("U", int(amb_data["n"]), tuple(amb_data["coords"]))
+    ambient = AmbientSpace("U", amb_data["n"], tuple(amb_data["coords"]))
     ctx = ambient.context()
     strata = []
     for s in data.get("strata", []):
         ideal = Ideal(ctx, [parse_polynomial(t, ctx) for t in s["ideal"]])
         strata.append(
-            Stratum(s["name"], ideal, int(s["dim"]), _parse_morse(s.get("morse", {})))
+            Stratum(s["name"], ideal, s["dim"], _parse_morse(s.get("morse", {})))
         )
     SC = StratifiedComplex(ambient, strata, data.get("label", "F"), limits=limits)
     f = parse_polynomial(data["f"], ctx) if data.get("f") else None
     L = parse_polynomial(data["L"], ctx) if data.get("L") else None
-    return ProblemDescriptor(ambient, SC, f, L, int(data.get("seed", 12345)), dict(data))
+    return ProblemDescriptor(ambient, SC, f, L, data.get("seed", 12345), dict(data))
 
 
 def _morse_json(m: MorseAtPoint) -> dict:

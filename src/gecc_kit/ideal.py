@@ -4,6 +4,17 @@ The Buchberger loop works on integer-primitive term dictionaries
 (fraction-free reduction, content stripped as it grows) with
 Gebauer-Moeller pair pruning; reduced bases are normalized monic and
 cached per monomial order on the owning Ideal.
+
+Hot path. Each Groebner run (and each exact division) memoises the
+negated order key of every exponent it meets in one dict, dropped when
+the run ends, so no key is computed twice within a run. A reduction
+keeps the exponents pending in its working polynomial on a heap of those
+keys, popping the order-largest first; an exponent is pushed when it
+enters the working polynomial, and one that cancelled out since is stale
+and skipped. Live S-pairs map (i, j) to the lcm of their leading
+monomials, with a heap ordered by that lcm (smallest first, ties by
+(i, j)); pruning deletes a pair from the map only, and its stale heap
+entry is skipped without counting against the S-pair budget.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import (
@@ -86,42 +98,55 @@ def _to_int_poly(p: Polynomial) -> dict:
     return _strip(terms)
 
 
-def _from_int_poly(ctx: VarContext, terms: dict) -> Polynomial:
-    return Polynomial(ctx, {e: Fraction(c) for e, c in terms.items()})
+class _OrderKeys(dict):
+    """Negated order key of every exponent met, computed once per exponent.
+
+    One instance lives for one Groebner run (or one division) and is then
+    dropped. Negated keys make ``heapq`` pop the order-largest monomial
+    first, and ``min`` over them finds the leading monomial.
+    """
+
+    __slots__ = ("keyf",)
+
+    def __init__(self, keyf):
+        super().__init__()
+        self.keyf = keyf
+
+    def __missing__(self, e):
+        k = self[e] = tuple(-x for x in self.keyf(e))
+        return k
 
 
-def _lead(terms: dict, keyf):
-    e = max(terms, key=keyf)
+def _lead(terms: dict, keys: _OrderKeys) -> tuple:
+    e = min(terms, key=keys.__getitem__)
     return e, terms[e]
 
 
-def _nf_int(p: dict, basis: list, keyf, full: bool = True) -> dict:
+def _nf_int(p: dict, basis: list, keys: _OrderKeys) -> dict:
     """Normal form of integer poly dict against [(terms, lm, lc), ...].
 
     Fraction-free: the result is the true normal form up to a positive
-    rational scalar, which every caller is insensitive to.
+    rational scalar, which every caller is insensitive to. The reduction
+    front is a heap of the exponents pending in ``work``; an exponent is
+    pushed when it enters ``work``, and a popped one that has since
+    cancelled out of ``work`` is stale and skipped.
     """
     work = dict(p)
+    front = [(keys[e], e) for e in work]
+    heapify(front)
     remainder: dict = {}
     steps = 0
-    while work:
-        e = max(work, key=keyf)
-        c = work.pop(e)
-        if c == 0:
+    while front:
+        e = heappop(front)[1]
+        c = work.pop(e, 0)
+        if not c:
             continue
-        hit = None
         for terms, lm, lc in basis:
             if exp_divides(lm, e):
-                hit = (terms, lm, lc)
                 break
-        if hit is None:
+        else:
             remainder[e] = c
-            if not full:
-                for k, v in work.items():
-                    remainder[k] = remainder.get(k, 0) + v
-                break
             continue
-        terms, lm, lc = hit
         d = math.gcd(c, lc)
         a = lc // d      # scale everything by a
         b = c // d       # subtract b * shift * reducer
@@ -131,25 +156,39 @@ def _nf_int(p: dict, basis: list, keyf, full: bool = True) -> dict:
                 work[k] *= a
             for k in remainder:
                 remainder[k] *= a
-        for k, v in terms.items():
-            if k == lm:
-                continue
-            ke = exp_mul(k, shift)
-            nv = work.get(ke, 0) - b * v
-            if nv:
-                work[ke] = nv
-            else:
-                work.pop(ke, None)
+        _subtract_shifted(work, front, keys, terms, lm, shift, b)
         steps += 1
         if steps % 32 == 0:
             g = math.gcd(_content(work), _content(remainder))
             if g > 1:
                 work = {k: v // g for k, v in work.items()}
                 remainder = {k: v // g for k, v in remainder.items()}
-    return _strip({e: c for e, c in remainder.items() if c})
+    return _strip(remainder)
 
 
-def _spoly_int(f: tuple, g: tuple, keyf) -> dict:
+def _subtract_shifted(work: dict, front: list, keys: _OrderKeys, terms: dict,
+                      lm: tuple, shift: tuple, factor) -> None:
+    """work -= factor * x^shift * (terms less the lm term).
+
+    An exponent entering ``work`` is pushed on the front; one cancelling
+    out of it leaves a stale front entry behind.
+    """
+    for k, v in terms.items():
+        if k == lm:
+            continue
+        ke = exp_mul(k, shift)
+        dv = factor * v
+        old = work.get(ke)
+        if old is None:
+            work[ke] = -dv
+            heappush(front, (keys[ke], ke))
+        elif old == dv:
+            del work[ke]
+        else:
+            work[ke] = old - dv
+
+
+def _spoly_int(f: tuple, g: tuple) -> dict:
     (ft, flm, flc), (gt, glm, glc) = f, g
     lcm = exp_lcm(flm, glm)
     d = math.gcd(flc, glc)
@@ -168,89 +207,92 @@ def _spoly_int(f: tuple, g: tuple, keyf) -> dict:
     return _strip(terms)
 
 
-def _normalize_int(terms: dict, keyf) -> dict:
+def _normalize_int(terms: dict, keys: _OrderKeys) -> tuple:
+    """(terms, lm, lc): content stripped, leading coefficient positive."""
     terms = _strip(terms)
-    if terms:
-        _, lc = _lead(terms, keyf)
-        if lc < 0:
-            terms = {e: -c for e, c in terms.items()}
-    return terms
+    lm, lc = _lead(terms, keys)
+    if lc < 0:
+        terms = {e: -c for e, c in terms.items()}
+    return terms, lm, abs(lc)
 
 
-def _buchberger(gens: list, keyf, budget: int, stats: dict) -> list:
-    """Reduced (up to scaling) Groebner basis of integer poly dicts."""
+def _buchberger(gens: list, keys: _OrderKeys, budget: int, stats: dict) -> list:
+    """Reduced (up to scaling) Groebner basis of nonzero integer poly dicts.
+
+    Returns [(terms, lm, lc), ...] with leading monomials ascending. Live
+    pairs map (i, j) to the lcm of their leading monomials; ``queue`` is a
+    heap of them by that lcm, ties broken by (i, j). Gebauer-Moeller
+    pruning deletes a pair from ``pairs`` only, which leaves its heap
+    entry stale: it is skipped and not counted against the budget.
+    """
     G: list = []   # (terms, lm, lc)
-    P: set = set()
+    pairs: dict = {}
+    queue: list = []
+    keyf = keys.keyf
 
-    def update(f_terms: dict) -> None:
+    def update(f: tuple) -> None:
         # Gebauer-Moeller pair update.
-        flm, flc = _lead(f_terms, keyf)
-        t = len(G)
-        nonlocal P
-        P = {
-            (i, j)
-            for (i, j) in P
-            if not exp_divides(flm, exp_lcm(G[i][1], G[j][1]))
-            or exp_lcm(G[i][1], G[j][1]) == exp_lcm(G[i][1], flm)
-            or exp_lcm(G[i][1], G[j][1]) == exp_lcm(G[j][1], flm)
-        }
+        flm = f[1]
+        lf = [exp_lcm(g[1], flm) for g in G]
+        for (i, j), L in list(pairs.items()):
+            if exp_divides(flm, L) and L != lf[i] and L != lf[j]:
+                del pairs[i, j]
         lcms: dict = {}
-        for i in range(t):
-            lcms.setdefault(exp_lcm(G[i][1], flm), []).append(i)
+        for i, L in enumerate(lf):
+            lcms.setdefault(L, []).append(i)
         kept = []
-        for L in sorted(lcms, key=keyf):
-            if all(not exp_divides(K, L) for K in kept):
-                kept.append(L)
-        for L in kept:
-            if any(exp_lcm(G[i][1], flm) == exp_mul(G[i][1], flm) for i in lcms[L]):
+        for k, L in sorted((keyf(L), L) for L in lcms):
+            if all(not exp_divides(K, L) for _, K in kept):
+                kept.append((k, L))
+        t = len(G)
+        for k, L in kept:
+            if any(lf[i] == exp_mul(G[i][1], flm) for i in lcms[L]):
                 continue  # product criterion
-            P.add((min(lcms[L]), t))
-        G.append((f_terms, flm, flc))
+            i = lcms[L][0]
+            pairs[i, t] = L
+            heappush(queue, (k, i, t))
+        G.append(f)
 
     for g in gens:
-        g = _normalize_int(g, keyf)
-        if g:
-            if sum(_lead(g, keyf)[0]) == 0:
-                return [{(0,) * _nvars(g): 1}]
-            update(g)
+        f = _normalize_int(g, keys)
+        if not any(f[1]):
+            return [f]
+        update(f)
 
     processed = 0
-    while P:
-        pair = min(P, key=lambda ij: keyf(exp_lcm(G[ij[0]][1], G[ij[1]][1])))
-        P.discard(pair)
+    while queue:
+        _, i, j = heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue  # pruned after it was queued
         processed += 1
         if processed > budget:
             raise ResourceLimitExceeded(
                 f"S-pair budget {budget} exceeded during Groebner computation"
             )
-        s = _spoly_int(G[pair[0]], G[pair[1]], keyf)
-        r = _nf_int(s, G, keyf)
+        r = _nf_int(_spoly_int(G[i], G[j]), G, keys)
         if r:
             stats["nonzero_reductions"] = stats.get("nonzero_reductions", 0) + 1
-            if sum(_lead(r, keyf)[0]) == 0:
+            f = _normalize_int(r, keys)
+            if not any(f[1]):
                 stats["spairs"] = stats.get("spairs", 0) + processed
-                return [{next(iter(r)): 1}]
-            update(_normalize_int(r, keyf))
+                return [({f[1]: 1}, f[1], 1)]
+            update(f)
     stats["spairs"] = stats.get("spairs", 0) + processed
 
-    # minimalize
-    order_sorted = sorted(range(len(G)), key=lambda i: keyf(G[i][1]))
+    # minimalize: ascending leading monomials, a stable sort keeping the
+    # first of equal ones
     minimal: list = []
-    for i in order_sorted:
-        if all(not exp_divides(m[1], G[i][1]) for m in minimal):
-            minimal.append(G[i])
-    # interreduce tails
+    for g in sorted(G, key=lambda g: keys[g[1]], reverse=True):
+        if all(not exp_divides(m[1], g[1]) for m in minimal):
+            minimal.append(g)
+    # interreduce tails; a leading monomial of a minimal basis is irreducible
+    # by the others, so it stays leading
     reduced = []
-    for i, (terms, lm, lc) in enumerate(minimal):
-        others = [minimal[j] for j in range(len(minimal)) if j != i]
-        r = _nf_int(terms, others, keyf)
-        reduced.append(_normalize_int(r, keyf))
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        reduced.append(_normalize_int(_nf_int(g[0], others, keys), keys))
     stats["basis_size"] = len(reduced)
-    return [g for g in reduced if g]
-
-
-def _nvars(terms: dict) -> int:
-    return len(next(iter(terms)))
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +335,17 @@ class Ideal:
         if sig in self._cache:
             return self._cache[sig]
         limits = limits or DEFAULT_LIMITS
-        keyf = order.key_function(len(self.ctx))
+        keys = _OrderKeys(order.key_function(len(self.ctx)))
         stats: dict = {}
         ints = [_to_int_poly(g) for g in self.generators]
-        basis = _buchberger(ints, keyf, limits.spair_budget, stats)
+        basis = _buchberger(ints, keys, limits.spair_budget, stats)
         ENGINE_COUNTERS["groebner_runs"] += 1
         ENGINE_COUNTERS["spairs"] += stats.get("spairs", 0)
+        # monic, in ascending order of leading monomials as returned
         polys = tuple(
-            sorted(
-                (_from_int_poly(self.ctx, g).monic(order) for g in basis),
-                key=lambda p: keyf(p.leading(order)[0]),
-            )
-        ) if basis else ()
+            Polynomial(self.ctx, {e: Fraction(c, lc) for e, c in terms.items()})
+            for terms, _, lc in basis
+        )
         self._cache[sig] = polys
         self._stats[sig] = stats
         return polys
@@ -357,36 +398,26 @@ def reduce_exact(p: Polynomial, gb: Sequence[Polynomial], order: MonomialOrder =
     if not gb:
         return p
     ctx = p.ctx
-    keyf = order.key_function(len(ctx))
-    leads = [(g.leading(order)[0], g) for g in gb]
+    keys = _OrderKeys(order.key_function(len(ctx)))
+    leads = [(_lead(g.terms, keys)[0], g) for g in gb]
     work = dict(p.terms)
+    front = [(keys[e], e) for e in work]
+    heapify(front)
     remainder: dict = {}
-    while work:
-        e = max(work, key=keyf)
-        c = work.pop(e)
+    while front:
+        e = heappop(front)[1]
+        c = work.pop(e, 0)
         if not c:
-            continue
-        hit = None
+            continue  # stale: cancelled since it was pushed
         for lm, g in leads:
             if exp_divides(lm, e):
-                hit = (lm, g)
                 break
-        if hit is None:
+        else:
             remainder[e] = c
             continue
-        lm, g = hit
         shift = exp_div(e, lm)
-        lc = g.terms[lm]
-        factor = c / lc
-        for k, v in g.terms.items():
-            if k == lm:
-                continue
-            ke = exp_mul(k, shift)
-            nv = work.get(ke, Fraction(0)) - factor * v
-            if nv:
-                work[ke] = nv
-            else:
-                work.pop(ke, None)
+        factor = c / g.terms[lm]
+        _subtract_shifted(work, front, keys, g.terms, lm, shift, factor)
     return Polynomial(ctx, remainder)
 
 
@@ -470,18 +501,11 @@ def selfcheck_groebner(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLE
     """Every S-polynomial of the basis reduces to zero."""
     if not gb:
         return True
-    ctx = gb[0].ctx
-    keyf = order.key_function(len(ctx))
-    ints = []
-    for g in gb:
-        t = _to_int_poly(g)
-        lm, lc = _lead(t, keyf)
-        ints.append((t, lm, lc))
-    for f, g in itertools.combinations(ints, 2):
-        s = _spoly_int(f, g, keyf)
-        if _nf_int(s, ints, keyf):
-            return False
-    return True
+    keys = _OrderKeys(order.key_function(len(gb[0].ctx)))
+    ints = [(t,) + _lead(t, keys) for t in map(_to_int_poly, gb)]
+    return not any(
+        _nf_int(_spoly_int(f, g), ints, keys) for f, g in itertools.combinations(ints, 2)
+    )
 
 
 def _extend_with(ctx: VarContext, name: str) -> tuple:
@@ -513,30 +537,22 @@ def intersect(I: Ideal, J: Ideal, limits: EngineLimits | None = None) -> Ideal:
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """f / g when g divides f exactly."""
-    order = DEGREVLEX
-    keyf = order.key_function(len(f.ctx))
+    keys = _OrderKeys(DEGREVLEX.key_function(len(f.ctx)))
     q: dict = {}
     rem = dict(f.terms)
-    glm, glc = g.leading(order)
-    while rem:
-        e = max(rem, key=keyf)
-        c = rem.pop(e)
+    front = [(keys[e], e) for e in rem]
+    heapify(front)
+    glm, glc = _lead(g.terms, keys)
+    while front:
+        e = heappop(front)[1]
+        c = rem.pop(e, 0)
         if not c:
-            continue
+            continue  # stale: cancelled since it was pushed
         if not exp_divides(glm, e):
             raise ValueError("division is not exact")
         shift = exp_div(e, glm)
-        coeff = c / glc
-        q[shift] = coeff
-        for k, v in g.terms.items():
-            if k == glm:
-                continue
-            ke = exp_mul(k, shift)
-            nv = rem.get(ke, Fraction(0)) - coeff * v
-            if nv:
-                rem[ke] = nv
-            else:
-                rem.pop(ke, None)
+        q[shift] = c / glc
+        _subtract_shifted(rem, front, keys, g.terms, glm, shift, q[shift])
     return Polynomial(f.ctx, q)
 
 

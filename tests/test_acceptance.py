@@ -40,7 +40,7 @@ from gecc_kit.ideal import Ideal, saturate_element, variety_contained_in
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
 from gecc_kit.vanishing import projectivize, vanishing_pipeline
-from tests import test_properties
+import test_properties
 from tests.conftest import SURFACE, make_stratum
 
 Z = ModClass.free

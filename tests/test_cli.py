@@ -167,6 +167,34 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line" in err
 
 
+def _without_ambient(data):
+    del data["ambient"]
+
+
+def _short_coords(data):
+    data["ambient"]["coords"] = ["t", "x"]
+
+
+def _negative_rank(data):
+    data["strata"][2]["morse"]["0"]["rank"] = -1
+
+
+@pytest.mark.parametrize("spoil, where", [
+    (_without_ambient, "$.ambient"),
+    (_short_coords, "$.ambient.coords"),
+    (_negative_rank, '$.strata[2].morse["0"].rank'),
+], ids=["missing-ambient", "coords-length", "negative-rank"])
+def test_schema_error_names_path(tmp_path, capsys, spoil, where):
+    data = json.loads(json.dumps(RUNNING_TXY))
+    spoil(data)
+    path = write_descriptor(tmp_path, data)
+    code = main(["gecc", path])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIAGNOSTIC
+    assert f"descriptor {where}:" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_curve_command(tmp_path, capsys):
     data = {
         "branches": [

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from gecc_kit import ideal as ideal_module
 from gecc_kit.decompose import factor_list, is_certified_prime, minimal_primes
 from gecc_kit.ideal import (
     DEGREVLEX,
+    EngineLimits,
     Ideal,
     NotZeroDimensional,
+    ResourceLimitExceeded,
     dimension,
     dimension_and_degree,
     eliminate,
@@ -24,7 +27,7 @@ from gecc_kit.ideal import (
     variety_contained_in,
     vector_space_dimension,
 )
-from gecc_kit.polyring import LEX, base_context, block_order, parse_polynomial
+from gecc_kit.polyring import LEX, Polynomial, base_context, block_order, parse_polynomial
 
 CTX = base_context(["x", "y", "t"])
 CTX_W = base_context(["x", "y", "t", "w0", "w1", "w2"])
@@ -72,11 +75,97 @@ def test_gb_selfcheck_property():
             for _ in range(rng.randint(1, 4)):
                 e = tuple(rng.randint(0, 3) for _ in range(3))
                 terms[e] = Fraction(rng.randint(-4, 4))
-            from gecc_kit.polyring import Polynomial
-
             gens.append(Polynomial(CTX, terms))
         J = Ideal(CTX, [g for g in gens if not g.is_zero()])
         assert selfcheck_groebner(J.groebner_basis())
+
+
+# -- kernel regressions: pair-queue budget, orders, stale reduction entries
+
+CTX_XYZ = base_context(["x", "y", "z"])
+PRUNED_AFTER_QUEUEING = ("x - y^2", "x^2*y*z^2 + 3*y", "3*y + 3*x*y^2*z^2")
+
+
+def test_spair_budget_counts_processed_pairs_only(monkeypatch):
+    pair_pops = []
+    real_pop = ideal_module.heappop
+
+    def counting_pop(heap):
+        item = real_pop(heap)
+        if len(item) == 3:  # (lcm key, i, j): a pair-queue entry
+            pair_pops.append(item)
+        return item
+
+    monkeypatch.setattr(ideal_module, "heappop", counting_pop)
+    J = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
+    J.groebner_basis()
+    processed = J.gb_stats()["spairs"]
+    # Gebauer-Moeller pruned a queued pair, so its heap entry went stale
+    assert len(pair_pops) > processed
+    exact = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
+    assert exact.groebner_basis(limits=EngineLimits(spair_budget=processed)) == J.groebner_basis()
+    with pytest.raises(ResourceLimitExceeded):
+        I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis(
+            limits=EngineLimits(spair_budget=processed - 1))
+
+
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order([2], 3), block_order([0, 2], 3)],
+                         ids=["lex", "degrevlex", "block-z", "block-xz"])
+def test_gb_selfcheck_under_orders(order):
+    rng = random.Random(31)
+    for _ in range(20):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0, 0, 0]
+                for _ in range(rng.randint(0, 3)):
+                    e[rng.randrange(3)] += 1
+                terms[tuple(e)] = Fraction(rng.randint(-4, 4))
+            gens.append(Polynomial(CTX_XYZ, terms))
+        gb = Ideal(CTX_XYZ, [g for g in gens if not g.is_zero()]).groebner_basis(order)
+        assert selfcheck_groebner(gb, order)
+        assert all(g.leading(order)[1] == 1 for g in gb)
+
+
+def textbook_remainder(p, gb, order):
+    """Division by the basis in exact fractions, leading term first."""
+    leads = [(g.leading(order), g) for g in gb]
+    work, remainder = p, {}
+    while work:
+        e, c = work.leading(order)
+        for (lm, lc), g in leads:
+            if all(a <= b for a, b in zip(lm, e)):
+                shift = Polynomial(p.ctx, {tuple(b - a for a, b in zip(lm, e)): c / lc})
+                work = work - shift * g
+                break
+        else:
+            remainder[e] = c
+            work = work - Polynomial(p.ctx, {e: c})
+    return Polynomial(p.ctx, remainder)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_normal_form_with_cancellations(order):
+    # reducts of neighbouring terms of the alternating sum cancel, so many
+    # queued exponents go stale on the reduction front before they are popped
+    J = I("x - y - t", "y^2 - 2*t*y + 3", ctx=CTX)
+    terms = {(20 - k, k, 0): Fraction((-1) ** k) for k in range(21)}
+    rng = random.Random(12)
+    for _ in range(30):
+        e = tuple(rng.randint(0, 6) for _ in range(3))
+        terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    p = Polynomial(CTX, terms)
+    gb = J.groebner_basis(order)
+    expected = textbook_remainder(p, gb, order)
+    assert J.normal_form(p, order) == expected
+    # the fraction-free integer kernel agrees up to a positive scalar, which
+    # primitive integer forms remove
+    keys = ideal_module._OrderKeys(order.key_function(3))
+    ints = [(t,) + ideal_module._lead(t, keys) for t in map(ideal_module._to_int_poly, gb)]
+    got = ideal_module._nf_int(ideal_module._to_int_poly(p), ints, keys)
+    assert got == ideal_module._to_int_poly(expected)
+    assert J.contains(p - expected)
 
 
 # -- membership
@@ -291,8 +380,6 @@ def test_local_degree_additive_over_disjoint():
 
 
 # -- dimension and degree from the leading monomials
-
-CTX_XYZ = base_context(["x", "y", "z"])
 
 
 @pytest.mark.parametrize("gens,expected", [

@@ -1,9 +1,11 @@
 """Randomized property suites at desk scale (<= 3 variables, degree <= 4).
 
 Each suite runs at least 200 cases with a fixed seed; the acceptance
-module re-invokes the loop functions, so they are plain callables.
+module re-invokes the loop functions, so they are plain callables. Each
+is cached, so the two callers share one run per session.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -45,6 +47,7 @@ def random_ideal(rng, ctx=CTX3, max_gens=3):
     return Ideal(ctx, [g for g in gens if not g.is_zero()])
 
 
+@functools.cache
 def groebner_selfcheck_suite(cases=200, seed=101):
     rng = random.Random(seed)
     failures = 0
@@ -55,6 +58,7 @@ def groebner_selfcheck_suite(cases=200, seed=101):
     return failures
 
 
+@functools.cache
 def saturation_idempotence_suite(cases=200, seed=102):
     rng = random.Random(seed)
     failures = 0
@@ -70,6 +74,7 @@ def saturation_idempotence_suite(cases=200, seed=102):
     return failures
 
 
+@functools.cache
 def projection_formula_suite(cases=200, seed=103):
     """Prop 3.3 on differential graphs: push(E . V(h o pi)) = push(E) . V(h)."""
     amb_t = AmbientSpace("TstarU", 1, ("x", "y"))
@@ -107,6 +112,7 @@ def random_mod(rng):
     return ModClass(rank, torsion)
 
 
+@functools.cache
 def modclass_laws_suite(cases=220, seed=104):
     rng = random.Random(seed)
     failures = 0
@@ -129,6 +135,7 @@ def modclass_laws_suite(cases=220, seed=104):
     return failures
 
 
+@functools.cache
 def conormal_homogeneity_suite(cases=200, seed=105):
     """Conormal outputs of random strata are conic in the fiber variables."""
     amb_u = AmbientSpace("U", 2, ("x", "y", "z"))
@@ -186,6 +193,7 @@ def random_linear(rng, ctx):
     return Polynomial(ctx, terms)
 
 
+@functools.cache
 def gap_partition_suite(cases=200, seed=106):
     amb_t = AmbientSpace("TstarU", 1, ("x", "y"))
     tctx = amb_t.context()
@@ -211,6 +219,7 @@ def gap_partition_suite(cases=200, seed=106):
     return failures
 
 
+@functools.cache
 def ordinary_additivity_suite(cases=200, seed=107):
     amb_t = AmbientSpace("TstarU", 1, ("x", "y"))
     tctx = amb_t.context()
