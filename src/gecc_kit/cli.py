@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -102,9 +101,6 @@ class ProblemDescriptor:
     seed: int
     raw: dict
 
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
 
 def _parse_morse(table: Mapping) -> dict:
     return {int(k): ModClass.from_json(v) for k, v in table.items()}
@@ -144,11 +140,35 @@ def _member(obj: Mapping, path: str, key: str, ok, what: str, default=...):
     return value
 
 
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _validate_morse(table: Mapping, path: str) -> None:
+    for k, m in table.items():
+        mpath = f"{path}[{json.dumps(k)}]"
+        if not _is_degree(k):
+            raise DescriptorError(mpath, "degree key is not an integer")
+        if not isinstance(m, dict):
+            raise DescriptorError(mpath, "expected an object")
+        _member(m, mpath, "rank", _is_nat, "a nonnegative integer", 0)
+        _member(m, mpath, "torsion",
+                lambda v: isinstance(v, list) and all(_is_nat(d) and d > 0 for d in v),
+                "a list of positive integers", [])
+
+
+# number of complexes each kind of ``cc`` check compares
+_CHECK_TERMS = {"triangle": 3, "complement-restriction": 3, "equal": 2}
+
+
 def validate_descriptor(data) -> None:
-    """Check the germ-descriptor schema before anything is built from it."""
+    """Check the germ-descriptor schema before anything is built from it.
+
+    That covers the ``complexes`` and ``checks`` tables read by ``cc``.
+    """
     if not isinstance(data, dict):
         raise DescriptorError("$", "expected an object")
-    amb = _member(data, "$", "ambient", lambda v: isinstance(v, dict), "an object")
+    amb = _member(data, "$", "ambient", _is_object, "an object")
     n = _member(amb, "$.ambient", "n", _is_nat, "a nonnegative integer")
     coords = _member(amb, "$.ambient", "coords", _is_strings, "a list of strings")
     if len(coords) != n + 1:
@@ -164,21 +184,53 @@ def validate_descriptor(data) -> None:
         _member(s, path, "name", lambda v: isinstance(v, str), "a string")
         _member(s, path, "ideal", _is_strings, "a list of strings")
         _member(s, path, "dim", _is_nat, "a nonnegative integer")
-        morse = _member(s, path, "morse", lambda v: isinstance(v, dict), "an object", {})
-        for k, m in morse.items():
-            mpath = f"{path}.morse[{json.dumps(k)}]"
-            if not _is_degree(k):
-                raise DescriptorError(mpath, "degree key is not an integer")
-            if not isinstance(m, dict):
-                raise DescriptorError(mpath, "expected an object")
-            _member(m, mpath, "rank", _is_nat, "a nonnegative integer", 0)
-            _member(m, mpath, "torsion",
-                    lambda v: isinstance(v, list) and all(_is_nat(d) and d > 0 for d in v),
-                    "a list of positive integers", [])
+        _validate_morse(_member(s, path, "morse", _is_object, "an object", {}), f"{path}.morse")
     for key in ("f", "L", "label"):
         _member(data, "$", key, lambda v: v is None or isinstance(v, str), "a string", None)
     _member(data, "$", "seed", lambda v: isinstance(v, int) and not isinstance(v, bool),
             "an integer", 0)
+    names = {s["name"] for s in strata}
+    complexes = _member(data, "$", "complexes", _is_object, "an object", {})
+    for cname, tables in complexes.items():
+        cpath = f"$.complexes[{json.dumps(cname)}]"
+        if not isinstance(tables, dict):
+            raise DescriptorError(cpath, "expected an object")
+        for sname, table in tables.items():
+            spath = f"{cpath}[{json.dumps(sname)}]"
+            if sname not in names:
+                raise DescriptorError(spath, "names no stratum")
+            if not isinstance(table, dict):
+                raise DescriptorError(spath, "expected an object")
+            _validate_morse(table, spath)
+    checks = _member(data, "$", "checks", lambda v: isinstance(v, list), "a list", [])
+    for i, check in enumerate(checks):
+        path = f"$.checks[{i}]"
+        if not isinstance(check, dict):
+            raise DescriptorError(path, "expected an object")
+        kind = _member(check, path, "type", lambda v: isinstance(v, str) and v in _CHECK_TERMS,
+                       f"one of {', '.join(_CHECK_TERMS)}")
+        count = _CHECK_TERMS[kind]
+        terms = _member(check, path, "terms", lambda v: _is_strings(v) and len(v) == count,
+                        f"a list of {count} complex names")
+        for j, t in enumerate(terms):
+            if t not in complexes:
+                raise DescriptorError(f"{path}.terms[{j}]", f"names no complex: {json.dumps(t)}")
+        _member(check, path, "name", lambda v: isinstance(v, str), "a string", None)
+
+
+def validate_branches(data) -> None:
+    """Check the oracle-curve schema: a list of branches."""
+    if not isinstance(data, dict):
+        raise DescriptorError("$", "expected an object")
+    branches = _member(data, "$", "branches", lambda v: isinstance(v, list), "a list", [])
+    for i, b in enumerate(branches):
+        path = f"$.branches[{i}]"
+        if not isinstance(b, dict):
+            raise DescriptorError(path, "expected an object")
+        _member(b, path, "name", lambda v: isinstance(v, str), "a string")
+        _member(b, path, "mult", lambda v: _is_nat(v) and v > 0, "a positive integer")
+        _member(b, path, "in_vf", lambda v: isinstance(v, bool), "a boolean")
+        _member(b, path, "eta", _is_nat, "a nonnegative integer", 0)
 
 
 def descriptor_from_json(data: Mapping, limits: EngineLimits | None = None) -> ProblemDescriptor:
@@ -235,7 +287,7 @@ def cmd_conormal(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_polar(desc: ProblemDescriptor, args) -> tuple:
-    rep = polar_curve(desc.complex, desc.f, desc.L, desc.rng())
+    rep = polar_curve(desc.complex, desc.f, desc.L)
     lines = _cycle_lines(f"polar curve of ({desc.f}; {desc.L})", rep.polar)
     return EXIT_OK, {"polar": rep.to_json()}, lines
 
@@ -245,7 +297,7 @@ def cmd_nearby(desc: ProblemDescriptor, args) -> tuple:
     report = {"gecc_nearby": psi.to_json(), "cc_nearby": to_ordinary(psi).to_json()}
     lines = _cycle_lines("gecc(nearby cycles, shifted)", psi)
     if desc.L is not None:
-        prep = polar_curve(desc.complex, desc.f, desc.L, desc.rng())
+        prep = polar_curve(desc.complex, desc.f, desc.L)
         morse = nearby_morse_at_origin(prep, desc.f)
         report["morse_at_origin"] = _morse_json(morse)
         lines.append(f"Morse modules at origin: { {k: str(v) for k, v in morse.table.items()} }")
@@ -253,8 +305,7 @@ def cmd_nearby(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_shriek(desc: ProblemDescriptor, args) -> tuple:
-    rng = desc.rng()
-    rep = polar_curve(desc.complex, desc.f, desc.L, rng)
+    rep = polar_curve(desc.complex, desc.f, desc.L)
     morse = shriek_morse_at_origin(rep, desc.L)
     nearby = nearby_morse_at_origin(rep, desc.f)
     records = star_equals_shriek(desc.complex, desc.f, morse, nearby)
@@ -269,10 +320,9 @@ def cmd_shriek(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_vanishing(desc: ProblemDescriptor, args) -> tuple:
-    rng = desc.rng()
     onthefly = getattr(args, "experimental_onthefly", False)
     rep = vanishing_pipeline(
-        desc.complex, desc.f, rng, route=args.route, require_isolating=not onthefly
+        desc.complex, desc.f, route=args.route, require_isolating=not onthefly
     )
     report = rep.to_json()
     lines = [f"isolating coordinates: {rep.isolating['per_j']} (s = {rep.isolating['s']})"]
@@ -308,7 +358,7 @@ def cmd_vanishing(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_check(desc: ProblemDescriptor, args) -> tuple:
-    rep = polar_curve(desc.complex, desc.f, desc.L, desc.rng())
+    rep = polar_curve(desc.complex, desc.f, desc.L)
     bound_map = microsupport_phi_bound(desc.complex, desc.f)
     gen = check_polar_genericity(rep, desc.f, desc.L, bound_map.upper_components())
     iso = isolating_check(desc.complex, desc.f, bound_map.upper_components())
@@ -346,13 +396,11 @@ def cmd_cc(desc: ProblemDescriptor, args) -> tuple:
         elif kind == "complement-restriction":
             f, shriek, jstar = (ccs[x] for x in check["terms"])
             records.append(check_complement_restriction(f, shriek, jstar))
-        elif kind == "equal":
+        else:
             a, b = (ccs[x] for x in check["terms"])
             records.append(
                 AssertionRecord(check.get("name", "equality"), a == b, repr(a), repr(b))
             )
-        else:
-            raise StratificationError(f"unknown check type {kind!r}")
     report = {
         "cc": {name: cc.to_json() for name, cc in sorted(ccs.items())},
         "assertions": [r.to_json() for r in records],
@@ -364,8 +412,9 @@ def cmd_cc(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_oracle_curve(desc_data: Mapping, args) -> tuple:
+    validate_branches(desc_data)
     branches = [
-        CurveBranch(b["name"], int(b["mult"]), bool(b["in_vf"]), int(b.get("eta", 0)))
+        CurveBranch(b["name"], b["mult"], b["in_vf"], b.get("eta", 0))
         for b in desc_data.get("branches", [])
     ]
     oracle = curve_gecc_oracle(branches)
@@ -400,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree", type=int, default=None, help="focus degree k")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
     parser.add_argument("--route", choices=["pidelta", "blowup", "both"], default="pidelta")
-    parser.add_argument("--seed", type=int, default=None, help="override descriptor seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="no effect on results; kept so reports still carry a seed")
     parser.add_argument("--f", dest="f_override", default=None, help="override f")
     parser.add_argument("--L", dest="l_override", default=None, help="override L")
     parser.add_argument("--spair-budget", type=int, default=None)

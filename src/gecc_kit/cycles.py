@@ -4,20 +4,18 @@ Components are certified prime ideals in one of four ambient spaces;
 coefficients are ModClass values. Intersection with hypersurfaces takes
 each multiplicity exactly, as a degree ratio after saturating away the
 sibling components. Pushforward uses elimination plus a mapping degree
-counted over sampled rational points (or generic slices) of the image;
-that sampling is the only randomness, and it comes from an explicit
-seeded generator.
+read exactly, as a ratio of field degrees over an independent set of
+the image. Nothing here is sampled.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import modclass as mc
-from .decompose import minimal_primes, rational_point
+from .decompose import minimal_primes
 from .ideal import (
     DEFAULT_LIMITS,
     CertificationFailure,
@@ -27,17 +25,19 @@ from .ideal import (
     eliminate,
     radical_contains,
     saturate_element,
+    staircase,
     variety_contained_in,
-    vector_space_dimension,
 )
 from .modclass import ModClass
 from .polyring import (
     BASE,
     COTANGENT,
+    DEGREVLEX,
     PROJECTIVE,
     Polynomial,
     VarContext,
     Variable,
+    block_order,
 )
 
 
@@ -47,10 +47,6 @@ class ImproperIntersection(RuntimeError):
 
 class GenericInjectivityFailure(RuntimeError):
     """Pushforward requested along a projection that is not generically 1-1."""
-
-
-class DegenerateSlice(RuntimeError):
-    """Random slicing failed repeatedly; inputs are likely not as assumed."""
 
 
 # ---------------------------------------------------------------------------
@@ -441,50 +437,6 @@ def germ_part(
     return GradedEnrichedCycle(ambient, out)
 
 
-def random_affine_form(ctx: VarContext, rng: random.Random, through_origin: bool = False) -> Polynomial:
-    while True:
-        terms = {}
-        n = len(ctx)
-        for i, v in enumerate(ctx.variables):
-            c = rng.randint(-9, 9)
-            if c:
-                e = tuple(1 if j == i else 0 for j in range(n))
-                terms[e] = Fraction(c)
-        if not terms:
-            continue
-        if not through_origin:
-            c0 = rng.randint(-9, 9)
-            if c0:
-                terms[(0,) * n] = Fraction(c0)
-        return Polynomial(ctx, terms)
-
-
-def _slice_forms(ambient: AmbientSpace, count: int, rng: random.Random) -> list:
-    """Generic hyperplane sections: affine forms, or tag-linear forms with
-    affine coefficients (over every non-tag variable) in tag ambients."""
-    ctx = ambient.context()
-    out = []
-    if not ambient.is_projective():
-        for _ in range(count):
-            out.append(random_affine_form(ctx, rng))
-        return out
-    affine = [ctx.gen(v) for v in ctx.variables if v.kind != PROJECTIVE]
-    tags = [ctx.gen(v) for v in ambient.projective_vars()]
-    for _ in range(count):
-        form = ctx.zero()
-        while form.is_zero():
-            form = ctx.zero()
-            for u in tags:
-                coeff = ctx.const(rng.randint(-9, 9))
-                for z in affine:
-                    c = rng.randint(-3, 3)
-                    if c:
-                        coeff = coeff + z * c
-                form = form + coeff * u
-        out.append(form)
-    return out
-
-
 def _chart_restrict(I: Ideal, ambient: AmbientSpace, chart: int) -> Ideal:
     """Dehomogenize at tag chart u_chart = 1 (tags below the chart set to 0)."""
     ctx = ambient.context()
@@ -499,24 +451,6 @@ def _chart_restrict(I: Ideal, ambient: AmbientSpace, chart: int) -> Ideal:
             assignment[tv.name] = small.one()
     gens = [g.substitute(assignment) for g in I.generators]
     return Ideal(small, [g for g in gens if not g.is_zero()])
-
-
-def _fiber_point_count(
-    I: Ideal, ambient: AmbientSpace, slices: list, limits: EngineLimits
-) -> int | None:
-    """Stratified-chart count of the points of V(I + slices), exact on Proj."""
-    if not ambient.is_projective():
-        v = vector_space_dimension(I.with_extra(slices), limits)
-        return v
-    total = 0
-    tags = ambient.projective_vars()
-    for chart in range(len(tags)):
-        J = _chart_restrict(I.with_extra(slices), ambient, chart)
-        v = vector_space_dimension(J, limits)
-        if v is None:
-            return None
-        total += v
-    return total
 
 
 def separator_polynomial(target: Component, others: Sequence[Component]) -> Polynomial:
@@ -654,7 +588,6 @@ def _pushforward_component(
     comp: Component,
     source: AmbientSpace,
     target: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits,
 ) -> tuple:
     """(image component, mapping degree) or (None, 0) on fiber collapse."""
@@ -665,67 +598,62 @@ def _pushforward_component(
     image = component_from_prime(image_ideal, target, limits)
     if image.dim < comp.dim:
         return None, 0
-    deg = _fiber_degree_at_point(comp, image, source, target, rng, limits)
-    if deg is not None:
-        return image, deg
-    for _ in range(5):
-        slices = _slice_forms(target, image.dim, rng)
-        A = _fiber_point_count(image.ideal, target, slices, limits)
-        if not A:
-            continue
-        lifted = [s.lift(source.context()) for s in slices]
-        B = _fiber_point_count(comp.ideal, source, lifted, limits)
-        if B is None or B == 0 or B % A:
-            continue
-        return image, B // A
-    raise DegenerateSlice(f"pushforward degree check failed for {comp!r}")
+    return image, _mapping_degree(comp, image, source, target, limits)
 
 
-def _fiber_degree_at_point(
+def _mapping_degree(
     comp: Component,
     image: Component,
     source: AmbientSpace,
     target: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits,
-) -> int | None:
-    """Mapping degree counted over a rational point of the image.
+) -> int:
+    """Field degree [K(P):K(Q)] of the source component P over its image Q.
 
-    Pinning every target variable (tags at an affine representative)
-    slices the source cone transversally; the fiber count over a generic
-    reduced point is the degree. Upper-semicontinuity again: agreeing
-    samples, else the minimum of three.
+    In a tag ambient both are read in the chart of P's first tag (Q too
+    when the target keeps the tags). With u a maximal independent set of
+    Q, read off its degrevlex leading monomials (Kredel-Weispfenning
+    1988), the degree is [K(P):K(u)] / [K(Q):K(u)]; each field degree
+    counts the standard monomials, in the variables outside u, of the
+    leading monomials under the block order that puts those variables
+    first (Becker-Weispfenning, ch. 6).
     """
-    src_ctx = source.context()
-    samples: list = []
-    target_has_tags = target.is_projective()
-    source_extra_tags = source.is_projective() and not target_has_tags
-    for _ in range(6):
-        point = rational_point(image.ideal, rng)
-        if point is None:
-            return None
-        pins = [
-            src_ctx.gen(v.name) - src_ctx.const(point[v.name])
-            for v in image.ideal.ctx.variables
-        ]
-        fiber = comp.ideal.with_extra(pins)
-        if source_extra_tags:
-            B = _fiber_point_count(fiber, source, [], limits)
-        else:
-            B = vector_space_dimension(fiber, limits)
-        if B:
-            samples.append(B)
-        if len(samples) >= 2 and samples[-1] == samples[-2]:
-            return samples[-1]
-        if len(samples) >= 3:
-            return min(samples)
-    return min(samples) if samples else None
+    P, Q = comp.ideal, image.ideal
+    if source.is_projective():
+        chart = first_chart(comp)
+        P = _chart_restrict(P, source, chart)
+        if target.is_projective():
+            Q = _chart_restrict(Q, target, chart)
+    supports = [
+        {v.name for v, x in zip(Q.ctx.variables, g.leading(DEGREVLEX)[0]) if x}
+        for g in Q.groebner_basis(limits=limits)
+    ]
+    free = next((
+        set(u) for u in itertools.combinations(Q.ctx.names(), image.dim)
+        if not any(s <= set(u) for s in supports)
+    ), None)
+    if free is None:
+        raise CertificationFailure(f"no independent set of size {image.dim} for {image!r}")
+    counts = [_field_degree(I, free, limits) for I in (P, Q)]
+    if None in counts or 0 in counts or counts[0] % counts[1]:
+        raise CertificationFailure(
+            f"field degrees {counts} of {comp!r} over {image!r} give no mapping degree"
+        )
+    return counts[0] // counts[1]
+
+
+def _field_degree(I: Ideal, free: set, limits: EngineLimits) -> int | None:
+    """[K(I):K(free)] for a prime I in which the named variables are independent."""
+    bound = [i for i, v in enumerate(I.ctx.variables) if v.name not in free]
+    order = block_order(bound, len(I.ctx))
+    leads = [g.leading(order)[0] for g in I.groebner_basis(order, limits)]
+    out = staircase([tuple(e[i] for i in bound) for e in leads], len(bound), limits)
+    return None if out is None else len(out)
 
 
 def proper_pushforward(
     E: GradedEnrichedCycle,
     target: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Coefficient-preserving pushforward; restricted to generically 1-1 maps."""
@@ -736,7 +664,7 @@ def proper_pushforward(
         acc = EnrichedCycle(target)
         for comp, m in cyc.terms.items():
             if comp not in cache:
-                cache[comp] = _pushforward_component(comp, E.ambient, target, rng, limits)
+                cache[comp] = _pushforward_component(comp, E.ambient, target, limits)
             image, deg = cache[comp]
             if image is None or deg != 1:
                 raise GenericInjectivityFailure(
@@ -752,7 +680,6 @@ def proper_pushforward(
 def pushforward_with_degree(
     E: GradedEnrichedCycle,
     target: AmbientSpace,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Degree-weighted pushforward; components with positive-dimensional
@@ -764,7 +691,7 @@ def pushforward_with_degree(
         acc = EnrichedCycle(target)
         for comp, m in cyc.terms.items():
             if comp not in cache:
-                cache[comp] = _pushforward_component(comp, E.ambient, target, rng, limits)
+                cache[comp] = _pushforward_component(comp, E.ambient, target, limits)
             image, deg = cache[comp]
             if image is None:
                 continue

@@ -9,7 +9,6 @@ numbers of the per-stratum polar cycles.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -118,7 +117,6 @@ def polar_curve(
     SC: StratifiedComplex,
     ft: Polynomial,
     gt: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> PolarReport:
     """Graded enriched relative polar curve of f with respect to gt."""
@@ -139,7 +137,7 @@ def polar_curve(
             per_stratum[s.name] = []
             diagnostics["strata"][s.name] = "empty"
             continue
-        image = proper_pushforward(inter, ambient_u, rng, limits)
+        image = proper_pushforward(inter, ambient_u, limits)
         pieces = []
         for comp, m in image.degree(0).terms.items():
             if comp.dim != 1:

@@ -665,72 +665,41 @@ def translate(I: Ideal, point: Mapping[str, Fraction]) -> Ideal:
 
 def vector_space_dimension(I: Ideal, limits: EngineLimits | None = None) -> int | None:
     """Q-dimension of Q[ctx]/I; None when not zero-dimensional."""
-    limits = limits or DEFAULT_LIMITS
-    gb = I.groebner_basis(limits=limits)
-    if I.is_trivial():
-        return 0
-    n = len(I.ctx)
-    if not gb:
-        return None
-    lms = [g.leading(DEGREVLEX)[0] for g in gb]
-    caps = [None] * n
-    for e in lms:
-        support = [i for i, x in enumerate(e) if x]
-        if len(support) == 1:
-            i = support[0]
-            if caps[i] is None or e[i] < caps[i]:
-                caps[i] = e[i]
-    if any(c is None for c in caps):
-        return None
-    count = 0
-    stack = [(0,) * n]
-    seen = {(0,) * n}
-    while stack:
-        m = stack.pop()
-        count += 1
-        if count > limits.vecdim_cap:
-            raise ResourceLimitExceeded("standard monomial count exceeded cap")
-        for i in range(n):
-            nm = list(m)
-            nm[i] += 1
-            nm = tuple(nm)
-            if nm in seen or nm[i] >= caps[i] + 1:
-                continue
-            if any(exp_divides(lm, nm) for lm in lms):
-                continue
-            seen.add(nm)
-            stack.append(nm)
-    return count
+    basis = standard_monomials(I, limits)
+    return None if basis is None else len(basis)
 
 
 def standard_monomials(I: Ideal, limits: EngineLimits | None = None) -> list | None:
     """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order."""
-    limits = limits or DEFAULT_LIMITS
     gb = I.groebner_basis(limits=limits)
-    if I.is_trivial():
-        return []
-    n = len(I.ctx)
-    lms = [g.leading(DEGREVLEX)[0] for g in gb]
-    if vector_space_dimension(I, limits) is None:
-        return None
-    out = []
+    out = staircase([g.leading(DEGREVLEX)[0] for g in gb], len(I.ctx), limits)
+    return None if out is None else sorted(out, key=DEGREVLEX.key_function(len(I.ctx)))
+
+
+def staircase(lms: Sequence[tuple], n: int, limits: EngineLimits | None = None) -> list | None:
+    """Exponents in n variables that no exponent of lms divides; None when infinitely many.
+
+    Raises ResourceLimitExceeded past ``limits.vecdim_cap`` monomials.
+    """
+    limits = limits or DEFAULT_LIMITS
+    if not all(any(not any(e[:i] + e[i + 1:]) for e in lms) for i in range(n)):
+        return None  # some variable has no pure power (or 1) among the lms
+    out: list = []
     stack = [(0,) * n]
-    seen = {(0,) * n}
+    seen = set(stack)
     while stack:
         m = stack.pop()
+        if any(exp_divides(lm, m) for lm in lms):
+            continue
         out.append(m)
+        if len(out) > limits.vecdim_cap:
+            raise ResourceLimitExceeded("standard monomial count exceeded cap")
         for i in range(n):
-            nm = list(m)
-            nm[i] += 1
-            nm = tuple(nm)
-            if nm in seen:
-                continue
-            if any(exp_divides(lm, nm) for lm in lms):
-                continue
-            seen.add(nm)
-            stack.append(nm)
-    keyf = DEGREVLEX.key_function(n)
-    return sorted(out, key=keyf)
+            nm = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if nm not in seen:
+                seen.add(nm)
+                stack.append(nm)
+    return out
 
 
 def local_degree(

@@ -10,7 +10,6 @@ gecc by downward induction over dimension.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -335,7 +334,6 @@ class CharPolarCycles:
 
 def lambda_cycles(
     trace: PiDeltaTrace,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> CharPolarCycles:
     """Pushforward of the graph parts: the characteristic polar cycles of
@@ -348,7 +346,7 @@ def lambda_cycles(
             if not step.delta:
                 continue
             image = proper_pushforward(
-                GradedEnrichedCycle.single(0, step.delta), ambient_u, rng, limits
+                GradedEnrichedCycle.single(0, step.delta), ambient_u, limits
             ).degree(0)
             for comp in image.terms:
                 if comp.dim != step.j:
@@ -402,7 +400,6 @@ def projectivize(
 def char_polar_cycles(
     geccP: GradedEnrichedCycle,
     js: Sequence[int],
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> CharPolarCycles:
     """Slice the projectivized cycle by tag planes and push to the base."""
@@ -422,7 +419,7 @@ def char_polar_cycles(
             )
             if not sliced:
                 continue
-            image = pushforward_with_degree(sliced, ambient_u, rng, limits).degree(0)
+            image = pushforward_with_degree(sliced, ambient_u, limits).degree(0)
             if image:
                 out[(k, j)] = image
     return CharPolarCycles(ambient_u, out)
@@ -431,7 +428,6 @@ def char_polar_cycles(
 def absolute_polar_slice_multiplicity(
     W: Component,
     j: int,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> int:
     """Coefficient of [W] in eta_*( P(T*_W) . U x P^j x {0} )."""
@@ -445,7 +441,7 @@ def absolute_polar_slice_multiplicity(
         ),
         limits,
     )
-    sliced = char_polar_cycles(P, [j], rng, limits)
+    sliced = char_polar_cycles(P, [j], limits)
     coeff = sliced.get(0, j).terms.get(W)
     if coeff is None:
         raise InconsistencyError(
@@ -456,7 +452,6 @@ def absolute_polar_slice_multiplicity(
 
 def reconstruct_gecc(
     cpc: CharPolarCycles,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Downward induction over dimension: recover the graded cycle whose
@@ -476,7 +471,7 @@ def reconstruct_gecc(
             correction = EnrichedCycle(ambient_u)
             if projective_sum is not None and projective_sum:
                 sliced = char_polar_cycles(
-                    GradedEnrichedCycle.single(0, projective_sum), [j], rng, limits
+                    GradedEnrichedCycle.single(0, projective_sum), [j], limits
                 )
                 correction = sliced.get(0, j)
             M: dict = dict(lam.terms)
@@ -496,7 +491,7 @@ def reconstruct_gecc(
                     raise InconsistencyError(
                         f"leftover cycle {W!r} has dim {W.dim} at induction step {j}"
                     )
-                c = absolute_polar_slice_multiplicity(W, j, rng, limits)
+                c = absolute_polar_slice_multiplicity(W, j, limits)
                 morse = mc.divide_free(coeff, c)
                 stratum = Stratum("_rec", W.ideal, W.dim, {0: ModClass.free(1)})
                 conormal = conormal_variety(stratum, ambient_t, limits)
@@ -560,7 +555,6 @@ def _blowup_cone(
 def blowup_exceptional(
     gecc_F: GradedEnrichedCycle,
     ft: Polynomial,
-    rng: random.Random,
     limits: EngineLimits | None = None,
 ) -> BlowupResult:
     """Blow up each component along the graph of df; collect the
@@ -592,7 +586,7 @@ def blowup_exceptional(
         if acc:
             degrees[k] = acc
     exceptional = GradedEnrichedCycle(ambient_b, degrees)
-    push = pushforward_with_degree(exceptional, ambient_p, rng, limits) if exceptional else GradedEnrichedCycle.zero(ambient_p)
+    push = pushforward_with_degree(exceptional, ambient_p, limits) if exceptional else GradedEnrichedCycle.zero(ambient_p)
     return BlowupResult(per_component, exceptional, push)
 
 
@@ -688,7 +682,6 @@ class VanishingReport:
 def vanishing_pipeline(
     SC: StratifiedComplex,
     ft: Polynomial,
-    rng: random.Random,
     route: str = "pidelta",
     limits: EngineLimits | None = None,
     require_isolating: bool = True,
@@ -709,11 +702,11 @@ def vanishing_pipeline(
         return VanishingReport(SC, ft, bound, iso, None, None, None, None, None, None)
     if route in ("pidelta", "both"):
         trace = pi_delta(gecc_F, ft, limits)
-        lambdas = lambda_cycles(trace, rng, limits)
-        gecc_phi = reconstruct_gecc(lambdas, rng, limits)
+        lambdas = lambda_cycles(trace, limits)
+        gecc_phi = reconstruct_gecc(lambdas, limits)
         cc_phi = to_ordinary(gecc_phi)
     if route in ("blowup", "both"):
-        blowup = blowup_exceptional(gecc_F, ft, rng, limits)
+        blowup = blowup_exceptional(gecc_F, ft, limits)
     if route == "both" and gecc_phi is not None and blowup is not None:
         projected = projectivize(gecc_phi, limits)
         agreement = blowup.vanishing_part(ft, limits) == projected

@@ -1,8 +1,6 @@
 """Shared fixtures: the running hypersurface example in both coordinate
 orders, and two concrete plane curves."""
 
-import random
-
 import pytest
 
 from gecc_kit.conormal import Stratum, StratifiedComplex
@@ -77,8 +75,3 @@ def curve_cusp_line():
 @pytest.fixture(scope="session")
 def curve_tangent_triple():
     return tangent_triple_complex()
-
-
-@pytest.fixture()
-def rng():
-    return random.Random(20240809)

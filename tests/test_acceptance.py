@@ -114,9 +114,9 @@ def test_criterion_2_relative_conormal_cycle(sc_xyt):
     report(2, started, "three-term relative conormal cycle, S2 ideal exact")
 
 
-def test_criterion_3_polar_curve(sc_xyt, rng):
+def test_criterion_3_polar_curve(sc_xyt):
     started = time.monotonic()
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     curve = ucomp(sc_xyt, "x+t^2", "y")
     assert rep.polar.degree(0).terms == {curve: Z(2)}
     # intermediate identity: E . V(w0, w1, w2-1) = V(x+t^2, y, w0, w1, w2-1)
@@ -171,9 +171,9 @@ def test_criterion_4_nearby_cycles(sc_xyt):
     report(4, started, "gecc^0(nearby) = Z^3[V(x,y,w2)] + Z^4[V(x,y,t)]")
 
 
-def test_criterion_5_vanishing_pipeline(sc_txy, rng):
+def test_criterion_5_vanishing_pipeline(sc_txy):
     started = time.monotonic()
-    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), rng, route="pidelta")
+    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), route="pidelta")
     assert rep.isolating["pass"] and rep.isolating["per_j"] == {0: True}
     trace = rep.trace
     assert trace.pi(0, 2).terms == {
@@ -202,9 +202,9 @@ def test_criterion_5_vanishing_pipeline(sc_txy, rng):
     report(5, started, "Pi/Delta trace, Lambda cycles, gecc(phi), CC(phi)")
 
 
-def test_criterion_6_vanishing_morse(sc_xyt, rng):
+def test_criterion_6_vanishing_morse(sc_xyt):
     started = time.monotonic()
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     morse = vanishing_morse_at_origin(
         rep, P("x", sc_xyt), P("t", sc_xyt), {0: Z(2)}
     )
@@ -228,7 +228,7 @@ CURVE_CASES = [
 
 
 @pytest.mark.parametrize("label,fixture,expected", CURVE_CASES)
-def test_criterion_7_curve_oracle(label, fixture, expected, request, rng):
+def test_criterion_7_curve_oracle(label, fixture, expected, request):
     started = time.monotonic()
     SC = request.getfixturevalue(fixture)
     ctx = SC.ambient.context()
@@ -238,7 +238,7 @@ def test_criterion_7_curve_oracle(label, fixture, expected, request, rng):
     assert {b.name: (b.mult, b.in_vf, b.eta) for b in measured} == expected
     oracle = curve_gecc_oracle(measured)
     # engine routes for the nearby and vanishing complexes
-    rep = polar_curve(SC, f, L, rng)
+    rep = polar_curve(SC, f, L)
     near = nearby_morse_at_origin(rep, f)
     assert near.table.get(0, ModClass.zero()) == oracle["point"]["P"]
     van = vanishing_morse_at_origin(rep, f, L, {0: oracle["point"]["A"]})
@@ -256,7 +256,7 @@ def test_criterion_7_curve_oracle(label, fixture, expected, request, rng):
     report(7, started, f"curve {label}: A,B,I,P,Q coefficients match the oracle")
 
 
-def test_criterion_8_cc_identities(rng):
+def test_criterion_8_cc_identities():
     started = time.monotonic()
     from gecc_kit.conormal import StratifiedComplex
 
@@ -298,9 +298,9 @@ def test_criterion_9_property_suites():
     report(9, started, "seven randomized suites, >= 200 cases each, zero failures")
 
 
-def test_criterion_10_two_route_oracle(sc_txy, rng):
+def test_criterion_10_two_route_oracle(sc_txy):
     started = time.monotonic()
-    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), rng, route="both")
+    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), route="both")
     assert rep.agreement is True
     vp = rep.blowup.vanishing_part(P("x", sc_txy))
     assert vp == projectivize(rep.gecc_phi)

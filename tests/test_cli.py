@@ -25,6 +25,42 @@ RUNNING_TXY = {
 
 RUNNING_XYT = dict(RUNNING_TXY, ambient={"n": 2, "coords": ["x", "y", "t"]})
 
+ORACLE_CURVE = {
+    "branches": [
+        {"name": "cusp", "mult": 2, "in_vf": False, "eta": 3},
+        {"name": "line", "mult": 1, "in_vf": True},
+    ]
+}
+
+# CC-level checks with externally supplied tables (three complexes on
+# V(z) union V(x,y), plus the skyscraper restrictions)
+CC_TABLES = {
+    "ambient": {"n": 2, "coords": ["x", "y", "z"]},
+    "strata": [
+        {"name": "S2", "ideal": ["z"], "dim": 2, "morse": {"0": {"rank": 1, "torsion": []}}},
+        {"name": "S1", "ideal": ["x", "y"], "dim": 1, "morse": {"0": {"rank": 1, "torsion": []}}},
+        {"name": "S0", "ideal": ["x", "y", "z"], "dim": 0, "morse": {"0": {"rank": 1, "torsion": []}}},
+    ],
+    "seed": 7,
+    "complexes": {
+        "A": {"S2": {"0": {"rank": 1, "torsion": []}},
+              "S1": {"-1": {"rank": 1, "torsion": []}},
+              "S0": {"-1": {"rank": 1, "torsion": []}}},
+        "B": {"S2": {"0": {"rank": 1, "torsion": []}},
+              "S1": {"-1": {"rank": 1, "torsion": []}},
+              "S0": {"-1": {"rank": 2, "torsion": []}}},
+        "C": {"S2": {"0": {"rank": 1, "torsion": []}},
+              "S1": {"-1": {"rank": 1, "torsion": []}},
+              "S0": {"-1": {"rank": 1, "torsion": []}, "1": {"rank": 1, "torsion": []}}},
+        "JSTAR": {"S0": {"-2": {"rank": 1, "torsion": []}}},
+    },
+    "checks": [
+        {"type": "triangle", "name": "B->A->jstar", "terms": ["B", "A", "JSTAR"]},
+        {"type": "complement-restriction", "terms": ["A", "B", "JSTAR"]},
+        {"type": "equal", "name": "CC(B)=CC(C)", "terms": ["B", "C"]},
+    ],
+}
+
 
 def write_descriptor(tmp_path, data, name="problem.json"):
     path = tmp_path / name
@@ -195,14 +231,85 @@ def test_schema_error_names_path(tmp_path, capsys, spoil, where):
     assert "Traceback" not in err
 
 
+# Each schema key of each descriptor kind: (command, descriptor, key path,
+# required, JSON path named in the message). A required key is deleted and
+# every key is mistyped; both must exit 2 naming the path, never a traceback.
+SCHEMA_KEYS = [
+    ("gecc", RUNNING_TXY, ("ambient",), True, "$.ambient"),
+    ("gecc", RUNNING_TXY, ("ambient", "n"), True, "$.ambient.n"),
+    ("gecc", RUNNING_TXY, ("ambient", "coords"), True, "$.ambient.coords"),
+    ("gecc", RUNNING_TXY, ("strata",), False, "$.strata"),
+    ("gecc", RUNNING_TXY, ("strata", 0), False, "$.strata[0]"),
+    ("gecc", RUNNING_TXY, ("strata", 0, "name"), True, "$.strata[0].name"),
+    ("gecc", RUNNING_TXY, ("strata", 0, "ideal"), True, "$.strata[0].ideal"),
+    ("gecc", RUNNING_TXY, ("strata", 0, "dim"), True, "$.strata[0].dim"),
+    ("gecc", RUNNING_TXY, ("strata", 0, "morse"), False, "$.strata[0].morse"),
+    ("gecc", RUNNING_TXY, ("strata", 0, "morse", "0"), False, '$.strata[0].morse["0"]'),
+    ("gecc", RUNNING_TXY, ("strata", 0, "morse", "0", "rank"), False,
+     '$.strata[0].morse["0"].rank'),
+    ("gecc", RUNNING_TXY, ("strata", 0, "morse", "0", "torsion"), False,
+     '$.strata[0].morse["0"].torsion'),
+    ("gecc", RUNNING_TXY, ("f",), False, "$.f"),
+    ("gecc", RUNNING_TXY, ("L",), False, "$.L"),
+    ("gecc", RUNNING_TXY, ("seed",), False, "$.seed"),
+    ("gecc", dict(RUNNING_TXY, label="running"), ("label",), False, "$.label"),
+    ("cc", CC_TABLES, ("complexes",), False, "$.complexes"),
+    ("cc", CC_TABLES, ("complexes", "A"), False, '$.complexes["A"]'),
+    ("cc", CC_TABLES, ("complexes", "A", "S2"), False, '$.complexes["A"]["S2"]'),
+    ("cc", CC_TABLES, ("complexes", "A", "S2", "0"), False, '$.complexes["A"]["S2"]["0"]'),
+    ("cc", CC_TABLES, ("complexes", "A", "S2", "0", "rank"), False,
+     '$.complexes["A"]["S2"]["0"].rank'),
+    ("cc", CC_TABLES, ("checks",), False, "$.checks"),
+    ("cc", CC_TABLES, ("checks", 0), False, "$.checks[0]"),
+    ("cc", CC_TABLES, ("checks", 0, "type"), True, "$.checks[0].type"),
+    ("cc", CC_TABLES, ("checks", 0, "terms"), True, "$.checks[0].terms"),
+    ("cc", CC_TABLES, ("checks", 0, "name"), False, "$.checks[0].name"),
+    ("oracle-curve", ORACLE_CURVE, ("branches",), False, "$.branches"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 0), False, "$.branches[0]"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 0, "name"), True, "$.branches[0].name"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 0, "mult"), True, "$.branches[0].mult"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 0, "in_vf"), True, "$.branches[0].in_vf"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 0, "eta"), False, "$.branches[0].eta"),
+]
+_WRONG_TYPE = {str: 7, bool: "yes", int: "7", list: {}, dict: []}
+# values that have the right type but break the schema
+_BAD_VALUES = [
+    ("cc", CC_TABLES, ("complexes", "A", "S2", "0", "rank"), -1,
+     '$.complexes["A"]["S2"]["0"].rank'),
+    ("cc", CC_TABLES, ("complexes", "A", "S9"), {}, '$.complexes["A"]["S9"]'),
+    ("cc", CC_TABLES, ("checks", 0, "terms", 2), "D", "$.checks[0].terms[2]"),
+    ("cc", CC_TABLES, ("checks", 2, "type"), "triangle", "$.checks[2].terms"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 1, "mult"), 0, "$.branches[1].mult"),
+]
+_CASES = [
+    (command, base, keys, spoil, where)
+    for command, base, keys, required, where in SCHEMA_KEYS
+    for spoil in (["delete", "mistype"] if required else ["mistype"])
+] + _BAD_VALUES
+
+
+@pytest.mark.parametrize("command, base, keys, spoil, where", _CASES,
+                         ids=[f"{c[0]}:{c[4]}:{c[3]}" for c in _CASES])
+def test_every_schema_key_is_checked(tmp_path, capsys, command, base, keys, spoil, where):
+    data = json.loads(json.dumps(base))
+    holder = data
+    for key in keys[:-1]:
+        holder = holder[key]
+    if spoil == "delete":
+        del holder[keys[-1]]
+    elif spoil == "mistype":
+        holder[keys[-1]] = _WRONG_TYPE[type(holder[keys[-1]])]
+    else:
+        holder[keys[-1]] = spoil
+    code = main([command, write_descriptor(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIAGNOSTIC, err
+    assert f"descriptor {where}:" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_curve_command(tmp_path, capsys):
-    data = {
-        "branches": [
-            {"name": "cusp", "mult": 2, "in_vf": False, "eta": 3},
-            {"name": "line", "mult": 1, "in_vf": True},
-        ]
-    }
-    path = write_descriptor(tmp_path, data, "curve.json")
+    path = write_descriptor(tmp_path, ORACLE_CURVE, "curve.json")
     code, out = run_cli(capsys, "oracle-curve", path, "--json")
     assert code == EXIT_OK
     report = json.loads(out)
@@ -211,35 +318,7 @@ def test_oracle_curve_command(tmp_path, capsys):
 
 
 def test_cc_command_curve_triangle(tmp_path, capsys):
-    # CC-level checks with externally supplied tables (three complexes on
-    # V(z) union V(x,y), plus the skyscraper restrictions)
-    data = {
-        "ambient": {"n": 2, "coords": ["x", "y", "z"]},
-        "strata": [
-            {"name": "S2", "ideal": ["z"], "dim": 2, "morse": {"0": {"rank": 1, "torsion": []}}},
-            {"name": "S1", "ideal": ["x", "y"], "dim": 1, "morse": {"0": {"rank": 1, "torsion": []}}},
-            {"name": "S0", "ideal": ["x", "y", "z"], "dim": 0, "morse": {"0": {"rank": 1, "torsion": []}}},
-        ],
-        "seed": 7,
-        "complexes": {
-            "A": {"S2": {"0": {"rank": 1, "torsion": []}},
-                  "S1": {"-1": {"rank": 1, "torsion": []}},
-                  "S0": {"-1": {"rank": 1, "torsion": []}}},
-            "B": {"S2": {"0": {"rank": 1, "torsion": []}},
-                  "S1": {"-1": {"rank": 1, "torsion": []}},
-                  "S0": {"-1": {"rank": 2, "torsion": []}}},
-            "C": {"S2": {"0": {"rank": 1, "torsion": []}},
-                  "S1": {"-1": {"rank": 1, "torsion": []}},
-                  "S0": {"-1": {"rank": 1, "torsion": []}, "1": {"rank": 1, "torsion": []}}},
-            "JSTAR": {"S0": {"-2": {"rank": 1, "torsion": []}}},
-        },
-        "checks": [
-            {"type": "triangle", "name": "B->A->jstar", "terms": ["B", "A", "JSTAR"]},
-            {"type": "complement-restriction", "terms": ["A", "B", "JSTAR"]},
-            {"type": "equal", "name": "CC(B)=CC(C)", "terms": ["B", "C"]},
-        ],
-    }
-    path = write_descriptor(tmp_path, data, "cc.json")
+    path = write_descriptor(tmp_path, CC_TABLES, "cc.json")
     code, out = run_cli(capsys, "cc", path)
     assert code == EXIT_OK
     assert out.count("[pass]") == 3

@@ -1,6 +1,5 @@
 """Cross-route consistency checks tying separate theorems together."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +13,6 @@ from gecc_kit.cycles import (
     cycle_add,
     divisor_intersect,
     scalar_multiply,
-    _fiber_point_count,
-    _slice_forms,
 )
 from gecc_kit.hypersurface import (
     check_polar_genericity,
@@ -24,7 +21,7 @@ from gecc_kit.hypersurface import (
     polar_curve,
     vanishing_morse_at_origin,
 )
-from gecc_kit.ideal import Ideal, local_degree, radical_contains
+from gecc_kit.ideal import Ideal, dimension_and_degree, local_degree, radical_contains
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
 from gecc_kit.vanishing import lambda_cycles, pi_delta, reconstruct_gecc
@@ -36,7 +33,7 @@ def P(text, sc):
     return parse_polynomial(text, sc.ambient.context())
 
 
-def test_rank_consistency_nearby_routes(sc_xyt, rng):
+def test_rank_consistency_nearby_routes(sc_xyt):
     """Thm 5.1 vs Thm 5.2: the point coefficient of the nearby gecc equals
     the Morse module computed from the polar curve."""
     psi = nearby_gecc(sc_xyt, P("x", sc_xyt))
@@ -45,33 +42,33 @@ def test_rank_consistency_nearby_routes(sc_xyt, rng):
     point_conormal = component_from_prime(
         Ideal(ctx, [parse_polynomial(g, ctx) for g in ("x", "y", "t")]), amb_t
     )
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     morse = nearby_morse_at_origin(rep, P("x", sc_xyt))
     assert psi.degree(0).terms[point_conormal].rank == morse.table[0].rank
 
 
-def test_morse_cross_check_vanishing(sc_txy, sc_xyt, rng):
+def test_morse_cross_check_vanishing(sc_txy, sc_xyt):
     """Thm 7.2 vs the reconstruction: the point coefficient of gecc(phi)
     equals the vanishing Morse module at the origin."""
     gecc_F = gecc_assemble(sc_txy)
     trace = pi_delta(gecc_F, P("x", sc_txy))
-    phi = reconstruct_gecc(lambda_cycles(trace, rng), rng)
+    phi = reconstruct_gecc(lambda_cycles(trace))
     amb_t = sc_txy.tstar_ambient()
     ctx = amb_t.context()
     point_conormal = component_from_prime(
         Ideal(ctx, [parse_polynomial(g, ctx) for g in ("t", "x", "y")]), amb_t
     )
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     morse = vanishing_morse_at_origin(rep, P("x", sc_xyt), P("t", sc_xyt), {0: Z(2)})
     assert phi.degree(0).terms[point_conormal] == morse.table[0]
 
 
-def test_lambda_slice_oracle(sc_txy, rng):
+def test_lambda_slice_oracle(sc_txy):
     """Slicing Lambda^j by j generic hyperplanes at the origin reproduces
     the iterated point ranks (2 for Lambda^1, 4 for Lambda^0)."""
     gecc_F = gecc_assemble(sc_txy)
     trace = pi_delta(gecc_F, P("x", sc_txy))
-    lam = lambda_cycles(trace, rng)
+    lam = lambda_cycles(trace)
     ctx = sc_txy.ambient.context()
     lam1 = lam.get(0, 1)
     sliced = divisor_intersect(
@@ -89,7 +86,7 @@ def test_lambda_slice_oracle(sc_txy, rng):
     assert total0 == 4
 
 
-def test_prop_6_4_equivalence(sc_xyt, rng):
+def test_prop_6_4_equivalence(sc_xyt):
     """When the covector condition holds, the V(L) and V(f) dimension
     diagnostics agree; checked for several linear forms."""
     from gecc_kit.conormal import conormal_variety
@@ -101,7 +98,7 @@ def test_prop_6_4_equivalence(sc_xyt, rng):
     ]
     for L_text in ("t", "t+y", "t-2*y", "y+3*t"):
         L = P(L_text, sc_xyt)
-        rep = polar_curve(sc_xyt, f, L, rng)
+        rep = polar_curve(sc_xyt, f, L)
         gen = check_polar_genericity(rep, f, L, bound_off_vf)
         if gen.covector:
             assert gen.dim_vl == gen.dim_vf
@@ -130,9 +127,9 @@ def test_divisor_bilinearity(sc_xyt):
     )
 
 
-def test_bezout_degree_spot_check(rng):
+def test_bezout_degree_spot_check():
     """Homogeneous instance: a quadric cone cut by a generic plane has
-    total multiplicity-weighted slice degree 2 = deg(V) * deg(g)."""
+    total multiplicity-weighted degree 2 = deg(V) * deg(g)."""
     amb = AmbientSpace("U", 2, ("x", "y", "z"))
     ctx = amb.context()
     cone = component_from_prime(Ideal(ctx, [parse_polynomial("x^2-y*z", ctx)]), amb)
@@ -140,9 +137,9 @@ def test_bezout_degree_spot_check(rng):
     cut = divisor_intersect(cyc, parse_polynomial("x+2*y+5*z", ctx))
     total = 0
     for compnt, m in cut.degree(0).terms.items():
-        slices = _slice_forms(amb, compnt.dim, rng)
-        deg = _fiber_point_count(compnt.ideal, amb, slices, None)
-        total += m.rank * deg
+        dim, degree = dimension_and_degree(compnt.ideal)
+        assert dim == compnt.dim == 1
+        total += m.rank * degree
     assert total == 2
 
 

@@ -1,7 +1,6 @@
 """Cycle calculus: sums, scalars, divisor intersections, gap removal,
 pushforward, ordinary cycles."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from gecc_kit.cycles import (
     gap_remove,
     intersection_multiplicity,
     proper_pushforward,
+    pushforward_with_degree,
     scalar_multiply,
     to_ordinary,
 )
@@ -43,11 +43,6 @@ def comp(*gens, amb=AMB_T):
 
 def single(component, m, degree=0):
     return GradedEnrichedCycle.single(degree, EnrichedCycle(component.ambient, {component: m}))
-
-
-@pytest.fixture()
-def rng():
-    return random.Random(123)
 
 
 E_GENS = ("y^2-x^3-t^2*x^2", "y*w2+t*x^2*w1", "(x+t^2)*w2+y*t*w1")
@@ -169,7 +164,7 @@ def test_ci_intersect_whole_graph():
     }
 
 
-def test_gap_remove_split(rng):
+def test_gap_remove_split():
     cyc = cycle_add(
         single(comp("x", "y", "w0", "w1-1", "w2"), Z(2)),
         single(comp("y", "t^2+x", "2*t*w1-w0", "w2"), Z(2)),
@@ -185,24 +180,24 @@ def test_gap_remove_split(rng):
     assert allin == cyc and not allout
 
 
-def test_proper_pushforward_examples(rng):
+def test_proper_pushforward_examples():
     big = single(comp("t", "x", "y", "w0", "w1-1", "w2"), Z(4))
-    image = proper_pushforward(big, AMB_U, rng)
+    image = proper_pushforward(big, AMB_U)
     assert image.degree(0).terms == {comp("t", "x", "y", amb=AMB_U): Z(4)}
     small = single(comp("x", "y", "w0", "w1-1", "w2"), Z(2))
-    image2 = proper_pushforward(small, AMB_U, rng)
+    image2 = proper_pushforward(small, AMB_U)
     assert image2.degree(0).terms == {comp("x", "y", amb=AMB_U): Z(2)}
-    assert proper_pushforward(GradedEnrichedCycle.zero(AMB_T), AMB_U, rng) == \
+    assert proper_pushforward(GradedEnrichedCycle.zero(AMB_T), AMB_U) == \
         GradedEnrichedCycle.zero(AMB_U)
 
 
-def test_proper_pushforward_rejects_collapse(rng):
+def test_proper_pushforward_rejects_collapse():
     # fibers of V(y) over U are the whole cotangent plane
     with pytest.raises(GenericInjectivityFailure):
-        proper_pushforward(single(comp("y"), Z(1)), AMB_U, rng)
+        proper_pushforward(single(comp("y"), Z(1)), AMB_U)
 
 
-def test_proper_pushforward_rejects_degree_two(rng):
+def test_proper_pushforward_rejects_degree_two():
     amb1 = AmbientSpace("TstarU", 0, ("x",))
     ctx1 = amb1.context()
     c = component_from_prime(Ideal(ctx1, [parse_polynomial("x-w0^2", ctx1)]), amb1)
@@ -210,8 +205,23 @@ def test_proper_pushforward_rejects_degree_two(rng):
         proper_pushforward(
             GradedEnrichedCycle.single(0, EnrichedCycle(amb1, {c: Z(1)})),
             AmbientSpace("U", 0, ("x",)),
-            rng,
         )
+
+
+# Mapping degrees of projections, including tag ambients. The values agree
+# with counting the points of a generic fiber.
+@pytest.mark.parametrize("source, gens, target, image, degree", [
+    ("TstarU", ["w0^2-x", "w1"], "U", [], 2),
+    ("TstarU", ["w0^3-x*w0-y", "w1-1"], "U", [], 3),
+    ("UxP", ["u1^3*x-u0^3*y-u0*u1^2*x"], "U", [], 3),
+    ("TstarUxP", ["u0", "w0*w1-1", "y-w1^2"], "UxP", ["u0"], 2),
+    # a singular image: the cusp
+    ("TstarU", ["w1", "w0-1", "x^3-y^2"], "U", ["x^3-y^2"], 1),
+])
+def test_pushforward_with_degree(source, gens, target, image, degree):
+    src, tgt = (AmbientSpace(kind, 1, ("x", "y")) for kind in (source, target))
+    pushed = pushforward_with_degree(single(comp(*gens, amb=src), Z(1)), tgt)
+    assert pushed.degree(0).terms == {comp(*image, amb=tgt): Z(degree)}
 
 
 def test_to_ordinary_alternating():
@@ -225,7 +235,7 @@ def test_to_ordinary_alternating():
     assert to_ordinary(shifted).terms == {c: -3}
 
 
-def test_to_ordinary_additivity(rng):
+def test_to_ordinary_additivity():
     c1, c2 = comp("x", "y", "t"), comp("x", "y", "w2")
     D = single(c1, Z(2))
     E = cycle_add(single(c1, Z(1)), single(c2, ModClass(1, (2,))))

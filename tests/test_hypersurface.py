@@ -81,8 +81,8 @@ def test_classical_polar_smooth_function_empty():
 # -- relative polar curve
 
 
-def test_polar_curve_running_example(sc_xyt, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_polar_curve_running_example(sc_xyt):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     ctx = sc_xyt.ambient.context()
     curve = component_from_prime(
         Ideal(ctx, [parse_polynomial("x+t^2", ctx), parse_polynomial("y", ctx)]),
@@ -95,8 +95,8 @@ def test_polar_curve_running_example(sc_xyt, rng):
     assert rep.per_stratum["S4"] == [(curve, 1)]
 
 
-def test_polar_genericity_running_example(sc_xyt, sc_txy, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_polar_genericity_running_example(sc_xyt, sc_txy):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     amb_t = sc_xyt.tstar_ambient()
     bound = [
         conormal_variety(sc_xyt.stratum("S3"), amb_t),
@@ -110,27 +110,27 @@ def test_polar_genericity_running_example(sc_xyt, sc_txy, rng):
     assert gen_bad.covector is False
 
 
-def test_polar_genericity_empty_polar(sc_xyt, rng):
+def test_polar_genericity_empty_polar(sc_xyt):
     # a function smooth on every visible stratum has an empty polar
     amb = AmbientSpace("U", 2, ("x", "y", "t"))
     ctx = amb.context()
     SC = StratifiedComplex(amb, [make_stratum(amb, "U0", ["y"], 2, {0: Z(1)})])
-    rep = polar_curve(SC, parse_polynomial("x", ctx), parse_polynomial("t", ctx), rng)
+    rep = polar_curve(SC, parse_polynomial("x", ctx), parse_polynomial("t", ctx))
     assert not rep.polar
     gen = check_polar_genericity(rep, parse_polynomial("x", ctx), parse_polynomial("t", ctx))
     assert gen.all_pass()
 
 
-def test_polar_extension_independence_spot_check(sc_xyt, rng):
+def test_polar_extension_independence_spot_check(sc_xyt):
     # adding f * (poly) to the extension leaves the polar germ unchanged
     # when no polar component lies in V(f); far components may appear
     from gecc_kit.cycles import germ_part
 
     f = P("x", sc_xyt)
-    base = polar_curve(sc_xyt, f, P("t", sc_xyt), rng)
-    perturbed = polar_curve(sc_xyt, f, P("t + x*x", sc_xyt), rng)
+    base = polar_curve(sc_xyt, f, P("t", sc_xyt))
+    perturbed = polar_curve(sc_xyt, f, P("t + x*x", sc_xyt))
     assert base.polar == perturbed.polar
-    perturbed2 = polar_curve(sc_xyt, f, P("t + x*(t - 2*x)", sc_xyt), rng)
+    perturbed2 = polar_curve(sc_xyt, f, P("t + x*(t - 2*x)", sc_xyt))
     assert germ_part(perturbed2.polar) == germ_part(base.polar)
 
 
@@ -151,22 +151,22 @@ def test_nearby_gecc_running_example(sc_xyt):
     assert psi.degree(0).terms == {c_w: Z(3), c_0: Z(4)}
 
 
-def test_nearby_morse_running_example(sc_xyt, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_nearby_morse_running_example(sc_xyt):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     morse = nearby_morse_at_origin(rep, P("x", sc_xyt))
     assert morse.table == {0: Z(4)}
     assert morse.exponents == {"S1": 0, "S2": 2, "S4": 2}
 
 
-def test_shriek_morse_running_example(sc_xyt, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_shriek_morse_running_example(sc_xyt):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     morse = shriek_morse_at_origin(rep, P("t", sc_xyt))
     assert morse.table == {0: Z(2)}
     assert morse.exponents == {"S1": 0, "S2": 1, "S4": 1}
 
 
-def test_vanishing_morse_running_example(sc_xyt, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_vanishing_morse_running_example(sc_xyt):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     m0 = {0: Z(2)}
     morse = vanishing_morse_at_origin(rep, P("x", sc_xyt), P("t", sc_xyt), m0)
     assert morse.table == {0: Z(4)}
@@ -176,19 +176,19 @@ def test_vanishing_morse_running_example(sc_xyt, rng):
     assert morse.diagnostics["genericity"]["componentwise_f_geq_l"]
 
 
-def test_vanishing_morse_smooth_point(rng):
+def test_vanishing_morse_smooth_point():
     amb = AmbientSpace("U", 2, ("x", "y", "t"))
     ctx = amb.context()
     SC = StratifiedComplex(amb, [make_stratum(amb, "M", ["y"], 2, {0: Z(1)})])
-    rep = polar_curve(SC, parse_polynomial("x", ctx), parse_polynomial("t", ctx), rng)
+    rep = polar_curve(SC, parse_polynomial("x", ctx), parse_polynomial("t", ctx))
     morse = vanishing_morse_at_origin(
         rep, parse_polynomial("x", ctx), parse_polynomial("t", ctx), {}
     )
     assert morse.table == {}
 
 
-def test_star_equals_shriek_records(sc_xyt, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_star_equals_shriek_records(sc_xyt):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     shr = shriek_morse_at_origin(rep, P("t", sc_xyt))
     near = nearby_morse_at_origin(rep, P("x", sc_xyt))
     records = star_equals_shriek(sc_xyt, P("x", sc_xyt), shr, near)
@@ -223,8 +223,8 @@ def test_shriek_support_f_nonvanishing():
     assert supp == {0: [conormal_variety(SC.stratum("M"), amb_t)]}
 
 
-def test_genericity_failure_raises(sc_xyt, rng):
-    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt), rng)
+def test_genericity_failure_raises(sc_xyt):
+    rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     # x is constant on the polar curve V(x+t^2, y)? no -- but f = x+t^2 is
     bad_f = P("x+t^2", sc_xyt)
     with pytest.raises(GenericityFailure):
@@ -240,7 +240,7 @@ def test_shift_identity(sc_xyt):
     assert rec.passed
 
 
-def test_triangle_and_prop66_on_curve(curve_cusp_line, rng):
+def test_triangle_and_prop66_on_curve(curve_cusp_line):
     # CC(P) = CC(Q) + CC(Z_{V(f)}) on the cusp-line curve with f = y
     SC = curve_cusp_line
     ctx = SC.ambient.context()
@@ -262,12 +262,12 @@ def test_triangle_and_prop66_on_curve(curve_cusp_line, rng):
     assert cc_P == cc_Q.plus(cc_vf)
 
 
-def test_prop66_running_example(sc_xyt, rng):
+def test_prop66_running_example(sc_xyt):
     # CC(j_* j^* F) = CC(F) - CC(i_! i^! F); the S3 coefficient of the
     # shriek complex comes from a hand-built transversal slice problem
     tables_F = {s.name: s.morse for s in sc_xyt.strata}
     cc_F = cc_of_tables(sc_xyt, tables_F)
-    beta_slice = _slice_shriek_multiplicity(rng)
+    beta_slice = _slice_shriek_multiplicity()
     tables_shriek = {
         "S1": {0: Z(1)},
         "S2": {0: Z(1)},
@@ -282,7 +282,7 @@ def test_prop66_running_example(sc_xyt, rng):
     assert rec.passed, f"{rec.lhs} vs {rec.rhs}"
 
 
-def _slice_shriek_multiplicity(rng):
+def _slice_shriek_multiplicity():
     """m^0_{S3}(i_! i^! F) via the transversal slice at (0,0,1):
     a three-branch curve germ cut out of the running example."""
     amb = AmbientSpace("U", 1, ("x", "y"))
@@ -304,14 +304,14 @@ def _slice_shriek_multiplicity(rng):
         conormal_variety(SC.stratum("line"), amb_t),
     ]
     bad = check_polar_genericity(
-        polar_curve(SC, f, parse_polynomial("y-x", ctx), rng),
+        polar_curve(SC, f, parse_polynomial("y-x", ctx)),
         f,
         parse_polynomial("y-x", ctx),
         bound,
     )
     assert bad.covector is False
     L = parse_polynomial("y-2*x", ctx)
-    rep = polar_curve(SC, f, L, rng)
+    rep = polar_curve(SC, f, L)
     good = check_polar_genericity(rep, f, L, bound)
     assert good.all_pass()
     morse = shriek_morse_at_origin(rep, L)
@@ -348,14 +348,14 @@ def test_analyze_curve_branches_cusp_line(curve_cusp_line):
     assert data == {"cusp": (2, False, 3), "line": (1, True, 0)}
 
 
-def test_curve_engine_vs_oracle_nearby_and_vanishing(curve_cusp_line, rng):
+def test_curve_engine_vs_oracle_nearby_and_vanishing(curve_cusp_line):
     SC = curve_cusp_line
     ctx = SC.ambient.context()
     f = parse_polynomial("y", ctx)
     L = parse_polynomial("x", ctx)
     measured = analyze_curve_branches(SC, f, L)
     oracle = curve_gecc_oracle(measured)
-    rep = polar_curve(SC, f, L, rng)
+    rep = polar_curve(SC, f, L)
     near = nearby_morse_at_origin(rep, f)
     assert near.table[0] == oracle["point"]["P"]
     van = vanishing_morse_at_origin(rep, f, L, {0: oracle["point"]["A"]})

@@ -264,18 +264,12 @@ def test_dimension_examples():
 
 
 def test_dimension_generic_slice_drop():
-    rng = random.Random(9)
-    from gecc_kit.cycles import random_affine_form
-
+    forms = ("3*x-2*y+5*t-7", "x+4*y-t+2", "-6*x+y+9*t+1")
     for J in (I("x", "y"), I("y^2-x^3-t^2*x^2")):
         d = dimension(J)
-        for _ in range(3):
-            form = random_affine_form(CTX, rng)
-            cut = J.with_extra([form])
-            if not cut.is_trivial() and dimension(cut) == d - 1:
-                break
-        else:
-            pytest.fail("generic hyperplane never dropped the dimension")
+        for form in forms:
+            cut = J.with_extra([P(form)])
+            assert not cut.is_trivial() and dimension(cut) == d - 1, form
 
 
 # -- radical membership / containment
@@ -324,6 +318,17 @@ def test_minimal_primes_relative_conormal():
     # the E component contains the paper's three generators
     for g in ("y^2-x^3-t^2*x^2", "y*w2+t*x^2*w1", "(x+t^2)*w2+y*t*w1"):
         assert radical_contains(big.ideal, P(g, CTX_W))
+
+
+def test_minimal_primes_fiber_linear_over_own_base():
+    # The graph of a gradient over the conjugate lines x^2 = x + 1. The
+    # linear substitution that certification tries first solves x out of
+    # another basis element, after which no fiber is linear; over the base
+    # Q[x, y]/(x^2 - x - 1) the fiber (w0, w1) is linear.
+    ctx = base_context(["x", "y", "w0", "w1"])
+    J = I("x^2-x-1", "w0+4*x*y-5*y^2", "w1+2*x^2-10*x*y", ctx=ctx)
+    ps = minimal_primes(J)
+    assert [(w.ideal, w.certified, w.route) for w in ps] == [(J, True, "linear-fiber")]
 
 
 def test_minimal_primes_intersection_property():

@@ -1,4 +1,5 @@
-"""Every name an engine module imports is used, and every top-level def is.
+"""Every name an engine module imports is used, every top-level def is,
+and no engine module imports ``random``.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -47,6 +48,37 @@ def test_scan_flags_an_unused_import(tmp_path):
         "    return len(x)\n"
     )
     assert unused_imports(module) == ["Mapping (line 3)", "os (line 2)"]
+
+
+def random_imports(path: Path) -> list:
+    """Lines that import the random module: no engine result may depend on a seed."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "random":
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_engine_does_not_import_random(path):
+    assert random_imports(path) == []
+
+
+def test_scan_flags_a_random_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import os, random\n"
+        "from random import Random\n"
+        "import randomness\n"
+        "from . import random_tools\n"
+        "from .random import tools\n"
+        "def f():\n"
+        "    import random as r\n"
+        "    return r, os, Random\n"
+    )
+    assert random_imports(module) == [1, 2, 7]
 
 
 def referenced_names(paths) -> set:

@@ -97,10 +97,8 @@ def projection_formula_suite(cases=200, seed=103):
         if h.is_zero() or h.total_degree() == 0:
             continue
         done += 1
-        lhs = proper_pushforward(
-            divisor_intersect(E, h.lift(tctx)), amb_u, rng
-        )
-        rhs = divisor_intersect(proper_pushforward(E, amb_u, rng), h)
+        lhs = proper_pushforward(divisor_intersect(E, h.lift(tctx)), amb_u)
+        rhs = divisor_intersect(proper_pushforward(E, amb_u), h)
         if lhs != rhs:
             failures += 1
     return failures

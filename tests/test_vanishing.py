@@ -162,8 +162,8 @@ def test_pi_delta_trace_identity(sc_txy, trace_txy):
         assert recombined == step.total
 
 
-def test_lambda_cycles_running_example(sc_txy, trace_txy, rng):
-    lam = lambda_cycles(trace_txy, rng)
+def test_lambda_cycles_running_example(sc_txy, trace_txy):
+    lam = lambda_cycles(trace_txy)
     assert lam.get(0, 1).terms == {ucomp(sc_txy, "x", "y"): Z(2)}
     assert lam.get(0, 0).terms == {ucomp(sc_txy, "t", "x", "y"): Z(4)}
     assert lam.dims(0) == [1, 0]
@@ -204,34 +204,34 @@ def test_projectivize_rejects_graph(sc_txy):
 # -- characteristic polar cycles
 
 
-def test_char_polar_cycles_line_conormal(sc_txy, rng):
+def test_char_polar_cycles_line_conormal(sc_txy):
     proj = projectivize(
         GradedEnrichedCycle.single(
             0, EnrichedCycle(sc_txy.tstar_ambient(), {tcomp(sc_txy, "x", "y", "w0"): Z(2)})
         )
     )
-    cpc = char_polar_cycles(proj, [1, 0], rng)
+    cpc = char_polar_cycles(proj, [1, 0])
     assert cpc.get(0, 1).terms == {ucomp(sc_txy, "x", "y"): Z(2)}
     # j = 0: the slice excludes [1:0:0], which the u0 = 0 plane misses
     assert not cpc.get(0, 0)
 
 
-def test_char_polar_cycles_point_conormal(sc_txy, rng):
+def test_char_polar_cycles_point_conormal(sc_txy):
     proj = projectivize(
         GradedEnrichedCycle.single(
             0, EnrichedCycle(sc_txy.tstar_ambient(), {tcomp(sc_txy, "t", "x", "y"): Z(4)})
         )
     )
-    cpc = char_polar_cycles(proj, [0], rng)
+    cpc = char_polar_cycles(proj, [0])
     assert cpc.get(0, 0).terms == {ucomp(sc_txy, "t", "x", "y"): Z(4)}
 
 
 # -- reconstruction
 
 
-def test_reconstruct_running_example(sc_txy, trace_txy, rng):
-    lam = lambda_cycles(trace_txy, rng)
-    gecc_phi = reconstruct_gecc(lam, rng)
+def test_reconstruct_running_example(sc_txy, trace_txy):
+    lam = lambda_cycles(trace_txy)
+    gecc_phi = reconstruct_gecc(lam)
     expected = {
         tcomp(sc_txy, "x", "y", "w0"): Z(2),
         tcomp(sc_txy, "t", "x", "y"): Z(4),
@@ -244,50 +244,50 @@ def test_reconstruct_running_example(sc_txy, trace_txy, rng):
     }
 
 
-def test_reconstruct_point_supported(sc_txy, rng):
+def test_reconstruct_point_supported(sc_txy):
     from gecc_kit.vanishing import CharPolarCycles
 
     lam = CharPolarCycles(
         sc_txy.ambient, {(0, 0): EnrichedCycle(sc_txy.ambient, {ucomp(sc_txy, "t", "x", "y"): Z(5)})}
     )
-    rebuilt = reconstruct_gecc(lam, rng)
+    rebuilt = reconstruct_gecc(lam)
     assert rebuilt.degree(0).terms == {tcomp(sc_txy, "t", "x", "y"): Z(5)}
 
 
 # -- blow-up route
 
 
-def test_blowup_disjoint_component(sc_txy, rng):
+def test_blowup_disjoint_component(sc_txy):
     amb_t = sc_txy.tstar_ambient()
     cyc = GradedEnrichedCycle.single(
         0, EnrichedCycle(amb_t, {tcomp(sc_txy, "y", "w0", "w1"): Z(1)})
     )
-    result = blowup_exceptional(cyc, P("x", sc_txy), rng)
+    result = blowup_exceptional(cyc, P("x", sc_txy))
     assert result.per_component[0].status == "disjoint"
     assert not result.exceptional
 
 
-def test_blowup_center_component_rejected(sc_txy, rng):
+def test_blowup_center_component_rejected(sc_txy):
     amb_t = sc_txy.tstar_ambient()
     graph = tcomp(sc_txy, "w0", "w1-1", "w2")
     cyc = GradedEnrichedCycle.single(0, EnrichedCycle(amb_t, {graph: Z(1)}))
-    result = blowup_exceptional(cyc, P("x", sc_txy), rng)
+    result = blowup_exceptional(cyc, P("x", sc_txy))
     assert result.per_component[0].status == "inside-center"
     assert not result.exceptional
 
 
-def test_blowup_point_conormal(sc_txy, rng):
+def test_blowup_point_conormal(sc_txy):
     amb_t = sc_txy.tstar_ambient()
     cyc = GradedEnrichedCycle.single(
         0, EnrichedCycle(amb_t, {tcomp(sc_txy, "t", "x", "y"): Z(2)})
     )
-    result = blowup_exceptional(cyc, P("x", sc_txy), rng)
+    result = blowup_exceptional(cyc, P("x", sc_txy))
     push = result.pushforward.degree(0)
     assert push.terms == {pcomp(sc_txy, "t", "x", "y"): Z(2)}
 
 
-def test_two_route_agreement(sc_txy, rng):
-    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), rng, route="both")
+def test_two_route_agreement(sc_txy):
+    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), route="both")
     assert rep.agreement is True
     vp = rep.blowup.vanishing_part(P("x", sc_txy))
     assert vp == projectivize(rep.gecc_phi)
@@ -297,8 +297,8 @@ def test_two_route_agreement(sc_txy, rng):
     }
 
 
-def test_pipeline_report_json(sc_txy, rng):
-    rep = vanishing_pipeline(sc_txy, P("x", sc_txy), rng)
+def test_pipeline_report_json(sc_txy):
+    rep = vanishing_pipeline(sc_txy, P("x", sc_txy))
     data = rep.to_json()
     assert data["isolating"]["pass"] is True
     assert data["cc_phi"] == [
