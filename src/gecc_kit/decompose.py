@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-import sympy
+from sympy import ZZ, Symbol
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from .ideal import (
     CertificationFailure,
@@ -36,33 +39,26 @@ class PrimeWitness:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge (factorization only)
+# sympy bridge (factorization only): ring-level factoring over ZZ, no Expr trees
+#
+# The monomial content is taken out and each of its variables returned as
+# a factor; the rest, with denominators cleared, is factored as an element
+# of sympy's sparse ring over ZZ in the variables it contains. Factors are
+# sorted as sympy.factor_list sorts them, so order, signs and
+# multiplicities are those of factoring the polynomial as an expression.
 
 
 @lru_cache(maxsize=None)
-def _symbols(names: tuple) -> tuple:
-    return tuple(sympy.Symbol(n) for n in names)
+def _ring(names: tuple) -> tuple:
+    """(ring over ZZ, order): the ring's generators are names[i] for i in order."""
+    gens = _sort_gens(names)
+    R = PolyRing([Symbol(n) for n in gens], ZZ)
+    return R, tuple(names.index(n) for n in gens)
 
 
-def _to_sympy(p: Polynomial):
-    syms = _symbols(p.ctx.names())
-    terms = []
-    for e, c in p.terms.items():
-        factors = [sympy.Rational(c.numerator, c.denominator)]
-        for s, k in zip(syms, e):
-            if k:
-                factors.append(s ** k)
-        terms.append(sympy.Mul(*factors))
-    return sympy.Add(*terms) if terms else sympy.Integer(0)
-
-
-def _from_sympy(expr, ctx: VarContext) -> Polynomial:
-    syms = _symbols(ctx.names())
-    poly = sympy.Poly(expr, *syms, domain="QQ")
-    terms = {}
-    for exp, coeff in poly.terms():
-        terms[tuple(int(k) for k in exp)] = Fraction(coeff.p, coeff.q)
-    return Polynomial(ctx, terms)
+def _factor_key(dense: list, ngens: int, mult: int) -> tuple:
+    # sympy's _sorted_factors key, less the domain: every factor is over ZZ
+    return (len(dense), ngens, mult, dense)
 
 
 _FACTOR_CACHE: dict = {}
@@ -75,12 +71,35 @@ def factor_list(p: Polynomial) -> list:
     cached = _FACTOR_CACHE.get(p)
     if cached is not None:
         return cached
-    _, factors = sympy.factor_list(_to_sympy(p))
-    out = []
-    for f, mult in factors:
-        q = _from_sympy(f, p.ctx)
-        if q.total_degree() > 0:
-            out.append((q, int(mult)))
+    ctx, n = p.ctx, len(p.ctx)
+    names = ctx.names()
+    content = [min(e[i] for e in p.terms) for i in range(n)]
+    # monomial variables in name order: their keys tie, and the sort is stable
+    keyed = [
+        (_factor_key([1, 0], 1, content[i]), ctx.gen(names[i]), content[i])
+        for i in sorted(range(n), key=names.__getitem__)
+        if content[i]
+    ]
+    rest = {tuple(k - c for k, c in zip(e, content)): q for e, q in p.terms.items()}
+    present = tuple(i for i in range(n) if any(e[i] for e in rest))
+    if present:
+        R, order = _ring(tuple(names[i] for i in present))
+        positions = [present[j] for j in order]
+        denom = lcm(*(q.denominator for q in rest.values()))
+        poly = R.from_dict({
+            tuple(e[i] for i in positions): q.numerator * (denom // q.denominator)
+            for e, q in rest.items()
+        })
+        for f, mult in poly.factor_list()[1]:
+            terms = {}
+            for m, c in f.items():
+                e = [0] * n
+                for i, k in zip(positions, m):
+                    e[i] = k
+                terms[tuple(e)] = Fraction(int(c))
+            keyed.append((_factor_key(f.to_dense(), R.ngens, mult), Polynomial(ctx, terms), mult))
+    keyed.sort(key=lambda item: item[0])
+    out = [(q, mult) for _, q, mult in keyed]
     if len(_FACTOR_CACHE) > 4096:
         _FACTOR_CACHE.clear()
     _FACTOR_CACHE[p] = out
@@ -349,13 +368,13 @@ def _certify(I: Ideal, limits: EngineLimits, _depth: int = 0) -> str | None:
     gb = I.groebner_basis(limits=limits)
     if not gb:
         return "zero-ideal"
-    if I.is_trivial():
+    if I.is_trivial(limits):
         return None
     J = _substitute_out_linear(list(gb), I.ctx)
     jgb = J.groebner_basis(limits=limits)
     if not jgb:
         return "graph"
-    if J.is_trivial():
+    if J.is_trivial(limits):
         return None
     if len(jgb) == 1:
         return "hypersurface" if is_irreducible(jgb[0]) else None
@@ -424,31 +443,31 @@ def rational_point(I: Ideal, rng) -> dict | None:
 # Decomposition
 
 
-def _splitter_candidates(J: Ideal, limits: EngineLimits | None = None) -> list:
+def _splitter_candidates(J: Ideal, limits: EngineLimits) -> list:
     seen = []
 
     def push(p: Polynomial) -> None:
         if p.total_degree() > 0 and all(p != h for h in seen):
             seen.append(p)
 
-    for g in J.groebner_basis():
+    for g in J.groebner_basis(limits=limits):
         for f, _ in factor_list(g):
             push(f)
     # factors hiding behind linear eliminations lift back unchanged
-    image = _substitute_out_linear(list(J.groebner_basis()), J.ctx)
+    image = _substitute_out_linear(list(J.groebner_basis(limits=limits)), J.ctx)
     if image.ctx != J.ctx:
-        for g in image.groebner_basis():
+        for g in image.groebner_basis(limits=limits):
             for f, _ in factor_list(g):
                 push(f.lift(J.ctx))
         # residuals of a failed linear-fiber elimination are zero divisors
         hints: list = []
-        _try_linear_fiber(image, limits or DEFAULT_LIMITS, 0, hints)
+        _try_linear_fiber(image, limits, 0, hints)
         for h in hints:
             for f, _ in factor_list(h):
                 push(f.lift(J.ctx))
     else:
         hints = []
-        _try_linear_fiber(J, limits or DEFAULT_LIMITS, 0, hints)
+        _try_linear_fiber(J, limits, 0, hints)
         for h in hints:
             for f, _ in factor_list(h):
                 push(f)
@@ -461,7 +480,7 @@ def _splitter_candidates(J: Ideal, limits: EngineLimits | None = None) -> list:
 def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
     """Certified minimal primes of I; raises CertificationFailure if stuck."""
     limits = limits or DEFAULT_LIMITS
-    if I.is_trivial():
+    if I.is_trivial(limits):
         return []
     queue = [I]
     primes: list = []
@@ -471,7 +490,7 @@ def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
         if guard > 512:
             raise CertificationFailure("decomposition did not terminate at desk scale")
         J = queue.pop()
-        if J.is_trivial():
+        if J.is_trivial(limits):
             continue
         route = _certify(J, limits)
         if route is not None:
@@ -506,7 +525,7 @@ def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
             if J.contains(h):
                 continue
             K = saturate_element(J, h, limits)
-            if K.is_trivial():
+            if K.is_trivial(limits):
                 queue.append(J.with_extra([h]))
                 action = True
                 break
@@ -526,19 +545,22 @@ def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
             f"cannot certify or split ideal with basis {[str(g) for g in gb]}"
         )
 
-    return _minimalize(primes)
+    return _minimalize(primes, limits)
 
 
-def _minimalize(witnesses: list) -> list:
+def _minimalize(witnesses: list, limits: EngineLimits) -> list:
+    def same(a: Ideal, b: Ideal) -> bool:  # Ideal.__eq__ under the caller's limits
+        return a.ctx == b.ctx and a.groebner_basis(limits=limits) == b.groebner_basis(limits=limits)
+
     unique: list = []
     for w in witnesses:
-        if all(w.ideal != u.ideal for u in unique):
+        if not any(same(w.ideal, u.ideal) for u in unique):
             unique.append(w)
     keep = []
     for w in unique:
         redundant = False
         for u in unique:
-            if u.ideal is w.ideal or u.ideal == w.ideal:
+            if u.ideal is w.ideal or same(u.ideal, w.ideal):
                 continue
             if all(w.ideal.contains(g) for g in u.ideal.generators):
                 # u vanishes on more: V(w) subset V(u) means u subset w as ideals

@@ -366,8 +366,8 @@ class Ideal:
     def __contains__(self, p: Polynomial) -> bool:
         return self.contains(p)
 
-    def is_trivial(self) -> bool:
-        gb = self.groebner_basis()
+    def is_trivial(self, limits: EngineLimits | None = None) -> bool:
+        gb = self.groebner_basis(limits=limits)
         return len(gb) == 1 and gb[0].total_degree() == 0
 
     def is_zero_ideal(self) -> bool:

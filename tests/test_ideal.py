@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gecc_kit import ideal as ideal_module
 from gecc_kit.decompose import factor_list, is_certified_prime, minimal_primes
@@ -308,6 +309,21 @@ def test_minimal_primes_xy():
     assert {tuple(gens_str(w.ideal)) for w in ps} == {("x",), ("y",)}
 
 
+def test_minimal_primes_runs_under_caller_limits(monkeypatch):
+    budgets = []
+    real = ideal_module._buchberger
+
+    def spy(gens, keys, budget, stats):
+        budgets.append(budget)
+        return real(gens, keys, budget, stats)
+
+    monkeypatch.setattr(ideal_module, "_buchberger", spy)
+    limits = EngineLimits(spair_budget=987654)
+    for gens in (["y*(y^2-x^3-t^2*x^2)"], ["x*y", "x*t"], ["x^2*y-y^3", "t*x"]):
+        minimal_primes(I(*gens), limits)
+    assert budgets and set(budgets) == {987654}
+
+
 def test_minimal_primes_relative_conormal():
     J = Ideal(CTX_W, [P("y^2-x^3-t^2*x^2", CTX_W), P("y*w2+t*x^2*w1", CTX_W)])
     ps = minimal_primes(J)
@@ -414,6 +430,61 @@ def test_factor_list_cache_round_trip():
     p = P("y^2*(x+t^2)^2")
     fs = factor_list(p)
     assert sorted((str(f), m) for f, m in fs) == [("t^2 + x", 2), ("y", 2)]
+
+
+def _expr_path_factor_list(p):
+    """sympy.factor_list on the polynomial as an Expr, read back through Poly.terms()."""
+    syms = [sympy.Symbol(n) for n in p.ctx.names()]
+    expr = sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+        for e, c in p.terms.items()
+    ))
+    out = []
+    for f, mult in sympy.factor_list(expr)[1]:
+        poly = sympy.Poly(f, *syms, domain="QQ")
+        q = Polynomial(p.ctx, {tuple(int(k) for k in e): Fraction(c.p, c.q) for e, c in poly.terms()})
+        if q.total_degree() > 0:
+            out.append((q, int(mult)))
+    return out
+
+
+def _random_factor(rng, ctx):
+    gens = [ctx.gen(v) for v in ctx.variables]
+    shape = rng.choice(["linear", "univariate", "general"])
+    if shape == "univariate":
+        v = rng.choice(gens)
+        return sum((v**k * Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in range(rng.randint(1, 3))),
+                   v**rng.randint(1, 3))
+    if shape == "linear":
+        used = rng.sample(gens, rng.randint(1, len(gens)))
+        return sum((v * rng.choice([-3, -1, Fraction(1, 2), 2]) for v in used), ctx.const(rng.randint(-2, 2)))
+    out = ctx.const(rng.randint(-3, 3))
+    for _ in range(rng.randint(2, 4)):
+        term = ctx.const(Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.choice([1, 1, 2, 3])))
+        for v in rng.sample(gens, rng.randint(1, min(3, len(gens)))):
+            term = term * v**rng.randint(1, 2)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("names", [
+    ("x", "y", "t"), ("y", "x"), ("t", "x", "y", "w0", "w1"), ("w10", "_T", "w1", "w0"),
+])
+def test_factor_list_matches_sympy_expr_path(names):
+    ctx = base_context(list(names))
+    gens = [ctx.gen(v) for v in ctx.variables]
+    rng = random.Random(len(names))
+    for _ in range(30):
+        p = ctx.const(Fraction(rng.choice([-6, -1, 1, 5]), rng.choice([1, 2, 9])))
+        for v in gens:  # monomial content
+            if rng.random() < 0.4:
+                p = p * v**rng.randint(1, 3)
+        for _ in range(rng.randint(1, 3)):
+            f = _random_factor(rng, ctx)
+            p = p * f**rng.choice([1, 1, 1, 2])
+        if p.total_degree() == 0:
+            continue
+        assert factor_list(p) == _expr_path_factor_list(p), str(p)
 
 
 def test_certified_prime_checks():

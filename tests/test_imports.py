@@ -1,5 +1,6 @@
 """Every name an engine module imports is used, every top-level def is,
-and no engine module imports ``random``.
+no engine module imports ``random``, only ``decompose.py`` imports
+``sympy``, and factoring loads none of sympy's tensor machinery.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -11,6 +12,9 @@ own definition.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,20 +54,20 @@ def test_scan_flags_an_unused_import(tmp_path):
     assert unused_imports(module) == ["Mapping (line 3)", "os (line 2)"]
 
 
-def random_imports(path: Path) -> list:
-    """Lines that import the random module: no engine result may depend on a seed."""
+def imports_of(path: Path, top: str) -> list:
+    """Lines that import the module ``top`` or one of its submodules."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == top for a in node.names):
             lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "random":
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == top:
             lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_engine_does_not_import_random(path):
-    assert random_imports(path) == []
+    assert imports_of(path, "random") == []  # no engine result may depend on a seed
 
 
 def test_scan_flags_a_random_import(tmp_path):
@@ -78,7 +82,50 @@ def test_scan_flags_a_random_import(tmp_path):
         "    import random as r\n"
         "    return r, os, Random\n"
     )
-    assert random_imports(module) == [1, 2, 7]
+    assert imports_of(module, "random") == [1, 2, 7]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "decompose.py"], ids=lambda p: p.name)
+def test_only_decompose_imports_sympy(path):
+    assert imports_of(path, "sympy") == []
+
+
+def test_scan_flags_a_sympy_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import os, sympy\n"
+        "from sympy.polys.rings import PolyRing\n"
+        "import sympyish\n"
+        "from . import sympy_tools\n"
+        "def f():\n"
+        "    import sympy.polys as sp\n"
+        "    return sp, os, PolyRing\n"
+    )
+    assert imports_of(module, "sympy") == [1, 2, 6]
+
+
+# The first Add of sympy expressions lazily imports sympy.tensor.tensor
+# and sympy.combinatorics, a cost paid again in every fresh problem
+# process; the factorization bridge works in sympy's polynomial rings and
+# builds no expressions.
+FACTOR_PROBE = """
+import sys
+import gecc_kit.cli
+from gecc_kit.decompose import factor_list
+from gecc_kit.polyring import base_context, parse_polynomial
+ctx = base_context(["x", "y", "t", "w0"])
+for text in ["y*(y^2-x^3-t^2*x^2)", "x^2-1/4*t^2", "(x+w0)^3*(2*y-t)", "3*x^2*y-1/2*y^3"]:
+    assert factor_list(parse_polynomial(text, ctx))
+print(sorted(m for m in ("sympy.tensor.tensor", "sympy.combinatorics") if m in sys.modules))
+"""
+
+
+def test_factoring_loads_no_sympy_tensor():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", FACTOR_PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def referenced_names(paths) -> set:
