@@ -53,6 +53,7 @@ from .ideal import (
     Ideal,
     NotZeroDimensional,
     ResourceLimitExceeded,
+    engine_limits,
 )
 from .modclass import ModClass
 from .polyring import ParseError, Polynomial, parse_polynomial
@@ -106,10 +107,10 @@ def _parse_morse(table: Mapping) -> dict:
     return {int(k): ModClass.from_json(v) for k, v in table.items()}
 
 
-def load_descriptor(path: str, limits: EngineLimits | None = None) -> ProblemDescriptor:
+def load_descriptor(path: str) -> ProblemDescriptor:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return descriptor_from_json(data, limits)
+    return descriptor_from_json(data)
 
 
 def _is_nat(v) -> bool:
@@ -233,7 +234,7 @@ def validate_branches(data) -> None:
         _member(b, path, "eta", _is_nat, "a nonnegative integer", 0)
 
 
-def descriptor_from_json(data: Mapping, limits: EngineLimits | None = None) -> ProblemDescriptor:
+def descriptor_from_json(data: Mapping) -> ProblemDescriptor:
     validate_descriptor(data)
     amb_data = data["ambient"]
     ambient = AmbientSpace("U", amb_data["n"], tuple(amb_data["coords"]))
@@ -244,7 +245,7 @@ def descriptor_from_json(data: Mapping, limits: EngineLimits | None = None) -> P
         strata.append(
             Stratum(s["name"], ideal, s["dim"], _parse_morse(s.get("morse", {})))
         )
-    SC = StratifiedComplex(ambient, strata, data.get("label", "F"), limits=limits)
+    SC = StratifiedComplex(ambient, strata, data.get("label", "F"))
     f = parse_polynomial(data["f"], ctx) if data.get("f") else None
     L = parse_polynomial(data["L"], ctx) if data.get("L") else None
     return ProblemDescriptor(ambient, SC, f, L, data.get("seed", 12345), dict(data))
@@ -479,30 +480,29 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    limits = EngineLimits()
-    if args.spair_budget is not None:
-        limits.spair_budget = args.spair_budget
+    limits = EngineLimits() if args.spair_budget is None else EngineLimits(args.spair_budget)
     try:
-        if args.command == "oracle-curve":
-            with open(args.descriptor, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            code, report, transcript = cmd_oracle_curve(data, args)
-        else:
-            from .ideal import ENGINE_COUNTERS, engine_counters
+        with engine_limits(limits):
+            if args.command == "oracle-curve":
+                with open(args.descriptor, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+                code, report, transcript = cmd_oracle_curve(data, args)
+            else:
+                from .ideal import ENGINE_COUNTERS, engine_counters
 
-            ENGINE_COUNTERS["groebner_runs"] = 0
-            ENGINE_COUNTERS["spairs"] = 0
-            desc = load_descriptor(args.descriptor, limits)
-            if args.seed is not None:
-                desc.seed = args.seed
-            ctx = desc.ambient.context()
-            if args.f_override:
-                desc.f = parse_polynomial(args.f_override, ctx)
-            if args.l_override:
-                desc.L = parse_polynomial(args.l_override, ctx)
-            code, report, transcript = _COMMANDS[args.command](desc, args)
-            report["seed"] = desc.seed
-            report["engine"] = engine_counters()
+                ENGINE_COUNTERS["groebner_runs"] = 0
+                ENGINE_COUNTERS["spairs"] = 0
+                desc = load_descriptor(args.descriptor)
+                if args.seed is not None:
+                    desc.seed = args.seed
+                ctx = desc.ambient.context()
+                if args.f_override:
+                    desc.f = parse_polynomial(args.f_override, ctx)
+                if args.l_override:
+                    desc.L = parse_polynomial(args.l_override, ctx)
+                code, report, transcript = _COMMANDS[args.command](desc, args)
+                report["seed"] = desc.seed
+                report["engine"] = engine_counters()
     except json.JSONDecodeError as exc:
         print(f"descriptor parse error (line {exc.lineno}, col {exc.colno}): {exc.msg}",
               file=sys.stderr)

@@ -24,8 +24,6 @@ from .cycles import (
 )
 from .decompose import minimal_primes
 from .ideal import (
-    DEFAULT_LIMITS,
-    EngineLimits,
     Ideal,
     radical_contains,
     saturate_element,
@@ -71,14 +69,12 @@ class StratifiedComplex:
         strata: Sequence[Stratum],
         label: str = "F",
         validate: bool = True,
-        limits: EngineLimits | None = None,
     ):
         if ambient.kind != U_KIND:
             raise StratificationError("stratified complexes live in a base space U")
         self.ambient = ambient
         self.strata = list(strata)
         self.label = label
-        self.limits = limits or DEFAULT_LIMITS
         if validate:
             self._validate()
 
@@ -87,7 +83,7 @@ class StratifiedComplex:
         for s in self.strata:
             if s.closure_ideal.ctx != self.ambient.context():
                 raise StratificationError(f"stratum {s.name}: wrong context")
-            d = s.closure_ideal.dimension(self.limits)
+            d = s.closure_ideal.dimension()
             if d != s.dim:
                 raise StratificationError(
                     f"stratum {s.name}: declared dim {s.dim}, computed {d}"
@@ -110,17 +106,17 @@ class StratifiedComplex:
 
     def check_vf_union_of_strata(self, ft: Polynomial) -> bool:
         """V(f) meets X in a union of strata closures."""
-        inside = [s for s in self.strata if radical_contains(s.closure_ideal, ft, self.limits)]
+        inside = [s for s in self.strata if radical_contains(s.closure_ideal, ft)]
         for s in self.strata:
             if s in inside:
                 continue
             cut = s.closure_ideal.with_extra([ft])
             if cut.is_trivial():
                 continue
-            pieces = minimal_primes(cut, self.limits)
+            pieces = minimal_primes(cut)
             for w in pieces:
                 if not any(
-                    variety_contained_in(w.ideal, t.closure_ideal, self.limits)
+                    variety_contained_in(w.ideal, t.closure_ideal)
                     for t in inside
                 ):
                     return False
@@ -190,7 +186,6 @@ def _conormal_from_rows(
     stratum: Stratum,
     extra_rows: list,
     ambient_t: AmbientSpace,
-    limits: EngineLimits,
 ) -> Component:
     """Common core: I_S + minors([J; extras; w]) saturated at a rank witness."""
     ctx = ambient_t.context()
@@ -210,18 +205,16 @@ def _conormal_from_rows(
     minors = _minors_with_last_row(rows + [wrow], c + 1, ncols)
     full = Ideal(ctx, lifted + minors)
     if isinstance(witness, Polynomial):
-        full = saturate_element(full, witness, limits)
-    return component_from_prime(full, ambient_t, limits)
+        full = saturate_element(full, witness)
+    return component_from_prime(full, ambient_t)
 
 
 def conormal_variety(
     stratum: Stratum,
     ambient_t: AmbientSpace,
-    limits: EngineLimits | None = None,
 ) -> Component:
     """Closure of the conormal space to the stratum, as a certified component."""
-    limits = limits or DEFAULT_LIMITS
-    comp = _conormal_from_rows(stratum, [], ambient_t, limits)
+    comp = _conormal_from_rows(stratum, [], ambient_t)
     if comp.dim != ambient_t.n + 1:
         raise RankAnomaly(
             f"conormal of {stratum.name} has dimension {comp.dim}, "
@@ -231,10 +224,8 @@ def conormal_variety(
     return comp
 
 
-def f_nonconstant_on(stratum: Stratum, ft: Polynomial, ambient_t: AmbientSpace,
-                     limits: EngineLimits | None = None) -> bool:
+def f_nonconstant_on(stratum: Stratum, ft: Polynomial, ambient_t: AmbientSpace) -> bool:
     """d(f|_S) not identically zero: some Jacobian+gradient minor survives."""
-    limits = limits or DEFAULT_LIMITS
     ctx = ambient_t.context()
     base_names = [v.name for v in ambient_t.base_vars()]
     base = Ideal(ctx, [g.lift(ctx) for g in stratum.closure_ideal.generators])
@@ -249,18 +240,16 @@ def relative_conormal(
     stratum: Stratum,
     ft: Polynomial,
     ambient_t: AmbientSpace,
-    limits: EngineLimits | None = None,
 ) -> Component:
     """Closure of the relative conormal of f on the stratum."""
-    limits = limits or DEFAULT_LIMITS
     ctx = ambient_t.context()
     base_names = [v.name for v in ambient_t.base_vars()]
-    if not f_nonconstant_on(stratum, ft, ambient_t, limits):
+    if not f_nonconstant_on(stratum, ft, ambient_t):
         raise FConstantOnStratum(
             f"{ft} is constant on stratum {stratum.name}"
         )
     frow = _gradient(ft, base_names, ctx)
-    comp = _conormal_from_rows(stratum, [frow], ambient_t, limits)
+    comp = _conormal_from_rows(stratum, [frow], ambient_t)
     if comp.dim != ambient_t.n + 2:
         raise RankAnomaly(
             f"relative conormal of {stratum.name} has dimension {comp.dim}, "
@@ -286,32 +275,26 @@ def im_d(gt: Polynomial, ambient_t: AmbientSpace) -> Ideal:
     return Ideal(ctx, gens)
 
 
-def gecc_assemble(
-    SC: StratifiedComplex, limits: EngineLimits | None = None
-) -> GradedEnrichedCycle:
+def gecc_assemble(SC: StratifiedComplex) -> GradedEnrichedCycle:
     """Graded enriched characteristic cycle from the Morse tables."""
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     degrees: dict = {}
     for s in SC.visible_strata():
-        comp = conormal_variety(s, ambient_t, limits)
+        comp = conormal_variety(s, ambient_t)
         for k, m in s.morse_items():
             cyc = degrees.setdefault(k, EnrichedCycle(ambient_t))
             degrees[k] = cyc.add_term(comp, m)
     return GradedEnrichedCycle(ambient_t, degrees)
 
 
-def relative_conormal_cycle(
-    SC: StratifiedComplex, ft: Polynomial, limits: EngineLimits | None = None
-) -> GradedEnrichedCycle:
+def relative_conormal_cycle(SC: StratifiedComplex, ft: Polynomial) -> GradedEnrichedCycle:
     """Graded enriched relative conormal cycle of f."""
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     degrees: dict = {}
     for s in SC.visible_strata():
-        if not f_nonconstant_on(s, ft, ambient_t, limits):
+        if not f_nonconstant_on(s, ft, ambient_t):
             continue
-        comp = relative_conormal(s, ft, ambient_t, limits)
+        comp = relative_conormal(s, ft, ambient_t)
         for k, m in s.morse_items():
             cyc = degrees.setdefault(k, EnrichedCycle(ambient_t))
             degrees[k] = cyc.add_term(comp, m)

@@ -17,9 +17,7 @@ from typing import Callable, Mapping, Sequence
 from . import modclass as mc
 from .decompose import minimal_primes
 from .ideal import (
-    DEFAULT_LIMITS,
     CertificationFailure,
-    EngineLimits,
     Ideal,
     dimension_and_degree,
     eliminate,
@@ -138,17 +136,17 @@ class Component:
         return [str(g) for g in self.ideal.generators]
 
 
-def geometric_dimension(I: Ideal, ambient: AmbientSpace, limits: EngineLimits | None = None) -> int:
+def geometric_dimension(I: Ideal, ambient: AmbientSpace) -> int:
     """Affine dimension, less one for the projective tag directions."""
-    d = I.dimension(limits)
+    d = I.dimension()
     if ambient.is_projective():
         return d - 1
     return d
 
 
-def component_from_prime(I: Ideal, ambient: AmbientSpace, limits: EngineLimits | None = None) -> Component:
-    canonical = Ideal(I.ctx, I.groebner_basis(limits=limits))
-    return Component(canonical, ambient, geometric_dimension(canonical, ambient, limits))
+def component_from_prime(I: Ideal, ambient: AmbientSpace) -> Component:
+    canonical = Ideal(I.ctx, I.groebner_basis())
+    return Component(canonical, ambient, geometric_dimension(canonical, ambient))
 
 
 def irrelevant_ideal(ambient: AmbientSpace) -> Ideal | None:
@@ -158,16 +156,14 @@ def irrelevant_ideal(ambient: AmbientSpace) -> Ideal | None:
     return Ideal(ctx, [ctx.gen(v) for v in ambient.projective_vars()])
 
 
-def decompose_components(
-    I: Ideal, ambient: AmbientSpace, limits: EngineLimits | None = None
-) -> list:
+def decompose_components(I: Ideal, ambient: AmbientSpace) -> list:
     """Certified minimal primes as components, dropping the irrelevant locus."""
     out = []
     irr = irrelevant_ideal(ambient)
-    for w in minimal_primes(I, limits):
+    for w in minimal_primes(I):
         if irr is not None and variety_contained_in(w.ideal, irr):
             continue
-        out.append(component_from_prime(w.ideal, ambient, limits))
+        out.append(component_from_prime(w.ideal, ambient))
     return out
 
 
@@ -412,7 +408,6 @@ def gap_remove(E: GradedEnrichedCycle, J: Ideal) -> tuple:
 def germ_part(
     E: GradedEnrichedCycle,
     point: Mapping | None = None,
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Components whose fiber over the given base point is nonempty.
 
@@ -481,7 +476,6 @@ def intersection_multiplicity(
     parent_with_divisor: Ideal,
     piece: Component,
     others: Sequence[Component],
-    limits: EngineLimits | None = None,
 ) -> int:
     """Length of V(J) along the component, as deg(J : s^inf) / deg(piece).
 
@@ -492,13 +486,12 @@ def intersection_multiplicity(
     top-dimensional component, with the length of V(J) along it, and
     embedded components of lower dimension do not change its degree.
     """
-    limits = limits or DEFAULT_LIMITS
     s = separator_polynomial(piece, others)
     if piece.ambient.is_projective():
         s = s * piece.ideal.ctx.gen(piece.ambient.projective_vars()[first_chart(piece)])
-    local = saturate_element(parent_with_divisor, s, limits)
-    dim, degree = dimension_and_degree(local, limits)
-    piece_dim, piece_degree = dimension_and_degree(piece.ideal, limits)
+    local = saturate_element(parent_with_divisor, s)
+    dim, degree = dimension_and_degree(local)
+    piece_dim, piece_degree = dimension_and_degree(piece.ideal)
     if dim != piece_dim or degree % piece_degree:
         raise CertificationFailure(
             f"saturation along {piece!r} has dimension {dim} and degree {degree}, "
@@ -510,10 +503,8 @@ def intersection_multiplicity(
 def divisor_intersect(
     E: GradedEnrichedCycle,
     g: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Proper intersection with the hypersurface V(g), per Fulton lengths."""
-    limits = limits or DEFAULT_LIMITS
     ambient = E.ambient
     ctx = ambient.context()
     if g.ctx != ctx:
@@ -524,7 +515,7 @@ def divisor_intersect(
         acc = EnrichedCycle(ambient)
         for comp, m in cyc.terms.items():
             if comp not in cache:
-                cache[comp] = _intersect_component(comp, g, ambient, limits)
+                cache[comp] = _intersect_component(comp, g, ambient)
             for piece, mult in cache[comp]:
                 acc = acc.add_term(piece, mc.tensor(m, ModClass.free(mult)))
         if acc:
@@ -536,16 +527,15 @@ def _intersect_component(
     comp: Component,
     g: Polynomial,
     ambient: AmbientSpace,
-    limits: EngineLimits,
 ) -> list:
-    if radical_contains(comp.ideal, g, limits):
+    if radical_contains(comp.ideal, g):
         raise ImproperIntersection(
             f"component {comp!r} is contained in the divisor V({g})"
         )
     J = comp.ideal.with_extra([g])
     if J.is_trivial():
         return []
-    pieces = decompose_components(J, ambient, limits)
+    pieces = decompose_components(J, ambient)
     if not pieces:
         return []
     expected = comp.dim - 1
@@ -557,20 +547,19 @@ def _intersect_component(
     out = []
     for p in pieces:
         others = [q for q in pieces if q is not p]
-        out.append((p, intersection_multiplicity(J, p, others, limits)))
+        out.append((p, intersection_multiplicity(J, p, others)))
     return out
 
 
 def ci_intersect(
     E: GradedEnrichedCycle,
     gs: Sequence[Polynomial],
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Left fold of divisor intersections (complete-intersection second factor)."""
     current = E
     for i, g in enumerate(gs):
         try:
-            current = divisor_intersect(current, g, limits)
+            current = divisor_intersect(current, g)
         except ImproperIntersection as exc:
             raise ImproperIntersection(f"step {i} ({g}): {exc}") from exc
         if not current:
@@ -588,17 +577,16 @@ def _pushforward_component(
     comp: Component,
     source: AmbientSpace,
     target: AmbientSpace,
-    limits: EngineLimits,
 ) -> tuple:
     """(image component, mapping degree) or (None, 0) on fiber collapse."""
     dropped = _dropped_variables(source, target)
-    image_ideal = eliminate(comp.ideal, dropped, limits, restrict=True)
+    image_ideal = eliminate(comp.ideal, dropped, restrict=True)
     tgt_ctx = target.context()
     image_ideal = Ideal(tgt_ctx, [g.lift(tgt_ctx) for g in image_ideal.generators])
-    image = component_from_prime(image_ideal, target, limits)
+    image = component_from_prime(image_ideal, target)
     if image.dim < comp.dim:
         return None, 0
-    return image, _mapping_degree(comp, image, source, target, limits)
+    return image, _mapping_degree(comp, image, source, target)
 
 
 def _mapping_degree(
@@ -606,7 +594,6 @@ def _mapping_degree(
     image: Component,
     source: AmbientSpace,
     target: AmbientSpace,
-    limits: EngineLimits,
 ) -> int:
     """Field degree [K(P):K(Q)] of the source component P over its image Q.
 
@@ -626,7 +613,7 @@ def _mapping_degree(
             Q = _chart_restrict(Q, target, chart)
     supports = [
         {v.name for v, x in zip(Q.ctx.variables, g.leading(DEGREVLEX)[0]) if x}
-        for g in Q.groebner_basis(limits=limits)
+        for g in Q.groebner_basis()
     ]
     free = next((
         set(u) for u in itertools.combinations(Q.ctx.names(), image.dim)
@@ -634,7 +621,7 @@ def _mapping_degree(
     ), None)
     if free is None:
         raise CertificationFailure(f"no independent set of size {image.dim} for {image!r}")
-    counts = [_field_degree(I, free, limits) for I in (P, Q)]
+    counts = [_field_degree(I, free) for I in (P, Q)]
     if None in counts or 0 in counts or counts[0] % counts[1]:
         raise CertificationFailure(
             f"field degrees {counts} of {comp!r} over {image!r} give no mapping degree"
@@ -642,29 +629,27 @@ def _mapping_degree(
     return counts[0] // counts[1]
 
 
-def _field_degree(I: Ideal, free: set, limits: EngineLimits) -> int | None:
+def _field_degree(I: Ideal, free: set) -> int | None:
     """[K(I):K(free)] for a prime I in which the named variables are independent."""
     bound = [i for i, v in enumerate(I.ctx.variables) if v.name not in free]
     order = block_order(bound, len(I.ctx))
-    leads = [g.leading(order)[0] for g in I.groebner_basis(order, limits)]
-    out = staircase([tuple(e[i] for i in bound) for e in leads], len(bound), limits)
+    leads = [g.leading(order)[0] for g in I.groebner_basis(order)]
+    out = staircase([tuple(e[i] for i in bound) for e in leads], len(bound))
     return None if out is None else len(out)
 
 
 def proper_pushforward(
     E: GradedEnrichedCycle,
     target: AmbientSpace,
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Coefficient-preserving pushforward; restricted to generically 1-1 maps."""
-    limits = limits or DEFAULT_LIMITS
     out: dict = {}
     cache: dict = {}
     for k, cyc in E.degrees.items():
         acc = EnrichedCycle(target)
         for comp, m in cyc.terms.items():
             if comp not in cache:
-                cache[comp] = _pushforward_component(comp, E.ambient, target, limits)
+                cache[comp] = _pushforward_component(comp, E.ambient, target)
             image, deg = cache[comp]
             if image is None or deg != 1:
                 raise GenericInjectivityFailure(
@@ -680,18 +665,16 @@ def proper_pushforward(
 def pushforward_with_degree(
     E: GradedEnrichedCycle,
     target: AmbientSpace,
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Degree-weighted pushforward; components with positive-dimensional
     fibers push to zero (used by the blow-up cross-check)."""
-    limits = limits or DEFAULT_LIMITS
     out: dict = {}
     cache: dict = {}
     for k, cyc in E.degrees.items():
         acc = EnrichedCycle(target)
         for comp, m in cyc.terms.items():
             if comp not in cache:
-                cache[comp] = _pushforward_component(comp, E.ambient, target, limits)
+                cache[comp] = _pushforward_component(comp, E.ambient, target)
             image, deg = cache[comp]
             if image is None:
                 continue

@@ -20,8 +20,6 @@ from sympy.polys.rings import PolyRing
 
 from .ideal import (
     CertificationFailure,
-    DEFAULT_LIMITS,
-    EngineLimits,
     Ideal,
     eliminate,
     reduce_exact,
@@ -153,13 +151,13 @@ def _substitute_out_linear(gens: list, ctx: VarContext) -> tuple:
     return Ideal(ctx, gens)
 
 
-def _try_point_field(J: Ideal, limits: EngineLimits) -> tuple:
+def _try_point_field(J: Ideal) -> tuple:
     """(certified, splitter): field check via a primitive element.
 
     A reducible minimal polynomial of full degree yields a zero divisor
     that is handed back as a splitting hint.
     """
-    basis = standard_monomials(J, limits)
+    basis = standard_monomials(J)
     if not basis:
         return False, None
     d = len(basis)
@@ -244,14 +242,12 @@ def _jointly_linear(g: Polynomial, positions: list) -> bool:
     return True
 
 
-def _try_linear_fiber(
-    J: Ideal, limits: EngineLimits, _depth: int = 0, hints: list | None = None
-) -> bool:
+def _try_linear_fiber(J: Ideal, _depth: int = 0, hints: list | None = None) -> bool:
     """Prime base + affinely linear fiber, saturated at a pivot product."""
     if _depth > 3:
         return False
     ctx = J.ctx
-    gens = list(J.groebner_basis(limits=limits))
+    gens = list(J.groebner_basis())
     fibersets = [
         tuple(v for v in ctx.variables if v.kind in kinds) for kinds in _FIBER_KINDS
     ]
@@ -267,13 +263,13 @@ def _try_linear_fiber(
         if not fiber or fiber in seen:
             continue
         seen.add(fiber)
-        if _linear_fiber_with(J, gens, fiber, limits, _depth, hints):
+        if _linear_fiber_with(J, gens, fiber, _depth, hints):
             return True
     return False
 
 
 def _linear_fiber_with(
-    J: Ideal, gens: list, fiber: tuple, limits: EngineLimits, depth: int,
+    J: Ideal, gens: list, fiber: tuple, depth: int,
     hints: list | None = None,
 ) -> bool:
     ctx = J.ctx
@@ -287,13 +283,13 @@ def _linear_fiber_with(
     if not linear_gens:
         return False
     # the base is the honest contraction to the fiber-free subring
-    base_ideal = eliminate(J, list(fiber), limits, restrict=True)
+    base_ideal = eliminate(J, list(fiber), restrict=True)
     # its elimination basis also holds fiber equations solved over the base
-    elim_gb = J.groebner_basis(block_order(positions, len(ctx)), limits)
+    elim_gb = J.groebner_basis(block_order(positions, len(ctx)))
     linear_gens += linear([g for g in elim_gb if g not in gens])
     base_ctx = base_ideal.ctx
-    base_gb = base_ideal.groebner_basis(limits=limits)
-    route = _certify(base_ideal, limits, depth + 1)
+    base_gb = base_ideal.groebner_basis()
+    route = _certify(base_ideal, depth + 1)
     if route is None:
         if hints is not None:
             hints.extend(g.lift(ctx) for g in base_gb)
@@ -326,7 +322,7 @@ def _linear_fiber_with(
         hints.append(witness.lift(ctx))
     witness = witness.lift(ctx)
     candidate = Ideal(ctx, [g.lift(ctx) for g in base_gb] + linear_gens)
-    return saturate_element(candidate, witness, limits) == J
+    return saturate_element(candidate, witness) == J
 
 
 def _row_reduce_mod(rows: list, ncols: int, base_gb: tuple) -> tuple:
@@ -363,32 +359,32 @@ def _row_reduce_mod(rows: list, ncols: int, base_gb: tuple) -> tuple:
     return pivots, residuals
 
 
-def _certify(I: Ideal, limits: EngineLimits, _depth: int = 0) -> str | None:
+def _certify(I: Ideal, _depth: int = 0) -> str | None:
     """Return a route name when I is certified prime, else None."""
-    gb = I.groebner_basis(limits=limits)
+    gb = I.groebner_basis()
     if not gb:
         return "zero-ideal"
-    if I.is_trivial(limits):
+    if I.is_trivial():
         return None
     J = _substitute_out_linear(list(gb), I.ctx)
-    jgb = J.groebner_basis(limits=limits)
+    jgb = J.groebner_basis()
     if not jgb:
         return "graph"
-    if J.is_trivial(limits):
+    if J.is_trivial():
         return None
     if len(jgb) == 1:
         return "hypersurface" if is_irreducible(jgb[0]) else None
-    if J.dimension(limits) == 0:
-        ok, _ = _try_point_field(J, limits)
+    if J.dimension() == 0:
+        ok, _ = _try_point_field(J)
         if ok:
             return "point"
-    if _depth <= 3 and _try_linear_fiber(J, limits, _depth):
+    if _depth <= 3 and _try_linear_fiber(J, _depth):
         return "linear-fiber"
     return None
 
 
-def is_certified_prime(I: Ideal, limits: EngineLimits | None = None) -> bool:
-    return _certify(I, limits or DEFAULT_LIMITS) is not None
+def is_certified_prime(I: Ideal) -> bool:
+    return _certify(I) is not None
 
 
 def rational_point(I: Ideal, rng) -> dict | None:
@@ -443,31 +439,31 @@ def rational_point(I: Ideal, rng) -> dict | None:
 # Decomposition
 
 
-def _splitter_candidates(J: Ideal, limits: EngineLimits) -> list:
+def _splitter_candidates(J: Ideal) -> list:
     seen = []
 
     def push(p: Polynomial) -> None:
         if p.total_degree() > 0 and all(p != h for h in seen):
             seen.append(p)
 
-    for g in J.groebner_basis(limits=limits):
+    for g in J.groebner_basis():
         for f, _ in factor_list(g):
             push(f)
     # factors hiding behind linear eliminations lift back unchanged
-    image = _substitute_out_linear(list(J.groebner_basis(limits=limits)), J.ctx)
+    image = _substitute_out_linear(list(J.groebner_basis()), J.ctx)
     if image.ctx != J.ctx:
-        for g in image.groebner_basis(limits=limits):
+        for g in image.groebner_basis():
             for f, _ in factor_list(g):
                 push(f.lift(J.ctx))
         # residuals of a failed linear-fiber elimination are zero divisors
         hints: list = []
-        _try_linear_fiber(image, limits, 0, hints)
+        _try_linear_fiber(image, 0, hints)
         for h in hints:
             for f, _ in factor_list(h):
                 push(f.lift(J.ctx))
     else:
         hints = []
-        _try_linear_fiber(J, limits, 0, hints)
+        _try_linear_fiber(J, 0, hints)
         for h in hints:
             for f, _ in factor_list(h):
                 push(f)
@@ -477,10 +473,9 @@ def _splitter_candidates(J: Ideal, limits: EngineLimits) -> list:
     return seen
 
 
-def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
+def minimal_primes(I: Ideal) -> list:
     """Certified minimal primes of I; raises CertificationFailure if stuck."""
-    limits = limits or DEFAULT_LIMITS
-    if I.is_trivial(limits):
+    if I.is_trivial():
         return []
     queue = [I]
     primes: list = []
@@ -490,14 +485,14 @@ def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
         if guard > 512:
             raise CertificationFailure("decomposition did not terminate at desk scale")
         J = queue.pop()
-        if J.is_trivial(limits):
+        if J.is_trivial():
             continue
-        route = _certify(J, limits)
+        route = _certify(J)
         if route is not None:
             primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), True, route))
             continue
 
-        gb = J.groebner_basis(limits=limits)
+        gb = J.groebner_basis()
         action = False
         for g in gb:
             fs = factor_list(g)
@@ -514,18 +509,18 @@ def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
         if action:
             continue
 
-        if J.dimension(limits) == 0:
-            _, splitter = _try_point_field(J, limits)
+        if J.dimension() == 0:
+            _, splitter = _try_point_field(J)
             if splitter is not None and not J.contains(splitter):
                 queue.append(J.with_extra([splitter]))
-                queue.append(saturate_element(J, splitter, limits))
+                queue.append(saturate_element(J, splitter))
                 continue
 
-        for h in _splitter_candidates(J, limits):
+        for h in _splitter_candidates(J):
             if J.contains(h):
                 continue
-            K = saturate_element(J, h, limits)
-            if K.is_trivial(limits):
+            K = saturate_element(J, h)
+            if K.is_trivial():
                 queue.append(J.with_extra([h]))
                 action = True
                 break
@@ -538,29 +533,26 @@ def minimal_primes(I: Ideal, limits: EngineLimits | None = None) -> list:
             continue
         # the linear substitution in _certify can hide a fiber that is
         # linear over J's own base
-        if _try_linear_fiber(J, limits):
+        if _try_linear_fiber(J):
             primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), True, "linear-fiber"))
             continue
         raise CertificationFailure(
             f"cannot certify or split ideal with basis {[str(g) for g in gb]}"
         )
 
-    return _minimalize(primes, limits)
+    return _minimalize(primes)
 
 
-def _minimalize(witnesses: list, limits: EngineLimits) -> list:
-    def same(a: Ideal, b: Ideal) -> bool:  # Ideal.__eq__ under the caller's limits
-        return a.ctx == b.ctx and a.groebner_basis(limits=limits) == b.groebner_basis(limits=limits)
-
+def _minimalize(witnesses: list) -> list:
     unique: list = []
     for w in witnesses:
-        if not any(same(w.ideal, u.ideal) for u in unique):
+        if not any(w.ideal == u.ideal for u in unique):
             unique.append(w)
     keep = []
     for w in unique:
         redundant = False
         for u in unique:
-            if u.ideal is w.ideal or same(u.ideal, w.ideal):
+            if u.ideal is w.ideal or u.ideal == w.ideal:
                 continue
             if all(w.ideal.contains(g) for g in u.ideal.generators):
                 # u vanishes on more: V(w) subset V(u) means u subset w as ideals

@@ -36,8 +36,6 @@ from .conormal import (
     relative_conormal_cycle,
 )
 from .ideal import (
-    DEFAULT_LIMITS,
-    EngineLimits,
     Ideal,
     local_degree,
     radical_contains,
@@ -117,10 +115,8 @@ def polar_curve(
     SC: StratifiedComplex,
     ft: Polynomial,
     gt: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> PolarReport:
     """Graded enriched relative polar curve of f with respect to gt."""
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     ambient_u = SC.ambient
     graph = im_d(gt, ambient_t)
@@ -128,16 +124,16 @@ def polar_curve(
     degrees: dict = {}
     diagnostics: dict = {"strata": {}}
     for s in SC.visible_strata():
-        if not f_nonconstant_on(s, ft, ambient_t, limits):
+        if not f_nonconstant_on(s, ft, ambient_t):
             continue
-        rel = relative_conormal(s, ft, ambient_t, limits)
+        rel = relative_conormal(s, ft, ambient_t)
         cyc = GradedEnrichedCycle.single(0, EnrichedCycle(ambient_t, {rel: ModClass.free(1)}))
-        inter = ci_intersect(cyc, list(graph.generators), limits)
+        inter = ci_intersect(cyc, list(graph.generators))
         if not inter:
             per_stratum[s.name] = []
             diagnostics["strata"][s.name] = "empty"
             continue
-        image = proper_pushforward(inter, ambient_u, limits)
+        image = proper_pushforward(inter, ambient_u)
         pieces = []
         for comp, m in image.degree(0).terms.items():
             if comp.dim != 1:
@@ -188,14 +184,12 @@ def classical_polar_cycle(
     ft: Polynomial,
     lt: Polynomial,
     ambient_u: AmbientSpace,
-    limits: EngineLimits | None = None,
 ) -> list:
     """Hamm-Le-Teissier polar curve of an ambient function as [(component, mult)].
 
     Directional derivatives of f along the kernel of the linear form cut
     the ambient space; components inside the critical locus are removed.
     """
-    limits = limits or DEFAULT_LIMITS
     ctx = ambient_u.context()
     coords = [v.name for v in ambient_u.base_vars()]
     partials = {name: ft.partial(name) for name in coords}
@@ -211,13 +205,13 @@ def classical_polar_cycle(
         0,
         EnrichedCycle(
             ambient_u,
-            {component_from_prime(Ideal(ctx, []), ambient_u, limits): ModClass.free(1)},
+            {component_from_prime(Ideal(ctx, []), ambient_u): ModClass.free(1)},
         ),
     )
-    inter = ci_intersect(ambient_cycle, cuts, limits)
+    inter = ci_intersect(ambient_cycle, cuts)
     pieces = []
     for comp, m in inter.degree(0).terms.items():
-        if all(radical_contains(comp.ideal, g, limits) for g in sigma.generators):
+        if all(radical_contains(comp.ideal, g) for g in sigma.generators):
             continue  # contained in the critical locus: gap-removed
         pieces.append((comp, m.rank))
     pieces.sort(key=lambda t: sorted(t[0].gen_strings()))
@@ -229,17 +223,15 @@ def classical_polar_mu(
     lt: Polynomial,
     point: Mapping[str, Fraction],
     ambient_u: AmbientSpace,
-    limits: EngineLimits | None = None,
 ) -> int:
     """(Gamma^1_{f,l} . V(l))_p: the complex-link sphere count."""
-    limits = limits or DEFAULT_LIMITS
-    pieces = classical_polar_cycle(ft, lt, ambient_u, limits)
+    pieces = classical_polar_cycle(ft, lt, ambient_u)
     total = 0
     for comp, mult in pieces:
         if comp.dim != 1:
             raise PolarNotCurve(f"classical polar piece {comp!r} has dim {comp.dim}")
         cut = comp.ideal.with_extra([lt])
-        total += mult * local_degree(cut, point, limits)
+        total += mult * local_degree(cut, point)
     return total
 
 
@@ -277,17 +269,15 @@ def check_polar_genericity(
     lt: Polynomial,
     ss_bound: Sequence[Component] | None = None,
     point: Mapping[str, Fraction] | None = None,
-    limits: EngineLimits | None = None,
 ) -> GenericityReport:
     """Dimension, componentwise, and covector genericity diagnostics."""
-    limits = limits or DEFAULT_LIMITS
     details: dict = {}
     dim_vf = True
     dim_vl = True
     componentwise = True
     for comp in report.components():
-        inside_f = radical_contains(comp.ideal, ft, limits)
-        inside_l = radical_contains(comp.ideal, lt, limits)
+        inside_f = radical_contains(comp.ideal, ft)
+        inside_l = radical_contains(comp.ideal, lt)
         if inside_f:
             dim_vf = False
         if inside_l:
@@ -295,14 +285,14 @@ def check_polar_genericity(
         if inside_f or inside_l:
             details[repr(comp)] = "contained in a level set"
             continue
-        a = local_degree(comp.ideal.with_extra([ft]), point, limits)
-        b = local_degree(comp.ideal.with_extra([lt]), point, limits)
+        a = local_degree(comp.ideal.with_extra([ft]), point)
+        b = local_degree(comp.ideal.with_extra([lt]), point)
         details[repr(comp)] = {"f_degree": a, "l_degree": b}
         if a < b:
             componentwise = False
     covector = None
     if ss_bound is not None:
-        covector = _covector_test(ss_bound, lt, point, limits)
+        covector = _covector_test(ss_bound, lt, point)
         details["covector_bound_size"] = len(list(ss_bound))
     return GenericityReport(dim_vf, dim_vl, componentwise, covector, details)
 
@@ -311,7 +301,6 @@ def _covector_test(
     ss_bound: Sequence[Component],
     lt: Polynomial,
     point: Mapping[str, Fraction] | None,
-    limits: EngineLimits,
 ) -> bool:
     """(p, d_p lt) avoids every non-point component of the bound."""
     for comp in ss_bound:
@@ -343,27 +332,24 @@ def _covector_test(
 def nearby_gecc(
     SC: StratifiedComplex,
     ft: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """gecc of the shifted nearby cycles: relative conormal cycle cut by V(f)."""
-    limits = limits or SC.limits
-    rel = relative_conormal_cycle(SC, ft, limits)
+    rel = relative_conormal_cycle(SC, ft)
     if not rel:
         return rel
-    return divisor_intersect(rel, ft.lift(SC.tstar_ambient().context()), limits)
+    return divisor_intersect(rel, ft.lift(SC.tstar_ambient().context()))
 
 
 def _stratum_local_degrees(
     report: PolarReport,
     divisor: Polynomial,
     point: Mapping[str, Fraction] | None,
-    limits: EngineLimits,
 ) -> dict:
     out: dict = {}
     for name, pieces in report.per_stratum.items():
         total = 0
         for comp, mult in pieces:
-            total += mult * local_degree(comp.ideal.with_extra([divisor]), point, limits)
+            total += mult * local_degree(comp.ideal.with_extra([divisor]), point)
         out[name] = total
     return out
 
@@ -372,14 +358,12 @@ def nearby_morse_at_origin(
     report: PolarReport,
     ft: Polynomial,
     point: Mapping[str, Fraction] | None = None,
-    limits: EngineLimits | None = None,
 ) -> MorseAtPoint:
     """Morse modules of the shifted nearby cycles at the point."""
-    limits = limits or DEFAULT_LIMITS
-    gen = check_polar_genericity(report, ft, report.extension, None, point, limits)
+    gen = check_polar_genericity(report, ft, report.extension, None, point)
     if not gen.dim_vf:
         raise GenericityFailure("polar set meets V(f) in positive dimension")
-    alphas = _stratum_local_degrees(report, ft, point, limits)
+    alphas = _stratum_local_degrees(report, ft, point)
     table: dict = {}
     for s in report.complex.visible_strata():
         a = alphas.get(s.name, 0)
@@ -394,14 +378,12 @@ def shriek_morse_at_origin(
     report: PolarReport,
     lt: Polynomial,
     point: Mapping[str, Fraction] | None = None,
-    limits: EngineLimits | None = None,
 ) -> MorseAtPoint:
     """Morse modules of i_! i^! at the point (complement extension)."""
-    limits = limits or DEFAULT_LIMITS
-    gen = check_polar_genericity(report, report.function, lt, None, point, limits)
+    gen = check_polar_genericity(report, report.function, lt, None, point)
     if not gen.dim_vl:
         raise GenericityFailure("polar set meets V(L) in positive dimension")
-    betas = _stratum_local_degrees(report, lt, point, limits)
+    betas = _stratum_local_degrees(report, lt, point)
     table: dict = {}
     for s in report.complex.visible_strata():
         b = betas.get(s.name, 0)
@@ -419,11 +401,9 @@ def vanishing_morse_at_origin(
     m0: Mapping[int, ModClass],
     ss_bound: Sequence[Component] | None = None,
     point: Mapping[str, Fraction] | None = None,
-    limits: EngineLimits | None = None,
 ) -> MorseAtPoint:
     """Morse modules of the shifted vanishing cycles at the point."""
-    limits = limits or DEFAULT_LIMITS
-    gen = check_polar_genericity(report, ft, lt, ss_bound, point, limits)
+    gen = check_polar_genericity(report, ft, lt, ss_bound, point)
     if not gen.dim_vl:
         raise GenericityFailure("polar set meets V(L) in positive dimension")
     if not gen.componentwise:
@@ -432,8 +412,8 @@ def vanishing_morse_at_origin(
         )
     if gen.covector is False:
         raise GenericityFailure("covector lies in the microsupport bound")
-    alphas = _stratum_local_degrees(report, ft, point, limits)
-    betas = _stratum_local_degrees(report, lt, point, limits)
+    alphas = _stratum_local_degrees(report, ft, point)
+    betas = _stratum_local_degrees(report, lt, point)
     deltas = {name: alphas.get(name, 0) - betas.get(name, 0) for name in alphas}
     table: dict = {k: m for k, m in m0.items() if not m.is_zero()}
     for s in report.complex.visible_strata():
@@ -505,16 +485,14 @@ def star_equals_shriek(
 def shriek_support(
     SC: StratifiedComplex,
     ft: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> dict:
     """Support of gecc(i_!i^!): off-V(f) conormals union the nearby support.
 
     The analysis is a germ at the origin: nearby components whose fiber
     over the origin is empty are discarded.
     """
-    limits = limits or SC.limits
-    full = gecc_assemble(SC, limits)
-    psi = nearby_gecc(SC, ft, limits)
+    full = gecc_assemble(SC)
+    psi = nearby_gecc(SC, ft)
     ambient_t = SC.tstar_ambient()
     ctx = ambient_t.context()
     origin = [ctx.gen(v) for v in ambient_t.base_vars()]
@@ -523,8 +501,8 @@ def shriek_support(
         comps: list = []
         for s in SC.visible_strata():
             if s.morse.get(k) and not s.morse[k].is_zero():
-                if not radical_contains(s.closure_ideal, ft, limits):
-                    comp = conormal_variety(s, ambient_t, limits)
+                if not radical_contains(s.closure_ideal, ft):
+                    comp = conormal_variety(s, ambient_t)
                     if comp not in comps:
                         comps.append(comp)
         for comp in psi.degree(k).support():
@@ -541,27 +519,23 @@ def shriek_support(
 # Ordinary characteristic-cycle identities
 
 
-def cc_of_tables(SC: StratifiedComplex, tables: Mapping[str, Mapping[int, ModClass]],
-                 limits: EngineLimits | None = None) -> OrdinaryCycle:
+def cc_of_tables(SC: StratifiedComplex, tables: Mapping[str, Mapping[int, ModClass]]) -> OrdinaryCycle:
     """CC from per-stratum graded Morse tables (keyed by stratum name)."""
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     terms: dict = {}
     for name, table in tables.items():
         s = SC.stratum(name)
-        comp = conormal_variety(s, ambient_t, limits)
+        comp = conormal_variety(s, ambient_t)
         c = sum((-1) ** k * m.rank for k, m in table.items())
         if c:
             terms[comp] = terms.get(comp, 0) + c
     return OrdinaryCycle(ambient_t, terms)
 
 
-def cc_constant_sheaf_shifted(SC: StratifiedComplex, stratum_name: str,
-                              limits: EngineLimits | None = None) -> OrdinaryCycle:
+def cc_constant_sheaf_shifted(SC: StratifiedComplex, stratum_name: str) -> OrdinaryCycle:
     """CC of the constant sheaf on a smooth closure, shifted by its dimension."""
-    limits = limits or SC.limits
     s = SC.stratum(stratum_name)
-    comp = conormal_variety(s, SC.tstar_ambient(), limits)
+    comp = conormal_variety(s, SC.tstar_ambient())
     return OrdinaryCycle(SC.tstar_ambient(), {comp: 1})
 
 
@@ -635,20 +609,18 @@ def analyze_curve_branches(
     SC: StratifiedComplex,
     ft: Polynomial,
     lt: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> list:
     """Measure branch data from the stratified curve: multiplicities by a
     generic linear slice, partition by V(f), intersection numbers by local
     degree."""
-    limits = limits or SC.limits
     out = []
     for s in SC.strata:
         if s.dim != 1:
             continue
-        mult = local_degree(s.closure_ideal.with_extra([lt]), None, limits)
-        in_vf = radical_contains(s.closure_ideal, ft, limits)
+        mult = local_degree(s.closure_ideal.with_extra([lt]), None)
+        in_vf = radical_contains(s.closure_ideal, ft)
         eta = 0
         if not in_vf:
-            eta = local_degree(s.closure_ideal.with_extra([ft]), None, limits)
+            eta = local_degree(s.closure_ideal.with_extra([ft]), None)
         out.append(CurveBranch(s.name, mult, in_vf, eta))
     return out

@@ -15,12 +15,18 @@ and skipped. Live S-pairs map (i, j) to the lcm of their leading
 monomials, with a heap ordered by that lcm (smallest first, ties by
 (i, j)); pruning deletes a pair from the map only, and its stale heap
 entry is skipped without counting against the S-pair budget.
+
+Limits. Every Groebner run reads its S-pair budget from the context
+variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
+CLI sets it once around each command.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -56,11 +62,24 @@ class NotZeroDimensional(RuntimeError):
 @dataclass
 class EngineLimits:
     spair_budget: int = 1_000_000
-    saturation_cap: int = 32
-    vecdim_cap: int = 200_000
 
 
 DEFAULT_LIMITS = EngineLimits()
+_LIMITS: ContextVar[EngineLimits] = ContextVar("engine_limits", default=DEFAULT_LIMITS)
+
+SATURATION_CAP = 32  # ideal quotients tried by ``saturate``
+VECDIM_CAP = 200_000  # standard monomials enumerated by ``staircase``
+
+
+@contextmanager
+def engine_limits(config: EngineLimits):
+    """Run every Groebner computation in the block under ``config``."""
+    token = _LIMITS.set(config)
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
+
 
 # process-wide counters surfaced on CLI reports
 ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0}
@@ -328,17 +347,14 @@ class Ideal:
 
     # -- Groebner bases
 
-    def groebner_basis(
-        self, order: MonomialOrder = DEGREVLEX, limits: EngineLimits | None = None
-    ) -> tuple:
+    def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple:
         sig = order.signature()
         if sig in self._cache:
             return self._cache[sig]
-        limits = limits or DEFAULT_LIMITS
         keys = _OrderKeys(order.key_function(len(self.ctx)))
         stats: dict = {}
         ints = [_to_int_poly(g) for g in self.generators]
-        basis = _buchberger(ints, keys, limits.spair_budget, stats)
+        basis = _buchberger(ints, keys, _LIMITS.get().spair_budget, stats)
         ENGINE_COUNTERS["groebner_runs"] += 1
         ENGINE_COUNTERS["spairs"] += stats.get("spairs", 0)
         # monic, in ascending order of leading monomials as returned
@@ -366,12 +382,9 @@ class Ideal:
     def __contains__(self, p: Polynomial) -> bool:
         return self.contains(p)
 
-    def is_trivial(self, limits: EngineLimits | None = None) -> bool:
-        gb = self.groebner_basis(limits=limits)
+    def is_trivial(self) -> bool:
+        gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].total_degree() == 0
-
-    def is_zero_ideal(self) -> bool:
-        return not self.groebner_basis()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ideal):
@@ -389,8 +402,8 @@ class Ideal:
         inner = ", ".join(str(g) for g in self.generators)
         return f"Ideal({inner})"
 
-    def dimension(self, limits: EngineLimits | None = None) -> int:
-        return dimension_and_degree(self, limits)[0]
+    def dimension(self) -> int:
+        return dimension_and_degree(self)[0]
 
 
 def reduce_exact(p: Polynomial, gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -421,7 +434,7 @@ def reduce_exact(p: Polynomial, gb: Sequence[Polynomial], order: MonomialOrder =
     return Polynomial(ctx, remainder)
 
 
-def dimension_and_degree(I: Ideal, limits: EngineLimits | None = None) -> tuple:
+def dimension_and_degree(I: Ideal) -> tuple:
     """(dimension, degree) of the affine scheme V(I); (-1, 0) when I is trivial.
 
     Read from the degrevlex leading monomials (Bayer-Stillman 1992; Cox,
@@ -430,7 +443,7 @@ def dimension_and_degree(I: Ideal, limits: EngineLimits | None = None) -> tuple:
     t = 1, and the degree is N(t)/(1-t)^(n-dim) at t = 1. The degree sums
     the lengths times the degrees of the top-dimensional components only.
     """
-    gb = I.groebner_basis(limits=limits)
+    gb = I.groebner_basis()
     num = _hilbert_numerator([g.leading(DEGREVLEX)[0] for g in gb])
     if not any(num):
         return -1, 0
@@ -493,10 +506,6 @@ def _poly_sub(a: list, b: list) -> list:
 # Spec operations
 
 
-def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX, limits: EngineLimits | None = None) -> tuple:
-    return I.groebner_basis(order, limits)
-
-
 def selfcheck_groebner(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> bool:
     """Every S-polynomial of the basis reduces to zero."""
     if not gb:
@@ -519,7 +528,7 @@ def _extend_with(ctx: VarContext, name: str) -> tuple:
     return ctx.extend([var]), var
 
 
-def intersect(I: Ideal, J: Ideal, limits: EngineLimits | None = None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the scaling-variable trick."""
     if I.ctx != J.ctx:
         raise ContextMismatch("intersection requires a common context")
@@ -530,7 +539,7 @@ def intersect(I: Ideal, J: Ideal, limits: EngineLimits | None = None) -> Ideal:
     big = Ideal(ctx2, gens)
     drop_pos = ctx2.position(tv)
     order = block_order([drop_pos], len(ctx2))
-    gb = big.groebner_basis(order, limits)
+    gb = big.groebner_basis(order)
     keep = [g for g in gb if g.degree_in(tv) <= 0]
     return Ideal(I.ctx, [g.restrict(I.ctx) for g in keep])
 
@@ -556,23 +565,23 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ctx, q)
 
 
-def ideal_quotient(I: Ideal, p: Polynomial, limits: EngineLimits | None = None) -> Ideal:
+def ideal_quotient(I: Ideal, p: Polynomial) -> Ideal:
     """(I : p) for a single nonzero polynomial."""
     if p.is_zero():
         raise ValueError("quotient by the zero polynomial")
     if p.total_degree() == 0:
         return I
-    meet = intersect(I, Ideal(I.ctx, [p]), limits)
+    meet = intersect(I, Ideal(I.ctx, [p]))
     return Ideal(I.ctx, [exact_div(g, p) for g in meet.generators])
 
 
-def quotient_by_ideal(I: Ideal, J: Ideal, limits: EngineLimits | None = None) -> Ideal:
+def quotient_by_ideal(I: Ideal, J: Ideal) -> Ideal:
     gens = [g for g in J.generators if not g.is_zero()]
     if not gens:
         raise ValueError("quotient by the zero ideal")
-    result = ideal_quotient(I, gens[0], limits)
+    result = ideal_quotient(I, gens[0])
     for g in gens[1:]:
-        result = intersect(result, ideal_quotient(I, g, limits), limits)
+        result = intersect(result, ideal_quotient(I, g))
     return result
 
 
@@ -582,21 +591,20 @@ class SaturationResult:
     exponent: int
 
 
-def saturate(I: Ideal, J: Ideal, limits: EngineLimits | None = None) -> SaturationResult:
+def saturate(I: Ideal, J: Ideal) -> SaturationResult:
     """(I : J^infinity) by iterated ideal quotients, reporting the exponent."""
-    limits = limits or DEFAULT_LIMITS
     current = I
-    for e in range(limits.saturation_cap + 1):
-        nxt = quotient_by_ideal(current, J, limits)
+    for e in range(SATURATION_CAP + 1):
+        nxt = quotient_by_ideal(current, J)
         if nxt == current:
             return SaturationResult(current, e)
         current = nxt
     raise ResourceLimitExceeded(
-        f"saturation did not stabilize within cap {limits.saturation_cap}"
+        f"saturation did not stabilize within cap {SATURATION_CAP}"
     )
 
 
-def saturate_element(I: Ideal, h: Polynomial, limits: EngineLimits | None = None) -> Ideal:
+def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
     """(I : h^infinity) via the auxiliary-variable trick (single elimination)."""
     if h.is_zero():
         raise ValueError("saturation by zero")
@@ -608,7 +616,7 @@ def saturate_element(I: Ideal, h: Polynomial, limits: EngineLimits | None = None
     gens.append(ctx2.one() - t * h.lift(ctx2))
     big = Ideal(ctx2, gens)
     order = block_order([ctx2.position(tv)], len(ctx2))
-    gb = big.groebner_basis(order, limits)
+    gb = big.groebner_basis(order)
     keep = [g for g in gb if g.degree_in(tv) <= 0]
     return Ideal(I.ctx, [g.restrict(I.ctx) for g in keep])
 
@@ -616,15 +624,14 @@ def saturate_element(I: Ideal, h: Polynomial, limits: EngineLimits | None = None
 def eliminate(
     I: Ideal,
     drop: Sequence[Variable | str],
-    limits: EngineLimits | None = None,
     restrict: bool = False,
 ) -> Ideal:
     """I cap Q[ctx minus drop], via a block elimination order."""
     if not drop:
-        return I if not restrict else I
+        return I
     positions = [I.ctx.position(v) for v in drop]
     order = block_order(positions, len(I.ctx))
-    gb = I.groebner_basis(order, limits)
+    gb = I.groebner_basis(order)
     names = {I.ctx.variables[p].name for p in positions}
     keep = [g for g in gb if all(g.degree_in(n) <= 0 for n in names)]
     if not restrict:
@@ -633,11 +640,11 @@ def eliminate(
     return Ideal(small, [g.restrict(small) for g in keep])
 
 
-def dimension(I: Ideal, limits: EngineLimits | None = None) -> int:
-    return I.dimension(limits)
+def dimension(I: Ideal) -> int:
+    return I.dimension()
 
 
-def radical_contains(I: Ideal, p: Polynomial, limits: EngineLimits | None = None) -> bool:
+def radical_contains(I: Ideal, p: Polynomial) -> bool:
     """p in sqrt(I), by the auxiliary-variable membership test."""
     if p.is_zero() or I.contains(p):
         return True
@@ -648,9 +655,9 @@ def radical_contains(I: Ideal, p: Polynomial, limits: EngineLimits | None = None
     return Ideal(ctx2, gens).is_trivial()
 
 
-def variety_contained_in(I: Ideal, J: Ideal, limits: EngineLimits | None = None) -> bool:
+def variety_contained_in(I: Ideal, J: Ideal) -> bool:
     """V(I) subseteq V(J): every generator of J vanishes on V(I)."""
-    return all(radical_contains(I, g, limits) for g in J.generators)
+    return all(radical_contains(I, g) for g in J.generators)
 
 
 def translate(I: Ideal, point: Mapping[str, Fraction]) -> Ideal:
@@ -663,25 +670,24 @@ def translate(I: Ideal, point: Mapping[str, Fraction]) -> Ideal:
     return Ideal(ctx, [g.substitute(assignment) for g in I.generators])
 
 
-def vector_space_dimension(I: Ideal, limits: EngineLimits | None = None) -> int | None:
+def vector_space_dimension(I: Ideal) -> int | None:
     """Q-dimension of Q[ctx]/I; None when not zero-dimensional."""
-    basis = standard_monomials(I, limits)
+    basis = standard_monomials(I)
     return None if basis is None else len(basis)
 
 
-def standard_monomials(I: Ideal, limits: EngineLimits | None = None) -> list | None:
+def standard_monomials(I: Ideal) -> list | None:
     """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order."""
-    gb = I.groebner_basis(limits=limits)
-    out = staircase([g.leading(DEGREVLEX)[0] for g in gb], len(I.ctx), limits)
+    gb = I.groebner_basis()
+    out = staircase([g.leading(DEGREVLEX)[0] for g in gb], len(I.ctx))
     return None if out is None else sorted(out, key=DEGREVLEX.key_function(len(I.ctx)))
 
 
-def staircase(lms: Sequence[tuple], n: int, limits: EngineLimits | None = None) -> list | None:
+def staircase(lms: Sequence[tuple], n: int) -> list | None:
     """Exponents in n variables that no exponent of lms divides; None when infinitely many.
 
-    Raises ResourceLimitExceeded past ``limits.vecdim_cap`` monomials.
+    Raises ResourceLimitExceeded past ``VECDIM_CAP`` monomials.
     """
-    limits = limits or DEFAULT_LIMITS
     if not all(any(not any(e[:i] + e[i + 1:]) for e in lms) for i in range(n)):
         return None  # some variable has no pure power (or 1) among the lms
     out: list = []
@@ -692,7 +698,7 @@ def staircase(lms: Sequence[tuple], n: int, limits: EngineLimits | None = None) 
         if any(exp_divides(lm, m) for lm in lms):
             continue
         out.append(m)
-        if len(out) > limits.vecdim_cap:
+        if len(out) > VECDIM_CAP:
             raise ResourceLimitExceeded("standard monomial count exceeded cap")
         for i in range(n):
             nm = m[:i] + (m[i] + 1,) + m[i + 1:]
@@ -705,7 +711,6 @@ def staircase(lms: Sequence[tuple], n: int, limits: EngineLimits | None = None) 
 def local_degree(
     I: Ideal,
     point: Mapping[str, Fraction] | None = None,
-    limits: EngineLimits | None = None,
 ) -> int:
     """Length of the local ring of Q[ctx]/I at the point (0 off V(I)).
 
@@ -720,11 +725,11 @@ def local_degree(
     for g in J.generators:
         if g.constant_term() != 0:
             return 0
-    D = vector_space_dimension(J, limits)
+    D = vector_space_dimension(J)
     if D is None:
         raise NotZeroDimensional(
             "local degree requested for an ideal whose quotient ring is not finite"
         )
     ctx = J.ctx
     powers = tuple(ctx.gen(v) ** D for v in ctx.variables)
-    return vector_space_dimension(Ideal(ctx, J.groebner_basis(limits=limits) + powers), limits)
+    return vector_space_dimension(Ideal(ctx, J.groebner_basis() + powers))

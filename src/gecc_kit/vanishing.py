@@ -45,8 +45,6 @@ from .conormal import (
 )
 from .hypersurface import nearby_gecc
 from .ideal import (
-    DEFAULT_LIMITS,
-    EngineLimits,
     Ideal,
     eliminate,
     radical_contains,
@@ -87,34 +85,32 @@ class MicrosupportBound:
                     out.append(c)
         return out
 
-    def support_dimension(self, limits: EngineLimits | None = None) -> int:
+    def support_dimension(self) -> int:
         """Dimension of the base projection of the upper bound."""
         best = -1
         for comp in self.upper_components():
             ambient = comp.ambient
             dropped = [v for v in comp.ideal.ctx.variables if v.kind == "cotangent"]
-            image = eliminate(comp.ideal, dropped, limits, restrict=True)
-            best = max(best, image.dimension(limits))
+            image = eliminate(comp.ideal, dropped, restrict=True)
+            best = max(best, image.dimension())
         return best
 
 
 def microsupport_phi_bound(
     SC: StratifiedComplex,
     ft: Polynomial,
-    limits: EngineLimits | None = None,
     psi: GradedEnrichedCycle | None = None,
 ) -> MicrosupportBound:
     """Lower/upper bounds for |gecc(vanishing cycles)| per degree."""
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     if psi is None:
-        psi = nearby_gecc(SC, ft, limits)
+        psi = nearby_gecc(SC, ft)
     lower: dict = {}
     upper: dict = {}
     for s in SC.visible_strata():
-        if not radical_contains(s.closure_ideal, ft, limits):
+        if not radical_contains(s.closure_ideal, ft):
             continue
-        comp = conormal_variety(s, ambient_t, limits)
+        comp = conormal_variety(s, ambient_t)
         for k, m in s.morse_items():
             lower.setdefault(k, [])
             if comp not in lower[k]:
@@ -132,22 +128,20 @@ def microsupport_phi_bound(
 def phi_support_dimension(
     SC: StratifiedComplex,
     ft: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> int:
     """Upper bound for dim supp of the vanishing cycles: the dimension of
     the base projection of |gecc(F)| meet the graph of df."""
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     graph = im_d(ft, ambient_t)
     wvars = list(ambient_t.cotangent_vars())
     best = -1
     for s in SC.visible_strata():
-        comp = conormal_variety(s, ambient_t, limits)
+        comp = conormal_variety(s, ambient_t)
         cut = comp.ideal.with_extra(graph.generators)
         if cut.is_trivial():
             continue
-        image = eliminate(cut, wvars, limits, restrict=True)
-        best = max(best, image.dimension(limits))
+        image = eliminate(cut, wvars, restrict=True)
+        best = max(best, image.dimension())
     return best
 
 
@@ -157,7 +151,6 @@ def isolating_check(
     ss_bound: Sequence[Component],
     point: Mapping | None = None,
     s_dim: int | None = None,
-    limits: EngineLimits | None = None,
 ) -> dict:
     """Isolating-coordinate diagnostics for the ambient coordinate order.
 
@@ -165,7 +158,6 @@ def isolating_check(
     meet the coordinate plane of the first j+1 cotangent directions
     properly, with the point isolated in the sliced base image.
     """
-    limits = limits or SC.limits
     ambient_t = SC.tstar_ambient()
     ambient_u = SC.ambient
     ctx = ambient_t.context()
@@ -173,7 +165,7 @@ def isolating_check(
     wvars = list(ambient_t.cotangent_vars())
     zvars = list(ambient_u.base_vars())
     if s_dim is None:
-        s_dim = phi_support_dimension(SC, ft, limits)
+        s_dim = phi_support_dimension(SC, ft)
     results: dict = {"s": s_dim, "per_j": {}, "pass": True}
     for j in range(max(s_dim, 0)):
         ok = True
@@ -185,16 +177,16 @@ def isolating_check(
             visible = Ideal(ctx, [ctx.gen(w) for w in wvars[: j + 1]])
             pieces = [
                 p
-                for p in decompose_components(cut, ambient_t, limits)
-                if not variety_contained_in(p.ideal, visible, limits)
+                for p in decompose_components(cut, ambient_t)
+                if not variety_contained_in(p.ideal, visible)
             ]
             for p in pieces:
                 # proper slice of the projectivized cone: affine dim j+1
-                if p.ideal.dimension(limits) != j + 1:
+                if p.ideal.dimension() != j + 1:
                     ok = False
                     notes.append(f"{p!r}: improper slice at j={j}")
                     continue
-                image = eliminate(p.ideal, wvars, limits, restrict=True)
+                image = eliminate(p.ideal, wvars, restrict=True)
                 image = Ideal(uctx, [g.lift(uctx) for g in image.generators])
                 slices = [
                     uctx.gen(z) - uctx.const((point or {}).get(z.name, 0))
@@ -203,9 +195,9 @@ def isolating_check(
                 K = image.with_extra(slices)
                 if K.is_trivial():
                     continue
-                if K.dimension(limits) <= 0:
+                if K.dimension() <= 0:
                     continue
-                for w in decompose_components(K, ambient_u, limits):
+                for w in decompose_components(K, ambient_u):
                     through = all(
                         g.evaluate(
                             {v.name: (point or {}).get(v.name, 0) for v in uctx.variables}
@@ -260,10 +252,8 @@ class PiDeltaTrace:
 def pi_delta(
     gecc_F: GradedEnrichedCycle,
     ft: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> PiDeltaTrace:
     """The graph-cutting iteration, top cotangent coordinate first."""
-    limits = limits or DEFAULT_LIMITS
     ambient = gecc_F.ambient
     if ambient.kind != TSTAR_KIND:
         raise ValueError("pi_delta expects a cycle in the cotangent space")
@@ -286,14 +276,14 @@ def pi_delta(
             divisor = graph_gens[j]
             cyc = GradedEnrichedCycle.single(0, pi_current)
             try:
-                total = divisor_intersect(cyc, divisor, limits).degree(0)
+                total = divisor_intersect(cyc, divisor).degree(0)
             except Exception as exc:
                 raise ImproperStep(f"degree {k}, step j={j}: {exc}") from exc
             delta_terms: dict = {}
             pi_terms: dict = {}
             discard_terms: dict = {}
             for comp, m in total.terms.items():
-                if variety_contained_in(comp.ideal, graph, limits):
+                if variety_contained_in(comp.ideal, graph):
                     delta_terms[comp] = m
                 elif comp.ideal.with_extra(graph_gens).is_trivial():
                     discard_terms[comp] = m
@@ -334,11 +324,9 @@ class CharPolarCycles:
 
 def lambda_cycles(
     trace: PiDeltaTrace,
-    limits: EngineLimits | None = None,
 ) -> CharPolarCycles:
     """Pushforward of the graph parts: the characteristic polar cycles of
     the vanishing cycles."""
-    limits = limits or DEFAULT_LIMITS
     ambient_u = trace.ambient.with_kind(U_KIND)
     out: dict = {}
     for k, steps in trace.by_degree.items():
@@ -346,7 +334,7 @@ def lambda_cycles(
             if not step.delta:
                 continue
             image = proper_pushforward(
-                GradedEnrichedCycle.single(0, step.delta), ambient_u, limits
+                GradedEnrichedCycle.single(0, step.delta), ambient_u
             ).degree(0)
             for comp in image.terms:
                 if comp.dim != step.j:
@@ -362,11 +350,8 @@ def lambda_cycles(
 # Projectivization and characteristic polar cycles
 
 
-def projectivize(
-    E: GradedEnrichedCycle, limits: EngineLimits | None = None
-) -> GradedEnrichedCycle:
+def projectivize(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
     """Reinterpret a conic cotangent cycle inside U x P^n (tags as rays)."""
-    limits = limits or DEFAULT_LIMITS
     source = E.ambient
     if source.kind != TSTAR_KIND:
         raise ValueError("projectivize expects a cotangent-space cycle")
@@ -384,14 +369,14 @@ def projectivize(
     for k, cyc in E.degrees.items():
         acc = EnrichedCycle(target)
         for comp, m in cyc.terms.items():
-            for g in comp.ideal.groebner_basis(limits=limits):
+            for g in comp.ideal.groebner_basis():
                 if not g.is_homogeneous_in(wpos):
                     raise NonConicCycle(f"component {comp!r} is not conic: {g}")
             gens = [g.substitute(mapping) for g in comp.ideal.generators]
             ideal = Ideal(tctx, gens)
-            if variety_contained_in(ideal, irr, limits):
+            if variety_contained_in(ideal, irr):
                 continue  # pure zero-section: empty in the projectivization
-            acc = acc.add_term(component_from_prime(ideal, target, limits), m)
+            acc = acc.add_term(component_from_prime(ideal, target), m)
         if acc:
             degrees[k] = acc
     return GradedEnrichedCycle(target, degrees)
@@ -400,10 +385,8 @@ def projectivize(
 def char_polar_cycles(
     geccP: GradedEnrichedCycle,
     js: Sequence[int],
-    limits: EngineLimits | None = None,
 ) -> CharPolarCycles:
     """Slice the projectivized cycle by tag planes and push to the base."""
-    limits = limits or DEFAULT_LIMITS
     ambient_p = geccP.ambient
     if ambient_p.kind != U_P_KIND:
         raise ValueError("char_polar_cycles expects a projectivized cycle")
@@ -415,11 +398,11 @@ def char_polar_cycles(
         cuts = [ctx.gen(f"u{i}") for i in range(n, j, -1)]
         for k in sorted(geccP.degrees):
             sliced = ci_intersect(
-                GradedEnrichedCycle.single(0, geccP.degree(k)), cuts, limits
+                GradedEnrichedCycle.single(0, geccP.degree(k)), cuts
             )
             if not sliced:
                 continue
-            image = pushforward_with_degree(sliced, ambient_u, limits).degree(0)
+            image = pushforward_with_degree(sliced, ambient_u).degree(0)
             if image:
                 out[(k, j)] = image
     return CharPolarCycles(ambient_u, out)
@@ -428,20 +411,17 @@ def char_polar_cycles(
 def absolute_polar_slice_multiplicity(
     W: Component,
     j: int,
-    limits: EngineLimits | None = None,
 ) -> int:
     """Coefficient of [W] in eta_*( P(T*_W) . U x P^j x {0} )."""
-    limits = limits or DEFAULT_LIMITS
     ambient_u = W.ambient
     stratum = Stratum("_candidate", W.ideal, W.dim, {0: ModClass.free(1)})
-    conormal = conormal_variety(stratum, ambient_u.with_kind(TSTAR_KIND), limits)
+    conormal = conormal_variety(stratum, ambient_u.with_kind(TSTAR_KIND))
     P = projectivize(
         GradedEnrichedCycle.single(
             0, EnrichedCycle(conormal.ambient, {conormal: ModClass.free(1)})
         ),
-        limits,
     )
-    sliced = char_polar_cycles(P, [j], limits)
+    sliced = char_polar_cycles(P, [j])
     coeff = sliced.get(0, j).terms.get(W)
     if coeff is None:
         raise InconsistencyError(
@@ -452,11 +432,9 @@ def absolute_polar_slice_multiplicity(
 
 def reconstruct_gecc(
     cpc: CharPolarCycles,
-    limits: EngineLimits | None = None,
 ) -> GradedEnrichedCycle:
     """Downward induction over dimension: recover the graded cycle whose
     characteristic polar cycles are the given ones."""
-    limits = limits or DEFAULT_LIMITS
     ambient_u = cpc.ambient
     ambient_t = ambient_u.with_kind(TSTAR_KIND)
     result_degrees: dict = {}
@@ -471,7 +449,7 @@ def reconstruct_gecc(
             correction = EnrichedCycle(ambient_u)
             if projective_sum is not None and projective_sum:
                 sliced = char_polar_cycles(
-                    GradedEnrichedCycle.single(0, projective_sum), [j], limits
+                    GradedEnrichedCycle.single(0, projective_sum), [j]
                 )
                 correction = sliced.get(0, j)
             M: dict = dict(lam.terms)
@@ -491,16 +469,15 @@ def reconstruct_gecc(
                     raise InconsistencyError(
                         f"leftover cycle {W!r} has dim {W.dim} at induction step {j}"
                     )
-                c = absolute_polar_slice_multiplicity(W, j, limits)
+                c = absolute_polar_slice_multiplicity(W, j)
                 morse = mc.divide_free(coeff, c)
                 stratum = Stratum("_rec", W.ideal, W.dim, {0: ModClass.free(1)})
-                conormal = conormal_variety(stratum, ambient_t, limits)
+                conormal = conormal_variety(stratum, ambient_t)
                 acc = acc.add_term(conormal, morse)
                 P = projectivize(
                     GradedEnrichedCycle.single(
                         0, EnrichedCycle(ambient_t, {conormal: morse})
                     ),
-                    limits,
                 ).degree(0)
                 projective_sum = P if projective_sum is None else projective_sum.plus(P)
         if acc:
@@ -526,7 +503,7 @@ class BlowupResult:
     exceptional: GradedEnrichedCycle
     pushforward: GradedEnrichedCycle
 
-    def vanishing_part(self, ft: Polynomial, limits: EngineLimits | None = None) -> GradedEnrichedCycle:
+    def vanishing_part(self, ft: Polynomial) -> GradedEnrichedCycle:
         """Components of the pushforward whose base image lies in V(f)."""
         ctx = self.pushforward.ambient.context()
         inside, _ = gap_remove(self.pushforward, Ideal(ctx, [ft.lift(ctx)]))
@@ -537,7 +514,6 @@ def _blowup_cone(
     comp: Component,
     graph_gens: list,
     ambient_b: AmbientSpace,
-    limits: EngineLimits,
 ) -> Component:
     """Closure of the graph cone of the center equations over the component."""
     ctx_b = ambient_b.context()
@@ -547,19 +523,17 @@ def _blowup_cone(
     s = big.gen(aux)
     for i, h in enumerate(graph_gens):
         gens.append(big.gen(f"u{i}") - s * h.lift(big))
-    cone = eliminate(Ideal(big, gens), [aux], limits, restrict=True)
+    cone = eliminate(Ideal(big, gens), [aux], restrict=True)
     lifted = Ideal(ctx_b, [g.lift(ctx_b) for g in cone.generators])
-    return component_from_prime(lifted, ambient_b, limits)
+    return component_from_prime(lifted, ambient_b)
 
 
 def blowup_exceptional(
     gecc_F: GradedEnrichedCycle,
     ft: Polynomial,
-    limits: EngineLimits | None = None,
 ) -> BlowupResult:
     """Blow up each component along the graph of df; collect the
     exceptional divisors and push them to U x P^n."""
-    limits = limits or DEFAULT_LIMITS
     ambient_t = gecc_F.ambient
     if ambient_t.kind != TSTAR_KIND:
         raise ValueError("blowup_exceptional expects a cotangent-space cycle")
@@ -576,7 +550,7 @@ def blowup_exceptional(
         for comp, m in cyc.terms.items():
             if comp not in cache:
                 cache[comp] = _exceptional_of_component(
-                    comp, graph, graph_gens, ambient_b, limits
+                    comp, graph, graph_gens, ambient_b
                 )
                 per_component.append(cache[comp])
             result = cache[comp]
@@ -586,7 +560,7 @@ def blowup_exceptional(
         if acc:
             degrees[k] = acc
     exceptional = GradedEnrichedCycle(ambient_b, degrees)
-    push = pushforward_with_degree(exceptional, ambient_p, limits) if exceptional else GradedEnrichedCycle.zero(ambient_p)
+    push = pushforward_with_degree(exceptional, ambient_p) if exceptional else GradedEnrichedCycle.zero(ambient_p)
     return BlowupResult(per_component, exceptional, push)
 
 
@@ -595,19 +569,18 @@ def _exceptional_of_component(
     graph: Ideal,
     graph_gens: list,
     ambient_b: AmbientSpace,
-    limits: EngineLimits,
 ):
     ctx_t = comp.ideal.ctx
-    if variety_contained_in(comp.ideal, graph, limits):
+    if variety_contained_in(comp.ideal, graph):
         return BlowupComponentResult(comp, "inside-center", None)
     meet = comp.ideal.with_extra(graph.generators)
     if meet.is_trivial():
         return BlowupComponentResult(comp, "disjoint", None)
-    bl = _blowup_cone(comp, graph_gens, ambient_b, limits)
+    bl = _blowup_cone(comp, graph_gens, ambient_b)
     center_cut = bl.ideal.with_extra(graph_gens)
     pieces = [
         p
-        for p in decompose_components(center_cut, ambient_b, limits)
+        for p in decompose_components(center_cut, ambient_b)
         if p.dim == bl.dim - 1
     ]
     out = []
@@ -619,7 +592,7 @@ def _exceptional_of_component(
         tag = ctx_b.gen(f"u{chart}")
         others = [q for q in pieces if q is not piece and not q.ideal.contains(tag)]
         mult = intersection_multiplicity(
-            bl.ideal.with_extra([graph_gens[chart]]), piece, others, limits
+            bl.ideal.with_extra([graph_gens[chart]]), piece, others
         )
         out.append((piece, mult))
     return BlowupComponentResult(comp, "blown-up", out)
@@ -683,7 +656,6 @@ def vanishing_pipeline(
     SC: StratifiedComplex,
     ft: Polynomial,
     route: str = "pidelta",
-    limits: EngineLimits | None = None,
     require_isolating: bool = True,
 ) -> VanishingReport:
     """Full germ-at-the-origin vanishing-cycle computation.
@@ -691,25 +663,24 @@ def vanishing_pipeline(
     When ``require_isolating`` is off, the iteration runs on per-step
     properness alone; that mode records success but does not certify it.
     """
-    limits = limits or SC.limits
-    gecc_F = gecc_assemble(SC, limits)
-    bound = microsupport_phi_bound(SC, ft, limits)
-    iso = isolating_check(SC, ft, bound.upper_components(), None, None, limits)
+    gecc_F = gecc_assemble(SC)
+    bound = microsupport_phi_bound(SC, ft)
+    iso = isolating_check(SC, ft, bound.upper_components())
     trace = lambdas = gecc_phi = cc_phi = None
     blowup = None
     agreement = None
     if not iso["pass"] and require_isolating:
         return VanishingReport(SC, ft, bound, iso, None, None, None, None, None, None)
     if route in ("pidelta", "both"):
-        trace = pi_delta(gecc_F, ft, limits)
-        lambdas = lambda_cycles(trace, limits)
-        gecc_phi = reconstruct_gecc(lambdas, limits)
+        trace = pi_delta(gecc_F, ft)
+        lambdas = lambda_cycles(trace)
+        gecc_phi = reconstruct_gecc(lambdas)
         cc_phi = to_ordinary(gecc_phi)
     if route in ("blowup", "both"):
-        blowup = blowup_exceptional(gecc_F, ft, limits)
+        blowup = blowup_exceptional(gecc_F, ft)
     if route == "both" and gecc_phi is not None and blowup is not None:
-        projected = projectivize(gecc_phi, limits)
-        agreement = blowup.vanishing_part(ft, limits) == projected
+        projected = projectivize(gecc_phi)
+        agreement = blowup.vanishing_part(ft) == projected
     return VanishingReport(
         SC, ft, bound, iso, trace, lambdas, gecc_phi, cc_phi, blowup, agreement
     )

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from gecc_kit.cli import EXIT_DIAGNOSTIC, EXIT_OK, descriptor_from_json, main
+from gecc_kit import ideal as ideal_module
+from gecc_kit.cli import EXIT_DIAGNOSTIC, EXIT_OK, EXIT_RESOURCE, descriptor_from_json, main
 
 RUNNING_TXY = {
     "ambient": {"n": 2, "coords": ["t", "x", "y"]},
@@ -124,6 +125,33 @@ def test_polar_and_conormal_and_shriek_commands(tmp_path, capsys):
     assert code == EXIT_OK and "relative conormal" in out
     code, out = run_cli(capsys, "shriek", path)
     assert code == EXIT_OK and "[pass]" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["gecc"], ["conormal"], ["polar"], ["nearby"], ["shriek"], ["check", "--L", "t"],
+    ["vanishing", "--route", "both"],
+], ids=lambda args: " ".join(args))
+def test_spair_budget_binds_every_run(tmp_path, capsys, monkeypatch, args):
+    runs = []  # (budget, S-pairs processed) per completed Buchberger run
+    real = ideal_module._buchberger
+
+    def spy(gens, keys, budget, stats):
+        basis = real(gens, keys, budget, stats)
+        runs.append((budget, stats.get("spairs", 0)))
+        return basis
+
+    monkeypatch.setattr(ideal_module, "_buchberger", spy)
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    command, *rest = args
+    assert main([command, path, *rest, "--spair-budget", "987654"]) == EXIT_OK
+    assert runs and {budget for budget, _ in runs} == {987654}
+    # one pair short of the largest run: that run must refuse, cleanly
+    tight = max(spairs for _, spairs in runs) - 1
+    code = main([command, path, *rest, "--spair-budget", str(tight)])
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE, err
+    assert "certification/resource failure" in err
+    assert "Traceback" not in err
 
 
 def test_installed_script_end_to_end(tmp_path):

@@ -10,6 +10,7 @@ import sympy
 from gecc_kit import ideal as ideal_module
 from gecc_kit.decompose import factor_list, is_certified_prime, minimal_primes
 from gecc_kit.ideal import (
+    DEFAULT_LIMITS,
     DEGREVLEX,
     EngineLimits,
     Ideal,
@@ -18,6 +19,7 @@ from gecc_kit.ideal import (
     dimension,
     dimension_and_degree,
     eliminate,
+    engine_limits,
     ideal_quotient,
     intersect,
     local_degree,
@@ -104,10 +106,41 @@ def test_spair_budget_counts_processed_pairs_only(monkeypatch):
     # Gebauer-Moeller pruned a queued pair, so its heap entry went stale
     assert len(pair_pops) > processed
     exact = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
-    assert exact.groebner_basis(limits=EngineLimits(spair_budget=processed)) == J.groebner_basis()
-    with pytest.raises(ResourceLimitExceeded):
-        I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis(
-            limits=EngineLimits(spair_budget=processed - 1))
+    with engine_limits(EngineLimits(spair_budget=processed)):
+        assert exact.groebner_basis() == J.groebner_basis()
+    with engine_limits(EngineLimits(spair_budget=processed - 1)):
+        with pytest.raises(ResourceLimitExceeded):
+            I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis()
+
+
+def spy_budgets(monkeypatch) -> list:
+    """Record the S-pair budget of every Buchberger run from now on."""
+    budgets = []
+    real = ideal_module._buchberger
+
+    def spy(gens, keys, budget, stats):
+        budgets.append(budget)
+        return real(gens, keys, budget, stats)
+
+    monkeypatch.setattr(ideal_module, "_buchberger", spy)
+    return budgets
+
+
+def test_engine_limits_bind_and_reset(monkeypatch):
+    budgets = spy_budgets(monkeypatch)
+    with engine_limits(EngineLimits(spair_budget=987654)):
+        assert I("x^2-y", "y*t").contains(P("x^2*t"))
+        assert I("x^2-y").normal_form(P("x^3")) == P("x*y")
+        assert I("x-y", "y") == I("x", "y")
+        assert radical_contains(I("x^2", "y^3"), P("x+y"))
+        assert variety_contained_in(I("x", "y", "t"), I("x*y", "t^2"))
+        assert I("x*y", "t").dimension() == 1
+        assert local_degree(I("x^2", "y", "t")) == 2
+    assert budgets and set(budgets) == {987654}
+    budgets.clear()
+    assert I("x^2-y", "y*t").contains(P("x^2*t"))
+    assert local_degree(I("x^2", "y", "t")) == 2
+    assert budgets and set(budgets) == {DEFAULT_LIMITS.spair_budget}
 
 
 @pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order([2], 3), block_order([0, 2], 3)],
@@ -310,17 +343,10 @@ def test_minimal_primes_xy():
 
 
 def test_minimal_primes_runs_under_caller_limits(monkeypatch):
-    budgets = []
-    real = ideal_module._buchberger
-
-    def spy(gens, keys, budget, stats):
-        budgets.append(budget)
-        return real(gens, keys, budget, stats)
-
-    monkeypatch.setattr(ideal_module, "_buchberger", spy)
-    limits = EngineLimits(spair_budget=987654)
-    for gens in (["y*(y^2-x^3-t^2*x^2)"], ["x*y", "x*t"], ["x^2*y-y^3", "t*x"]):
-        minimal_primes(I(*gens), limits)
+    budgets = spy_budgets(monkeypatch)
+    with engine_limits(EngineLimits(spair_budget=987654)):
+        for gens in (["y*(y^2-x^3-t^2*x^2)"], ["x*y", "x*t"], ["x^2*y-y^3", "t*x"]):
+            minimal_primes(I(*gens))
     assert budgets and set(budgets) == {987654}
 
 

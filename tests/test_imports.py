@@ -1,6 +1,7 @@
 """Every name an engine module imports is used, every top-level def is,
 no engine module imports ``random``, only ``decompose.py`` imports
-``sympy``, and factoring loads none of sympy's tensor machinery.
+``sympy``, factoring loads none of sympy's tensor machinery, and no
+engine function takes a ``limits`` parameter.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -126,6 +127,60 @@ def test_factoring_loads_no_sympy_tensor():
     out = subprocess.run([sys.executable, "-c", FACTOR_PROBE], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Limits reach the Groebner kernel through one context variable in
+# ideal.py, set by cli.main; threading them by hand again would let some
+# runs fall back to the default budget.
+LIMITS_OWNERS = {"ideal.py", "cli.py"}
+
+
+def limits_parameters(path: Path) -> list:
+    """Functions that take a parameter named ``limits``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            if any(p.arg == "limits" for p in params):
+                found.append(f"{getattr(node, 'name', 'lambda')} (line {node.lineno})")
+    return found
+
+
+def limits_names(path: Path) -> list:
+    """Lines that name ``EngineLimits`` or ``DEFAULT_LIMITS``."""
+    names = {"EngineLimits", "DEFAULT_LIMITS"}
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_limits_parameter(path):
+    assert limits_parameters(path) == []
+    if path.name not in LIMITS_OWNERS:
+        assert limits_names(path) == []
+
+
+def test_scan_flags_limits_threading(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from .ideal import DEFAULT_LIMITS, Ideal\n"
+        "from . import ideal\n"
+        "def f(I, limits=None):\n"
+        "    return I, limits or DEFAULT_LIMITS\n"
+        "class C:\n"
+        "    def g(self, *, limits):\n"
+        "        return ideal.EngineLimits(), Ideal, limits\n"
+        "def h(I, limits_seen=0):\n"
+        "    return I\n"
+    )
+    assert limits_parameters(module) == ["f (line 3)", "g (line 6)"]
+    assert limits_names(module) == [1, 4, 7]
 
 
 def referenced_names(paths) -> set:
