@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import modclass as mc
 from .decompose import minimal_primes
@@ -282,15 +282,6 @@ class GradedEnrichedCycle:
         return GradedEnrichedCycle(
             self.ambient, {k - j: cyc for k, cyc in self.degrees.items()}
         )
-
-    def map_cycles(self, f: Callable[[EnrichedCycle], EnrichedCycle]) -> "GradedEnrichedCycle":
-        out: dict = {}
-        for k, cyc in self.degrees.items():
-            img = f(cyc)
-            if img:
-                out[k] = img
-        ambient = next(iter(out.values())).ambient if out else self.ambient
-        return GradedEnrichedCycle(ambient, out)
 
     def to_json(self) -> list:
         rows = []
@@ -643,23 +634,7 @@ def proper_pushforward(
     target: AmbientSpace,
 ) -> GradedEnrichedCycle:
     """Coefficient-preserving pushforward; restricted to generically 1-1 maps."""
-    out: dict = {}
-    cache: dict = {}
-    for k, cyc in E.degrees.items():
-        acc = EnrichedCycle(target)
-        for comp, m in cyc.terms.items():
-            if comp not in cache:
-                cache[comp] = _pushforward_component(comp, E.ambient, target)
-            image, deg = cache[comp]
-            if image is None or deg != 1:
-                raise GenericInjectivityFailure(
-                    f"projection is not generically one-to-one on {comp!r} "
-                    f"(degree {deg if image else 'infinite'})"
-                )
-            acc = acc.add_term(image, m)
-        if acc:
-            out[k] = acc
-    return GradedEnrichedCycle(target, out)
+    return _pushforward(E, target, injective=True)
 
 
 def pushforward_with_degree(
@@ -668,6 +643,12 @@ def pushforward_with_degree(
 ) -> GradedEnrichedCycle:
     """Degree-weighted pushforward; components with positive-dimensional
     fibers push to zero (used by the blow-up cross-check)."""
+    return _pushforward(E, target, injective=False)
+
+
+def _pushforward(E: GradedEnrichedCycle, target: AmbientSpace, injective: bool) -> GradedEnrichedCycle:
+    """Push each component once (memoised), weighting its class by the
+    mapping degree; with ``injective``, a degree other than 1 raises."""
     out: dict = {}
     cache: dict = {}
     for k, cyc in E.degrees.items():
@@ -676,9 +657,13 @@ def pushforward_with_degree(
             if comp not in cache:
                 cache[comp] = _pushforward_component(comp, E.ambient, target)
             image, deg = cache[comp]
-            if image is None:
-                continue
-            acc = acc.add_term(image, mc.tensor(m, ModClass.free(deg)))
+            if injective and (image is None or deg != 1):
+                raise GenericInjectivityFailure(
+                    f"projection is not generically one-to-one on {comp!r} "
+                    f"(degree {deg if image else 'infinite'})"
+                )
+            if image is not None:
+                acc = acc.add_term(image, mc.tensor(m, ModClass.free(deg)))
         if acc:
             out[k] = acc
     return GradedEnrichedCycle(target, out)

@@ -132,8 +132,6 @@ def _substitute_out_linear(gens: list, ctx: VarContext) -> tuple:
                     continue
                 c = coeff.constant_term()
                 rest = g - ctx.gen(v) * coeff
-                if rest.degree_in(v) > 0:
-                    continue
                 # v = -rest/c
                 small = VarContext([u for u in ctx.variables if u.name != v.name])
                 image = (rest * (Fraction(-1) / c)).restrict(small) if rest else small.zero()
@@ -381,10 +379,6 @@ def _certify(I: Ideal, _depth: int = 0) -> str | None:
     if _depth <= 3 and _try_linear_fiber(J, _depth):
         return "linear-fiber"
     return None
-
-
-def is_certified_prime(I: Ideal) -> bool:
-    return _certify(I) is not None
 
 
 def rational_point(I: Ideal, rng) -> dict | None:

@@ -67,7 +67,7 @@ class EngineLimits:
 DEFAULT_LIMITS = EngineLimits()
 _LIMITS: ContextVar[EngineLimits] = ContextVar("engine_limits", default=DEFAULT_LIMITS)
 
-SATURATION_CAP = 32  # ideal quotients tried by ``saturate``
+SATURATION_CAP = 32  # largest exponent ``saturate`` reports
 VECDIM_CAP = 200_000  # standard monomials enumerated by ``staircase``
 
 
@@ -338,10 +338,6 @@ class Ideal:
 
     # -- construction helpers
 
-    @staticmethod
-    def of(ctx: VarContext, *gens: Polynomial) -> "Ideal":
-        return Ideal(ctx, gens)
-
     def with_extra(self, extra: Iterable[Polynomial]) -> "Ideal":
         return Ideal(self.ctx, self.generators + tuple(extra))
 
@@ -544,47 +540,6 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ctx, [g.restrict(I.ctx) for g in keep])
 
 
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly."""
-    keys = _OrderKeys(DEGREVLEX.key_function(len(f.ctx)))
-    q: dict = {}
-    rem = dict(f.terms)
-    front = [(keys[e], e) for e in rem]
-    heapify(front)
-    glm, glc = _lead(g.terms, keys)
-    while front:
-        e = heappop(front)[1]
-        c = rem.pop(e, 0)
-        if not c:
-            continue  # stale: cancelled since it was pushed
-        if not exp_divides(glm, e):
-            raise ValueError("division is not exact")
-        shift = exp_div(e, glm)
-        q[shift] = c / glc
-        _subtract_shifted(rem, front, keys, g.terms, glm, shift, q[shift])
-    return Polynomial(f.ctx, q)
-
-
-def ideal_quotient(I: Ideal, p: Polynomial) -> Ideal:
-    """(I : p) for a single nonzero polynomial."""
-    if p.is_zero():
-        raise ValueError("quotient by the zero polynomial")
-    if p.total_degree() == 0:
-        return I
-    meet = intersect(I, Ideal(I.ctx, [p]))
-    return Ideal(I.ctx, [exact_div(g, p) for g in meet.generators])
-
-
-def quotient_by_ideal(I: Ideal, J: Ideal) -> Ideal:
-    gens = [g for g in J.generators if not g.is_zero()]
-    if not gens:
-        raise ValueError("quotient by the zero ideal")
-    result = ideal_quotient(I, gens[0])
-    for g in gens[1:]:
-        result = intersect(result, ideal_quotient(I, g))
-    return result
-
-
 @dataclass
 class SaturationResult:
     ideal: Ideal
@@ -592,16 +547,32 @@ class SaturationResult:
 
 
 def saturate(I: Ideal, J: Ideal) -> SaturationResult:
-    """(I : J^infinity) by iterated ideal quotients, reporting the exponent."""
-    current = I
+    """(I : J^infinity) and the least e with J^e (I : J^infinity) inside I.
+
+    The saturation is the intersection of the I : g^infinity over the
+    generators g of J, each by ``saturate_element`` (Cox, Little and
+    O'Shea, ch. 4 section 4). The exponent is a membership question: the
+    nonzero normal forms mod I of the saturation's generators, multiplied
+    by J's generators once per step, until none is left. e is at most
+    ``SATURATION_CAP``; past it, ResourceLimitExceeded.
+    """
+    if not J.generators:
+        raise ValueError("saturation by the zero ideal")
+    sat = saturate_element(I, J.generators[0])
+    for g in J.generators[1:]:
+        sat = intersect(sat, saturate_element(I, g))
+    pending = _nonzero_normal_forms(I, sat.generators)
     for e in range(SATURATION_CAP + 1):
-        nxt = quotient_by_ideal(current, J)
-        if nxt == current:
-            return SaturationResult(current, e)
-        current = nxt
-    raise ResourceLimitExceeded(
-        f"saturation did not stabilize within cap {SATURATION_CAP}"
-    )
+        if not pending:
+            return SaturationResult(sat, e)
+        pending = _nonzero_normal_forms(I, [f * g for f in pending for g in J.generators])
+    raise ResourceLimitExceeded(f"saturation exponent exceeds cap {SATURATION_CAP}")
+
+
+def _nonzero_normal_forms(I: Ideal, polys: Iterable[Polynomial]) -> list:
+    """The distinct nonzero normal forms mod I of polys, in first-seen order."""
+    forms = dict.fromkeys(I.normal_form(p) for p in polys)
+    return [f for f in forms if not f.is_zero()]
 
 
 def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
@@ -638,10 +609,6 @@ def eliminate(
         return Ideal(I.ctx, keep)
     small = VarContext([v for v in I.ctx.variables if v.name not in names])
     return Ideal(small, [g.restrict(small) for g in keep])
-
-
-def dimension(I: Ideal) -> int:
-    return I.dimension()
 
 
 def radical_contains(I: Ideal, p: Polynomial) -> bool:

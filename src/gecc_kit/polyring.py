@@ -76,9 +76,6 @@ class VarContext:
         except KeyError:
             raise KeyError(f"variable {name!r} not in {self!r}") from None
 
-    def variable(self, name: str) -> Variable:
-        return self.variables[self.position(name)]
-
     def gen(self, var: Variable | str) -> "Polynomial":
         i = self.position(var)
         exp = tuple(1 if j == i else 0 for j in range(len(self)))
@@ -320,14 +317,6 @@ class Polynomial:
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list:
         key = order.key_function(len(self.ctx))
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def monic(self, order: MonomialOrder = DEGREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading(order)
-        if c == 1:
-            return self
-        return self * (Fraction(1) / c)
 
     def partial(self, var: Variable | str) -> "Polynomial":
         """Formal partial derivative."""

@@ -1,4 +1,4 @@
-"""Groebner engine: bases, membership, quotients, saturation, elimination,
+"""Groebner engine: bases, membership, saturation, elimination,
 dimension, radical membership, decomposition, local degree."""
 
 import random
@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from gecc_kit import ideal as ideal_module
-from gecc_kit.decompose import factor_list, is_certified_prime, minimal_primes
+from gecc_kit.decompose import _certify, factor_list, minimal_primes
 from gecc_kit.ideal import (
     DEFAULT_LIMITS,
     DEGREVLEX,
@@ -16,11 +16,9 @@ from gecc_kit.ideal import (
     Ideal,
     NotZeroDimensional,
     ResourceLimitExceeded,
-    dimension,
     dimension_and_degree,
     eliminate,
     engine_limits,
-    ideal_quotient,
     intersect,
     local_degree,
     radical_contains,
@@ -213,16 +211,6 @@ def test_membership_examples():
     assert ctx2.zero() in J
 
 
-# -- quotient
-
-
-def test_quotient_examples():
-    J = I("x*y", "x*t")
-    assert gens_str(ideal_quotient(J, P("y"))) == ["x"]
-    assert gens_str(ideal_quotient(I("x^2"), P("x"))) == ["x"]
-    assert ideal_quotient(J, CTX.one()) == J
-
-
 # -- saturation
 
 
@@ -255,6 +243,22 @@ def test_saturate_relative_conormal_cycle_level():
     )
     assert variety_contained_in(res.ideal, expected)
     assert variety_contained_in(expected, res.ideal)
+
+
+def test_saturate_multigenerator_exponent_two():
+    res = saturate(I("x*y^2", "x*y*t", "x*t^2"), I("y", "t"))
+    assert res.ideal == I("x")
+    assert res.exponent == 2
+
+
+def test_saturate_exponent_cap():
+    with pytest.raises(ResourceLimitExceeded):
+        saturate(I("x^40*y"), I("x"))
+
+
+def test_saturate_by_zero_ideal():
+    with pytest.raises(ValueError):
+        saturate(I("x"), Ideal(CTX, [CTX.zero()]))
 
 
 def test_saturation_idempotence():
@@ -290,20 +294,20 @@ def test_eliminate_empty_drop():
 
 
 def test_dimension_examples():
-    assert dimension(I("x", "y")) == 1
-    assert dimension(I("y^2-x^3-t^2*x^2")) == 2
-    assert dimension(I("x+t^2", "y", "t")) == 0
-    assert dimension(Ideal(CTX, [CTX.one()])) == -1
-    assert dimension(Ideal(CTX, [])) == 3
+    assert I("x", "y").dimension() == 1
+    assert I("y^2-x^3-t^2*x^2").dimension() == 2
+    assert I("x+t^2", "y", "t").dimension() == 0
+    assert Ideal(CTX, [CTX.one()]).dimension() == -1
+    assert Ideal(CTX, []).dimension() == 3
 
 
 def test_dimension_generic_slice_drop():
     forms = ("3*x-2*y+5*t-7", "x+4*y-t+2", "-6*x+y+9*t+1")
     for J in (I("x", "y"), I("y^2-x^3-t^2*x^2")):
-        d = dimension(J)
+        d = J.dimension()
         for form in forms:
             cut = J.with_extra([P(form)])
-            assert not cut.is_trivial() and dimension(cut) == d - 1, form
+            assert not cut.is_trivial() and cut.dimension() == d - 1, form
 
 
 # -- radical membership / containment
@@ -514,6 +518,6 @@ def test_factor_list_matches_sympy_expr_path(names):
 
 
 def test_certified_prime_checks():
-    assert is_certified_prime(I("x", "y"))
-    assert is_certified_prime(I("y^2-x^3-t^2*x^2"))
-    assert not is_certified_prime(I("x*y"))
+    assert _certify(I("x", "y")) is not None
+    assert _certify(I("y^2-x^3-t^2*x^2")) is not None
+    assert _certify(I("x*y")) is None

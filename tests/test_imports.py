@@ -1,15 +1,15 @@
-"""Every name an engine module imports is used, every top-level def is,
-no engine module imports ``random``, only ``decompose.py`` imports
-``sympy``, factoring loads none of sympy's tensor machinery, and no
-engine function takes a ``limits`` parameter.
+"""Every name an engine module imports is used, every top-level def and
+method is, no engine module imports ``random``, only ``decompose.py``
+imports ``sympy``, factoring loads none of sympy's tensor machinery, and
+no engine function takes a ``limits`` parameter.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
 anywhere in the module, annotations included. A top-level function or
-class of the engine counts as used when its name is referenced anywhere
-in src/, tests/ or bench/ (a name, an attribute, an imported name, or a
-string equal to it, as in bench/spans.py's wrap table) other than at its
-own definition.
+class of the engine, or a non-dunder method of a top-level class, counts
+as used when its name is referenced anywhere in src/, tests/ or bench/
+(a name, an attribute, an imported name, or a string equal to it, as in
+bench/spans.py's wrap table) other than at its own definition.
 """
 
 import ast
@@ -198,13 +198,27 @@ def referenced_names(paths) -> set:
     return names
 
 
+def defined_names(tree: ast.Module):
+    """(name, node) of each top-level def and class and of each non-dunder
+    method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unused_defs(modules, paths) -> list:
     used = referenced_names(paths)
     unused = []
     for path in modules:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
-                unused.append(f"{path.name}: {node.name} (line {node.lineno})")
+        for name, node in defined_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if node.name not in used:
+                unused.append(f"{path.name}: {name} (line {node.lineno})")
     return unused
 
 
@@ -222,5 +236,14 @@ def test_scan_flags_an_unused_def(tmp_path):
         "    return used()\n"
         "class Orphan:\n"
         "    pass\n"
+        "class Kept:\n"
+        "    def __init__(self):\n"
+        "        self.x = used()\n"
+        "    def called(self):\n"
+        "        return self.x\n"
+        "    def uncalled(self):\n"
+        "        return self.called()\n"
+        "Kept()\n"
     )
-    assert unused_defs([module], [module]) == ["sample.py: orphan (line 3)", "sample.py: Orphan (line 5)"]
+    assert unused_defs([module], [module]) == [
+        "sample.py: orphan (line 3)", "sample.py: Orphan (line 5)", "sample.py: Kept.uncalled (line 12)"]
