@@ -48,11 +48,13 @@ from .hypersurface import (
     star_equals_shriek,
 )
 from .ideal import (
+    ENGINE_COUNTERS,
     CertificationFailure,
     EngineLimits,
     Ideal,
     NotZeroDimensional,
     ResourceLimitExceeded,
+    engine_counters,
     engine_limits,
 )
 from .modclass import ModClass
@@ -107,10 +109,19 @@ def _parse_morse(table: Mapping) -> dict:
     return {int(k): ModClass.from_json(v) for k, v in table.items()}
 
 
+def _read_json(path: str):
+    """The JSON document in the file at path; DescriptorError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DescriptorError(path, f"cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise DescriptorError(path, f"cannot read: {exc}") from None
+
+
 def load_descriptor(path: str) -> ProblemDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return descriptor_from_json(data)
+    return descriptor_from_json(_read_json(path))
 
 
 def _is_nat(v) -> bool:
@@ -220,10 +231,11 @@ def validate_descriptor(data) -> None:
 
 
 def validate_branches(data) -> None:
-    """Check the oracle-curve schema: a list of branches."""
+    """Check the oracle-curve schema: a nonempty list of branches."""
     if not isinstance(data, dict):
         raise DescriptorError("$", "expected an object")
-    branches = _member(data, "$", "branches", lambda v: isinstance(v, list), "a list", [])
+    branches = _member(data, "$", "branches", lambda v: isinstance(v, list) and v,
+                       "a nonempty list")
     for i, b in enumerate(branches):
         path = f"$.branches[{i}]"
         if not isinstance(b, dict):
@@ -416,7 +428,7 @@ def cmd_oracle_curve(desc_data: Mapping, args) -> tuple:
     validate_branches(desc_data)
     branches = [
         CurveBranch(b["name"], b["mult"], b["in_vf"], b.get("eta", 0))
-        for b in desc_data.get("branches", [])
+        for b in desc_data["branches"]
     ]
     oracle = curve_gecc_oracle(branches)
     report = {
@@ -437,6 +449,16 @@ def cmd_oracle_curve(desc_data: Mapping, args) -> tuple:
     return EXIT_OK, report, lines
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gecc-kit",
@@ -454,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="no effect on results; kept so reports still carry a seed")
     parser.add_argument("--f", dest="f_override", default=None, help="override f")
     parser.add_argument("--L", dest="l_override", default=None, help="override L")
-    parser.add_argument("--spair-budget", type=int, default=None)
+    parser.add_argument("--spair-budget", type=_nonnegative_int, default=None)
     parser.add_argument(
         "--experimental-onthefly",
         action="store_true",
@@ -484,14 +506,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with engine_limits(limits):
             if args.command == "oracle-curve":
-                with open(args.descriptor, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-                code, report, transcript = cmd_oracle_curve(data, args)
+                code, report, transcript = cmd_oracle_curve(_read_json(args.descriptor), args)
             else:
-                from .ideal import ENGINE_COUNTERS, engine_counters
-
-                ENGINE_COUNTERS["groebner_runs"] = 0
-                ENGINE_COUNTERS["spairs"] = 0
+                for key in ENGINE_COUNTERS:
+                    ENGINE_COUNTERS[key] = 0
                 desc = load_descriptor(args.descriptor)
                 if args.seed is not None:
                     desc.seed = args.seed

@@ -2,8 +2,7 @@
 
 The Buchberger loop works on integer-primitive term dictionaries
 (fraction-free reduction, content stripped as it grows) with
-Gebauer-Moeller pair pruning; reduced bases are normalized monic and
-cached per monomial order on the owning Ideal.
+Gebauer-Moeller pair pruning; reduced bases are normalized monic.
 
 Hot path. Each Groebner run (and each exact division) memoises the
 negated order key of every exponent it meets in one dict, dropped when
@@ -15,6 +14,14 @@ and skipped. Live S-pairs map (i, j) to the lcm of their leading
 monomials, with a heap ordered by that lcm (smallest first, ties by
 (i, j)); pruning deletes a pair from the map only, and its stale heap
 entry is skipped without counting against the S-pair budget.
+
+Two caches. Each Ideal keeps its reduced basis (and the run's stats) per
+monomial order. Inside an ``engine_limits`` block, a memo also keys each
+reduced basis by (context, generator set, order), so a second Ideal with
+the same generators, in any order or repeated, takes the basis without a
+run. A reduced basis is unique for its ideal and order, so a memo hit
+returns exactly what a run would. The memo is dropped when the block
+ends; outside any block there is none.
 
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
@@ -65,7 +72,8 @@ class EngineLimits:
 
 
 DEFAULT_LIMITS = EngineLimits()
-_LIMITS: ContextVar[EngineLimits] = ContextVar("engine_limits", default=DEFAULT_LIMITS)
+# (limits, basis memo) of the innermost ``engine_limits`` block; no memo outside one
+_SESSION: ContextVar[tuple] = ContextVar("engine_session", default=(DEFAULT_LIMITS, None))
 
 SATURATION_CAP = 32  # largest exponent ``saturate`` reports
 VECDIM_CAP = 200_000  # standard monomials enumerated by ``staircase``
@@ -73,16 +81,20 @@ VECDIM_CAP = 200_000  # standard monomials enumerated by ``staircase``
 
 @contextmanager
 def engine_limits(config: EngineLimits):
-    """Run every Groebner computation in the block under ``config``."""
-    token = _LIMITS.set(config)
+    """Run every Groebner computation in the block under ``config``.
+
+    The block opens a fresh memo of reduced bases, so a nested block with
+    a tighter budget never takes a basis computed under a looser one.
+    """
+    token = _SESSION.set((config, {}))
     try:
         yield
     finally:
-        _LIMITS.reset(token)
+        _SESSION.reset(token)
 
 
-# process-wide counters surfaced on CLI reports
-ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0}
+# process-wide counters surfaced on CLI reports; a memo hit is not a run
+ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0, "basis_memo_hits": 0}
 
 
 def engine_counters() -> dict:
@@ -319,7 +331,12 @@ def _buchberger(gens: list, keys: _OrderKeys, budget: int, stats: dict) -> list:
 
 
 class Ideal:
-    """Ideal of Q[ctx], generators plus a per-order reduced-basis cache."""
+    """Ideal of Q[ctx], generators plus a per-order reduced-basis cache.
+
+    A cache miss takes the basis from the memo of the enclosing
+    ``engine_limits`` block when that block already computed it for the
+    same generator set and order, and runs Buchberger otherwise.
+    """
 
     __slots__ = ("ctx", "generators", "_cache", "_stats", "_hash")
 
@@ -347,10 +364,25 @@ class Ideal:
         sig = order.signature()
         if sig in self._cache:
             return self._cache[sig]
+        limits, memo = _SESSION.get()
+        if memo is None:
+            found = self._run(order, limits.spair_budget)
+        else:
+            key = (self.ctx, frozenset(self.generators), sig)
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = self._run(order, limits.spair_budget)
+            else:
+                ENGINE_COUNTERS["basis_memo_hits"] += 1
+        self._cache[sig], self._stats[sig] = found
+        return found[0]
+
+    def _run(self, order: MonomialOrder, budget: int) -> tuple:
+        """(reduced basis, stats) by one Buchberger run."""
         keys = _OrderKeys(order.key_function(len(self.ctx)))
         stats: dict = {}
         ints = [_to_int_poly(g) for g in self.generators]
-        basis = _buchberger(ints, keys, _LIMITS.get().spair_budget, stats)
+        basis = _buchberger(ints, keys, budget, stats)
         ENGINE_COUNTERS["groebner_runs"] += 1
         ENGINE_COUNTERS["spairs"] += stats.get("spairs", 0)
         # monic, in ascending order of leading monomials as returned
@@ -358,9 +390,7 @@ class Ideal:
             Polynomial(self.ctx, {e: Fraction(c, lc) for e, c in terms.items()})
             for terms, _, lc in basis
         )
-        self._cache[sig] = polys
-        self._stats[sig] = stats
-        return polys
+        return polys, stats
 
     def gb_stats(self, order: MonomialOrder = DEGREVLEX) -> dict:
         return dict(self._stats.get(order.signature(), {}))

@@ -231,6 +231,35 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("command", ["gecc", "oracle-curve"])
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "'utf-8' codec can't decode"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_descriptor_exit_2(tmp_path, capsys, command, kind, reason):
+    path = tmp_path / "problem.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"label": "\xe9"}')  # Latin-1
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIAGNOSTIC, err
+    assert f"descriptor {path}: cannot read: {reason}" in err
+    assert "Traceback" not in err
+
+
+def test_negative_spair_budget_is_refused(tmp_path, capsys):
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    with pytest.raises(SystemExit) as exc:
+        main(["gecc", path, "--spair-budget", "-3"])
+    assert exc.value.code == EXIT_DIAGNOSTIC
+    assert "--spair-budget" in capsys.readouterr().err
+    # zero is a legal budget: the first S-pair exceeds it
+    assert main(["gecc", path, "--spair-budget", "0"]) == EXIT_RESOURCE
+
+
 def _without_ambient(data):
     del data["ambient"]
 
@@ -292,7 +321,7 @@ SCHEMA_KEYS = [
     ("cc", CC_TABLES, ("checks", 0, "type"), True, "$.checks[0].type"),
     ("cc", CC_TABLES, ("checks", 0, "terms"), True, "$.checks[0].terms"),
     ("cc", CC_TABLES, ("checks", 0, "name"), False, "$.checks[0].name"),
-    ("oracle-curve", ORACLE_CURVE, ("branches",), False, "$.branches"),
+    ("oracle-curve", ORACLE_CURVE, ("branches",), True, "$.branches"),
     ("oracle-curve", ORACLE_CURVE, ("branches", 0), False, "$.branches[0]"),
     ("oracle-curve", ORACLE_CURVE, ("branches", 0, "name"), True, "$.branches[0].name"),
     ("oracle-curve", ORACLE_CURVE, ("branches", 0, "mult"), True, "$.branches[0].mult"),
@@ -308,6 +337,7 @@ _BAD_VALUES = [
     ("cc", CC_TABLES, ("checks", 0, "terms", 2), "D", "$.checks[0].terms[2]"),
     ("cc", CC_TABLES, ("checks", 2, "type"), "triangle", "$.checks[2].terms"),
     ("oracle-curve", ORACLE_CURVE, ("branches", 1, "mult"), 0, "$.branches[1].mult"),
+    ("oracle-curve", ORACLE_CURVE, ("branches",), [], "$.branches"),
 ]
 _CASES = [
     (command, base, keys, spoil, where)

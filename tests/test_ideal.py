@@ -141,6 +141,50 @@ def test_engine_limits_bind_and_reset(monkeypatch):
     assert budgets and set(budgets) == {DEFAULT_LIMITS.spair_budget}
 
 
+# -- the basis memo of an engine_limits block
+
+
+def test_basis_memo_serves_the_same_generator_set(monkeypatch):
+    budgets = spy_budgets(monkeypatch)
+    counters = ideal_module.ENGINE_COUNTERS
+    with engine_limits(EngineLimits()):
+        first = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
+        basis = first.groebner_basis()
+        runs, hits = counters["groebner_runs"], counters["basis_memo_hits"]
+        for gens in (PRUNED_AFTER_QUEUEING[::-1], PRUNED_AFTER_QUEUEING * 2):
+            again = I(*gens, ctx=CTX_XYZ)
+            assert again.groebner_basis() == basis
+            assert again.gb_stats() == first.gb_stats()
+        assert len(budgets) == 1
+        assert counters["groebner_runs"] == runs
+        assert counters["basis_memo_hits"] == hits + 2
+        # another order is another key
+        assert selfcheck_groebner(again.groebner_basis(LEX), LEX)
+        assert len(budgets) == 2
+
+
+def test_basis_memo_lives_for_one_block(monkeypatch):
+    budgets = spy_budgets(monkeypatch)
+    I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis()
+    I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis()
+    assert len(budgets) == 2  # no memo outside a block
+    for _ in range(2):
+        with engine_limits(EngineLimits()):
+            I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis()
+    assert len(budgets) == 4  # each block opens a fresh memo
+
+
+def test_nested_tighter_block_does_not_take_the_outer_basis():
+    with engine_limits(EngineLimits()):
+        J = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
+        J.groebner_basis()
+        processed = J.gb_stats()["spairs"]
+        with engine_limits(EngineLimits(spair_budget=processed - 1)):
+            with pytest.raises(ResourceLimitExceeded):
+                I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis()
+        assert I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis() == J.groebner_basis()
+
+
 @pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order([2], 3), block_order([0, 2], 3)],
                          ids=["lex", "degrevlex", "block-z", "block-xz"])
 def test_gb_selfcheck_under_orders(order):
