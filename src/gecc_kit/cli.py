@@ -173,6 +173,13 @@ def _validate_morse(table: Mapping, path: str) -> None:
 _CHECK_TERMS = {"triangle": 3, "complement-restriction": 3, "equal": 2}
 
 
+def _distinct(name: str, seen: set, path: str, what: str) -> None:
+    """Record a name; a repeated one would make name lookups drop data."""
+    if name in seen:
+        raise DescriptorError(path, f"repeats the {what} name {json.dumps(name)}")
+    seen.add(name)
+
+
 def validate_descriptor(data) -> None:
     """Check the germ-descriptor schema before anything is built from it.
 
@@ -189,11 +196,13 @@ def validate_descriptor(data) -> None:
     if len(set(coords)) != len(coords):
         raise DescriptorError("$.ambient.coords", "names are not distinct")
     strata = _member(data, "$", "strata", lambda v: isinstance(v, list), "a list", [])
+    names: set = set()
     for i, s in enumerate(strata):
         path = f"$.strata[{i}]"
         if not isinstance(s, dict):
             raise DescriptorError(path, "expected an object")
-        _member(s, path, "name", lambda v: isinstance(v, str), "a string")
+        _distinct(_member(s, path, "name", lambda v: isinstance(v, str), "a string"),
+                  names, f"{path}.name", "stratum")
         _member(s, path, "ideal", _is_strings, "a list of strings")
         _member(s, path, "dim", _is_nat, "a nonnegative integer")
         _validate_morse(_member(s, path, "morse", _is_object, "an object", {}), f"{path}.morse")
@@ -201,7 +210,6 @@ def validate_descriptor(data) -> None:
         _member(data, "$", key, lambda v: v is None or isinstance(v, str), "a string", None)
     _member(data, "$", "seed", lambda v: isinstance(v, int) and not isinstance(v, bool),
             "an integer", 0)
-    names = {s["name"] for s in strata}
     complexes = _member(data, "$", "complexes", _is_object, "an object", {})
     for cname, tables in complexes.items():
         cpath = f"$.complexes[{json.dumps(cname)}]"
@@ -236,11 +244,13 @@ def validate_branches(data) -> None:
         raise DescriptorError("$", "expected an object")
     branches = _member(data, "$", "branches", lambda v: isinstance(v, list) and v,
                        "a nonempty list")
+    names: set = set()
     for i, b in enumerate(branches):
         path = f"$.branches[{i}]"
         if not isinstance(b, dict):
             raise DescriptorError(path, "expected an object")
-        _member(b, path, "name", lambda v: isinstance(v, str), "a string")
+        _distinct(_member(b, path, "name", lambda v: isinstance(v, str), "a string"),
+                  names, f"{path}.name", "branch")
         _member(b, path, "mult", lambda v: _is_nat(v) and v > 0, "a positive integer")
         _member(b, path, "in_vf", lambda v: isinstance(v, bool), "a boolean")
         _member(b, path, "eta", _is_nat, "a nonnegative integer", 0)

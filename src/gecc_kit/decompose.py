@@ -22,7 +22,6 @@ from .ideal import (
     CertificationFailure,
     Ideal,
     eliminate,
-    reduce_exact,
     saturate_element,
     standard_monomials,
 )
@@ -163,10 +162,9 @@ def _try_point_field(J: Ideal) -> tuple:
         return True, None
     index = {m: i for i, m in enumerate(basis)}
     ctx = J.ctx
-    gb = J.groebner_basis()
 
     def as_vector(p: Polynomial) -> list:
-        r = reduce_exact(p, gb)
+        r = J.normal_form(p)
         v = [Fraction(0)] * d
         for e, c in r.terms.items():
             if e not in index:
@@ -298,14 +296,14 @@ def _linear_fiber_with(
     for g in linear_gens:
         row = []
         for v in fiber:
-            row.append(reduce_exact(g.coefficient_of(v, 1).restrict(base_ctx), base_gb))
+            row.append(base_ideal.normal_form(g.coefficient_of(v, 1).restrict(base_ctx)))
         const = g
         for v in fiber:
             const = const - ctx.gen(v) * g.coefficient_of(v, 1)
-        row.append(reduce_exact(const.restrict(base_ctx), base_gb))
+        row.append(base_ideal.normal_form(const.restrict(base_ctx)))
         rows.append(row)
 
-    pivots, residuals = _row_reduce_mod(rows, len(fiber), base_gb)
+    pivots, residuals = _row_reduce_mod(rows, len(fiber), base_ideal)
     if residuals:
         # residuals lie in the contraction, so this cannot happen; bail out
         if hints is not None:
@@ -323,7 +321,7 @@ def _linear_fiber_with(
     return saturate_element(candidate, witness) == J
 
 
-def _row_reduce_mod(rows: list, ncols: int, base_gb: tuple) -> tuple:
+def _row_reduce_mod(rows: list, ncols: int, base: Ideal) -> tuple:
     """Cross-multiplication elimination mod the base; returns (pivots, residuals)."""
     pivots = []
     used = [False] * len(rows)
@@ -345,7 +343,7 @@ def _row_reduce_mod(rows: list, ncols: int, base_gb: tuple) -> tuple:
                 continue
             factor = row[col]
             rows[i] = [
-                reduce_exact(pivot * a - factor * b, base_gb)
+                base.normal_form(pivot * a - factor * b)
                 for a, b in zip(row, rows[pivot_row])
             ]
     residuals = []

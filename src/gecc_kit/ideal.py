@@ -4,22 +4,30 @@ The Buchberger loop works on integer-primitive term dictionaries
 (fraction-free reduction, content stripped as it grows) with
 Gebauer-Moeller pair pruning; reduced bases are normalized monic.
 
-Hot path. Each Groebner run (and each exact division) memoises the
-negated order key of every exponent it meets in one dict, dropped when
-the run ends, so no key is computed twice within a run. A reduction
-keeps the exponents pending in its working polynomial on a heap of those
-keys, popping the order-largest first; an exponent is pushed when it
-enters the working polynomial, and one that cancelled out since is stale
-and skipped. Live S-pairs map (i, j) to the lcm of their leading
-monomials, with a heap ordered by that lcm (smallest first, ties by
-(i, j)); pruning deletes a pair from the map only, and its stale heap
-entry is skipped without counting against the S-pair budget.
+Hot path. Inside a run a monomial is one int: the exponents packed in
+fixed-width fields with a guard bit each, below the order key, which is
+the exponents' dot product with one integer weight per variable (the
+order's weight rows folded in a wide radix). Ints then compare as the
+order does, a product is a sum, a quotient a difference, and divisibility
+and lcm are guard-bit tests, with no loop over variables. A key is
+computed once, when a polynomial enters the kernel; a shifted term's key
+comes with the sum. A run starts at the narrowest width that holds its
+input; a product that outgrows its field (one guard test per reducer
+step, against the reducer's largest exponents) redoes the run twice as
+wide, so the answer never depends on the width. One reduction loop serves
+Buchberger, normal forms and the self-check: the front is a heap of the
+pending monomials, each popped term is reduced by the first basis element
+whose leading monomial divides it, and the fraction-free remainder comes
+with the scalar it carries, so ``normal_form`` returns the exact
+remainder. The pair queue is a heap of (lcm, i, j); pruning deletes a
+pair from the live map only, and its stale heap entry is skipped without
+counting against the S-pair budget.
 
-Two caches. Each Ideal keeps its reduced basis (and the run's stats) per
-monomial order. Inside an ``engine_limits`` block, a memo also keys each
-reduced basis by (context, generator set, order), so a second Ideal with
-the same generators, in any order or repeated, takes the basis without a
-run. A reduced basis is unique for its ideal and order, so a memo hit
+Two caches. Each Ideal keeps its reduced basis, the run's stats and its
+packed basis per monomial order. Inside an ``engine_limits`` block, a
+memo also keys them by (context, generator set, order), so a second
+Ideal with the same generators, in any order or repeated, takes the basis
+without a run. A reduced basis is unique for its ideal and order, so a memo hit
 returns exactly what a run would. The memo is dropped when the block
 ends; outside any block there is none.
 
@@ -36,7 +44,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 from .polyring import (
@@ -50,7 +60,6 @@ from .polyring import (
     exp_div,
     exp_divides,
     exp_lcm,
-    exp_mul,
 )
 
 
@@ -102,7 +111,95 @@ def engine_counters() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Integer term-dict kernel
+# Packed integer kernel
+
+
+class _Overflow(Exception):
+    """A packed exponent outgrew its field; the work is redone wider."""
+
+
+class _Packing:
+    """The monomials of one order in n variables as ints, at one field width.
+
+    The exponent of variable i sits in the field of ``width`` bits at bit
+    i * width; the field's top bit is a guard, clear while the exponent is
+    below 2^(width-1). The order's weight rows
+    (``MonomialOrder.weight_rows``), folded in a radix above any row sum of
+    such exponents, give one integer weight per variable, and the key of an
+    exponent is its dot product with them. A monomial is the int
+    key << bits | fields: ints compare as the order does, a product is a
+    sum and a quotient a difference (Bachmann and Schoenemann 1998).
+    """
+
+    __slots__ = ("width", "bits", "guard", "mask", "values", "shifts", "weights")
+
+    def __init__(self, rows: list, n: int, width: int):
+        radix = width - 1 + n.bit_length()  # every row sum stays below 2^radix
+        keys = [0] * n
+        for row in rows:
+            keys = [k << radix for k in keys]
+            for i in row:
+                keys[i] += 1
+        self.width = width
+        self.bits = n * width
+        self.shifts = tuple(range(0, self.bits, width))
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.mask = (1 << self.bits) - 1
+        self.values = (1 << (width - 1)) - 1
+        self.weights = tuple((k << self.bits) | (1 << s) for k, s in zip(keys, self.shifts))
+
+    def monomial(self, e: Sequence[int]) -> int:
+        return sum(map(mul, e, self.weights))
+
+    def exponent(self, m: int) -> tuple:
+        values = self.values
+        return tuple([(m >> s) & values for s in self.shifts])
+
+    def divides(self, a: int, b: int) -> bool:
+        """Monomial a divides b: no field of b less a borrows from its guard bit.
+
+        a and b may carry their keys, which lie above the fields.
+        """
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fields of lcm(a, b), without the key: a guard-bit select."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
+        return (b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))) & self.mask
+
+
+@lru_cache(maxsize=None)
+def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
+    return _Packing(order.weight_rows(n), n, width)
+
+
+def _width(polys: Iterable[Polynomial], width: int = 16) -> int:
+    """The narrowest field width, from ``width`` up by doubling, that holds polys."""
+    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    while top >> (width - 1):
+        width *= 2
+    return width
+
+
+def _widening(width: int, attempt):
+    """attempt(width), redone at twice the width while a product overflows."""
+    while True:
+        try:
+            return attempt(width)
+        except _Overflow:
+            width *= 2
+
+
+def _encode(packing: _Packing, p: Polynomial) -> tuple:
+    """(integer terms keyed by monomial, d): p times its common denominator d."""
+    d = 1
+    for c in p.terms.values():
+        d = math.lcm(d, c.denominator)
+    weights = packing.weights
+    return {sum(map(mul, e, weights)): c.numerator * (d // c.denominator)
+            for e, c in p.terms.items()}, d
 
 
 def _content(terms: dict) -> int:
@@ -121,178 +218,171 @@ def _strip(terms: dict) -> dict:
     return terms
 
 
-def _to_int_poly(p: Polynomial) -> dict:
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    terms = {e: int(c * denom) for e, c in p.terms.items()}
+def _element(terms: dict, packing: _Packing) -> tuple:
+    """(lm, lc, tail, envelope) of a nonzero integer polynomial; terms is consumed.
+
+    Content stripped and leading coefficient positive; ``tail`` holds the
+    other terms in the order given, and ``envelope`` each variable's
+    largest exponent, so one guard test bounds every term of a shifted copy.
+    """
+    terms = _strip(terms)
+    lm = max(terms)
+    lc = terms[lm]
+    if lc < 0:
+        terms = {m: -c for m, c in terms.items()}
+        lc = -lc
+    guard, top = packing.guard, packing.width - 1
+    envelope = 0
+    for m in terms:  # fieldwise max, by the guard-bit select of _Packing.lcm
+        ge = ((envelope | guard) - m) & guard
+        envelope = m ^ ((envelope ^ m) & (ge - (ge >> top)))
+    del terms[lm]
+    return lm, lc, terms, envelope & packing.mask
+
+
+def _spoly(f: tuple, g: tuple, lcm: int, guard: int) -> dict:
+    """The fraction-free S-polynomial of f and g, whose leading monomials have lcm lcm."""
+    (flm, flc, ftail, fenv), (glm, glc, gtail, genv) = f, g
+    sf, sg = lcm - flm, lcm - glm
+    if (fenv + sf) & guard or (genv + sg) & guard:
+        raise _Overflow
+    d = math.gcd(flc, glc)
+    a, b = glc // d, flc // d
+    # the shifted leading terms cancel
+    terms = {m + sf: a * c for m, c in ftail.items()}
+    for m, c in gtail.items():
+        m += sg
+        nc = terms.get(m, 0) - b * c
+        if nc:
+            terms[m] = nc
+        else:
+            del terms[m]
     return _strip(terms)
 
 
-class _OrderKeys(dict):
-    """Negated order key of every exponent met, computed once per exponent.
+def _reduce(work: dict, basis: list, guard: int) -> tuple:
+    """(remainder, num, den): work fully reduced by basis elements, fraction-free.
 
-    One instance lives for one Groebner run (or one division) and is then
-    dropped. Negated keys make ``heapq`` pop the order-largest monomial
-    first, and ``min`` over them finds the leading monomial.
+    The remainder is num/den times the remainder of exact division. Each
+    popped term is reduced by the first basis element whose leading
+    monomial divides it. The reduction front is a heap of the negated
+    monomials pending in ``work``; a monomial is pushed when it enters
+    ``work``, and a popped one that has since cancelled out is stale and
+    skipped. ``work`` is consumed.
     """
-
-    __slots__ = ("keyf",)
-
-    def __init__(self, keyf):
-        super().__init__()
-        self.keyf = keyf
-
-    def __missing__(self, e):
-        k = self[e] = tuple(-x for x in self.keyf(e))
-        return k
-
-
-def _lead(terms: dict, keys: _OrderKeys) -> tuple:
-    e = min(terms, key=keys.__getitem__)
-    return e, terms[e]
-
-
-def _nf_int(p: dict, basis: list, keys: _OrderKeys) -> dict:
-    """Normal form of integer poly dict against [(terms, lm, lc), ...].
-
-    Fraction-free: the result is the true normal form up to a positive
-    rational scalar, which every caller is insensitive to. The reduction
-    front is a heap of the exponents pending in ``work``; an exponent is
-    pushed when it enters ``work``, and a popped one that has since
-    cancelled out of ``work`` is stale and skipped.
-    """
-    work = dict(p)
-    front = [(keys[e], e) for e in work]
+    front = [-m for m in work]
     heapify(front)
+    take, get = work.pop, work.get
     remainder: dict = {}
+    num = den = 1
     steps = 0
     while front:
-        e = heappop(front)[1]
-        c = work.pop(e, 0)
+        m = -heappop(front)
+        c = take(m, 0)
         if not c:
             continue
-        for terms, lm, lc in basis:
-            if exp_divides(lm, e):
+        over = m | guard
+        for g in basis:  # _Packing.divides, inlined
+            if (over - g[0]) & guard == guard:
                 break
         else:
-            remainder[e] = c
+            remainder[m] = c
             continue
+        lm, lc, tail, envelope = g
+        shift = m - lm
+        if (envelope + shift) & guard:
+            raise _Overflow
         d = math.gcd(c, lc)
         a = lc // d      # scale everything by a
         b = c // d       # subtract b * shift * reducer
-        shift = exp_div(e, lm)
         if a != 1:
+            num *= a
             for k in work:
                 work[k] *= a
             for k in remainder:
                 remainder[k] *= a
-        _subtract_shifted(work, front, keys, terms, lm, shift, b)
+        for k, v in tail.items():
+            k += shift
+            dv = b * v
+            old = get(k)
+            if old is None:
+                work[k] = -dv
+                heappush(front, -k)
+            elif old == dv:
+                del work[k]
+            else:
+                work[k] = old - dv
         steps += 1
         if steps % 32 == 0:
-            g = math.gcd(_content(work), _content(remainder))
-            if g > 1:
-                work = {k: v // g for k, v in work.items()}
-                remainder = {k: v // g for k, v in remainder.items()}
-    return _strip(remainder)
+            common = math.gcd(_content(work), _content(remainder))
+            if common > 1:
+                den *= common
+                for k in work:
+                    work[k] //= common
+                for k in remainder:
+                    remainder[k] //= common
+    return remainder, num, den
 
 
-def _subtract_shifted(work: dict, front: list, keys: _OrderKeys, terms: dict,
-                      lm: tuple, shift: tuple, factor) -> None:
-    """work -= factor * x^shift * (terms less the lm term).
+def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list:
+    """Reduced (up to scaling) Groebner basis of nonzero packed integer polys.
 
-    An exponent entering ``work`` is pushed on the front; one cancelling
-    out of it leaves a stale front entry behind.
+    Returns ``_element`` tuples with leading monomials ascending. Live
+    pairs map (i, j) to the fields of the lcm of their leading monomials;
+    ``queue`` is a heap of (lcm monomial, i, j). Gebauer-Moeller pruning
+    deletes a pair from ``pairs`` only, which leaves its heap entry stale:
+    it is skipped and not counted against the budget. Raises ``_Overflow``
+    when a product outgrows the packing's fields.
     """
-    for k, v in terms.items():
-        if k == lm:
-            continue
-        ke = exp_mul(k, shift)
-        dv = factor * v
-        old = work.get(ke)
-        if old is None:
-            work[ke] = -dv
-            heappush(front, (keys[ke], ke))
-        elif old == dv:
-            del work[ke]
-        else:
-            work[ke] = old - dv
-
-
-def _spoly_int(f: tuple, g: tuple) -> dict:
-    (ft, flm, flc), (gt, glm, glc) = f, g
-    lcm = exp_lcm(flm, glm)
-    d = math.gcd(flc, glc)
-    a, b = glc // d, flc // d
-    sf, sg = exp_div(lcm, flm), exp_div(lcm, glm)
-    terms: dict = {}
-    for k, v in ft.items():
-        terms[exp_mul(k, sf)] = a * v
-    for k, v in gt.items():
-        ke = exp_mul(k, sg)
-        nv = terms.get(ke, 0) - b * v
-        if nv:
-            terms[ke] = nv
-        else:
-            terms.pop(ke, None)
-    return _strip(terms)
-
-
-def _normalize_int(terms: dict, keys: _OrderKeys) -> tuple:
-    """(terms, lm, lc): content stripped, leading coefficient positive."""
-    terms = _strip(terms)
-    lm, lc = _lead(terms, keys)
-    if lc < 0:
-        terms = {e: -c for e, c in terms.items()}
-    return terms, lm, abs(lc)
-
-
-def _buchberger(gens: list, keys: _OrderKeys, budget: int, stats: dict) -> list:
-    """Reduced (up to scaling) Groebner basis of nonzero integer poly dicts.
-
-    Returns [(terms, lm, lc), ...] with leading monomials ascending. Live
-    pairs map (i, j) to the lcm of their leading monomials; ``queue`` is a
-    heap of them by that lcm, ties broken by (i, j). Gebauer-Moeller
-    pruning deletes a pair from ``pairs`` only, which leaves its heap
-    entry stale: it is skipped and not counted against the budget.
-    """
-    G: list = []   # (terms, lm, lc)
+    G: list = []   # _element tuples
     pairs: dict = {}
     queue: list = []
-    keyf = keys.keyf
+    guard, mask, top = packing.guard, packing.mask, packing.width - 1
+    monomial, exponent = packing.monomial, packing.exponent
 
     def update(f: tuple) -> None:
         # Gebauer-Moeller pair update.
-        flm = f[1]
-        lf = [exp_lcm(g[1], flm) for g in G]
-        for (i, j), L in list(pairs.items()):
-            if exp_divides(flm, L) and L != lf[i] and L != lf[j]:
-                del pairs[i, j]
+        flm = f[0] & mask
+        lf = []
+        for g in G:  # _Packing.lcm, inlined
+            a = g[0]
+            ge = ((a | guard) - flm) & guard
+            lf.append((flm ^ ((a ^ flm) & (ge - (ge >> top)))) & mask)
+        # flm divides L (_Packing.divides, inlined) and L is neither new lcm
+        for ij in [ij for ij, L in pairs.items()
+                   if ((L | guard) - flm) & guard == guard and L != lf[ij[0]] and L != lf[ij[1]]]:
+            del pairs[ij]
         lcms: dict = {}
         for i, L in enumerate(lf):
             lcms.setdefault(L, []).append(i)
-        kept = []
-        for k, L in sorted((keyf(L), L) for L in lcms):
-            if all(not exp_divides(K, L) for _, K in kept):
-                kept.append((k, L))
+        # the lcms no other one divides; packed fields ascend in a lex order,
+        # so a divisor comes first
+        kept: list = []
+        for L in sorted(lcms):
+            over = L | guard
+            for K in kept:
+                if (over - K) & guard == guard:
+                    break
+            else:
+                kept.append(L)
         t = len(G)
-        for k, L in kept:
-            if any(lf[i] == exp_mul(G[i][1], flm) for i in lcms[L]):
+        for L in kept:
+            if any(lf[i] == (G[i][0] & mask) + flm for i in lcms[L]):
                 continue  # product criterion
             i = lcms[L][0]
             pairs[i, t] = L
-            heappush(queue, (k, i, t))
+            heappush(queue, (monomial(exponent(L)), i, t))
         G.append(f)
 
     for g in gens:
-        f = _normalize_int(g, keys)
-        if not any(f[1]):
+        f = _element(g, packing)
+        if not f[0]:
             return [f]
         update(f)
 
     processed = 0
     while queue:
-        _, i, j = heappop(queue)
+        L, i, j = heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue  # pruned after it was queued
         processed += 1
@@ -300,28 +390,32 @@ def _buchberger(gens: list, keys: _OrderKeys, budget: int, stats: dict) -> list:
             raise ResourceLimitExceeded(
                 f"S-pair budget {budget} exceeded during Groebner computation"
             )
-        r = _nf_int(_spoly_int(G[i], G[j]), G, keys)
+        r = _reduce(_spoly(G[i], G[j], L, guard), G, guard)[0]
         if r:
             stats["nonzero_reductions"] = stats.get("nonzero_reductions", 0) + 1
-            f = _normalize_int(r, keys)
-            if not any(f[1]):
+            f = _element(r, packing)
+            if not f[0]:
                 stats["spairs"] = stats.get("spairs", 0) + processed
-                return [({f[1]: 1}, f[1], 1)]
+                return [(0, 1, {}, 0)]
             update(f)
     stats["spairs"] = stats.get("spairs", 0) + processed
 
     # minimalize: ascending leading monomials, a stable sort keeping the
     # first of equal ones
     minimal: list = []
-    for g in sorted(G, key=lambda g: keys[g[1]], reverse=True):
-        if all(not exp_divides(m[1], g[1]) for m in minimal):
+    divides = packing.divides
+    for g in sorted(G, key=itemgetter(0)):
+        if not any(divides(m[0], g[0]) for m in minimal):
             minimal.append(g)
     # interreduce tails; a leading monomial of a minimal basis is irreducible
     # by the others, so it stays leading
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        reduced.append(_normalize_int(_nf_int(g[0], others, keys), keys))
+        lm, lc, tail, _ = g
+        work = dict(tail)
+        work[lm] = lc
+        reduced.append(_element(_reduce(work, others, guard)[0], packing))
     stats["basis_size"] = len(reduced)
     return reduced
 
@@ -338,7 +432,7 @@ class Ideal:
     same generator set and order, and runs Buchberger otherwise.
     """
 
-    __slots__ = ("ctx", "generators", "_cache", "_stats", "_hash")
+    __slots__ = ("ctx", "generators", "_cache", "_hash")
 
     def __init__(self, ctx: VarContext, generators: Iterable[Polynomial]):
         gens = []
@@ -349,8 +443,8 @@ class Ideal:
                 gens.append(g)
         self.ctx = ctx
         self.generators = tuple(gens)
+        # order signature -> (reduced basis, stats, packing, packed basis)
         self._cache: dict = {}
-        self._stats: dict = {}
         self._hash = None
 
     # -- construction helpers
@@ -363,7 +457,7 @@ class Ideal:
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple:
         sig = order.signature()
         if sig in self._cache:
-            return self._cache[sig]
+            return self._cache[sig][0]
         limits, memo = _SESSION.get()
         if memo is None:
             found = self._run(order, limits.spair_budget)
@@ -374,31 +468,64 @@ class Ideal:
                 found = memo[key] = self._run(order, limits.spair_budget)
             else:
                 ENGINE_COUNTERS["basis_memo_hits"] += 1
-        self._cache[sig], self._stats[sig] = found
+        self._cache[sig] = found
         return found[0]
 
     def _run(self, order: MonomialOrder, budget: int) -> tuple:
-        """(reduced basis, stats) by one Buchberger run."""
-        keys = _OrderKeys(order.key_function(len(self.ctx)))
-        stats: dict = {}
-        ints = [_to_int_poly(g) for g in self.generators]
-        basis = _buchberger(ints, keys, budget, stats)
+        """(reduced basis, stats, packing, packed basis) by one Buchberger run.
+
+        The run starts at the narrowest field width that holds the
+        generators and is redone twice as wide whenever a product overflows.
+        """
+        n = len(self.ctx)
+
+        def attempt(width: int) -> tuple:
+            packing = _packing(order, n, width)
+            stats: dict = {}
+            gens = [_encode(packing, g)[0] for g in self.generators]
+            return _buchberger(gens, packing, budget, stats), stats, packing
+
+        basis, stats, packing = _widening(_width(self.generators), attempt)
         ENGINE_COUNTERS["groebner_runs"] += 1
         ENGINE_COUNTERS["spairs"] += stats.get("spairs", 0)
         # monic, in ascending order of leading monomials as returned
+        exponent = packing.exponent
         polys = tuple(
-            Polynomial(self.ctx, {e: Fraction(c, lc) for e, c in terms.items()})
-            for terms, _, lc in basis
+            Polynomial(self.ctx, {exponent(m): Fraction(c, lc) for m, c in [(lm, lc), *tail.items()]})
+            for lm, lc, tail, _ in basis
         )
-        return polys, stats
+        return polys, stats, packing, basis
 
     def gb_stats(self, order: MonomialOrder = DEGREVLEX) -> dict:
-        return dict(self._stats.get(order.signature(), {}))
+        found = self._cache.get(order.signature())
+        return {} if found is None else dict(found[1])
 
     def normal_form(self, p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-        """Exact normal form against the reduced basis (canonical representative)."""
+        """Exact normal form against the reduced basis (canonical representative).
+
+        Reduces against the run's packed basis, repacked wider (and kept so)
+        when p or a product outgrows its fields, and divides the
+        fraction-free remainder by the scalar the reduction tracked.
+        """
         gb = self.groebner_basis(order)
-        return reduce_exact(p, gb, order)
+        if not gb:
+            return p
+        sig = order.signature()
+
+        def attempt(width: int) -> Polynomial:
+            _, stats, packing, basis = self._cache[sig]
+            if packing.width != width:
+                packing = _packing(order, len(self.ctx), width)
+                basis = [_element(_encode(packing, g)[0], packing) for g in gb]
+                self._cache[sig] = gb, stats, packing, basis
+            work, d = _encode(packing, p)
+            remainder, num, den = _reduce(work, basis, packing.guard)
+            scale = num * d
+            exponent = packing.exponent
+            return Polynomial(
+                p.ctx, {exponent(m): Fraction(c * den, scale) for m, c in remainder.items()})
+
+        return _widening(_width([p], self._cache[sig][2].width), attempt)
 
     def contains(self, p: Polynomial) -> bool:
         if p.is_zero():
@@ -430,34 +557,6 @@ class Ideal:
 
     def dimension(self) -> int:
         return dimension_and_degree(self)[0]
-
-
-def reduce_exact(p: Polynomial, gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Full exact division remainder against monic reducers."""
-    if not gb:
-        return p
-    ctx = p.ctx
-    keys = _OrderKeys(order.key_function(len(ctx)))
-    leads = [(_lead(g.terms, keys)[0], g) for g in gb]
-    work = dict(p.terms)
-    front = [(keys[e], e) for e in work]
-    heapify(front)
-    remainder: dict = {}
-    while front:
-        e = heappop(front)[1]
-        c = work.pop(e, 0)
-        if not c:
-            continue  # stale: cancelled since it was pushed
-        for lm, g in leads:
-            if exp_divides(lm, e):
-                break
-        else:
-            remainder[e] = c
-            continue
-        shift = exp_div(e, lm)
-        factor = c / g.terms[lm]
-        _subtract_shifted(work, front, keys, g.terms, lm, shift, factor)
-    return Polynomial(ctx, remainder)
 
 
 def dimension_and_degree(I: Ideal) -> tuple:
@@ -536,11 +635,18 @@ def selfcheck_groebner(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLE
     """Every S-polynomial of the basis reduces to zero."""
     if not gb:
         return True
-    keys = _OrderKeys(order.key_function(len(gb[0].ctx)))
-    ints = [(t,) + _lead(t, keys) for t in map(_to_int_poly, gb)]
-    return not any(
-        _nf_int(_spoly_int(f, g), ints, keys) for f, g in itertools.combinations(ints, 2)
-    )
+    n = len(gb[0].ctx)
+
+    def attempt(width: int) -> bool:
+        packing = _packing(order, n, width)
+        basis = [_element(_encode(packing, g)[0], packing) for g in gb]
+        for f, g in itertools.combinations(basis, 2):
+            lcm = packing.monomial(packing.exponent(packing.lcm(f[0], g[0])))
+            if _reduce(_spoly(f, g, lcm, packing.guard), basis, packing.guard)[0]:
+                return False
+        return True
+
+    return _widening(_width(gb), attempt)
 
 
 def _extend_with(ctx: VarContext, name: str) -> tuple:

@@ -126,6 +126,28 @@ class MonomialOrder:
     def key_function(self, n: int) -> Callable[[Exponent], tuple]:
         return _key_function(self, n)
 
+    def weight_rows(self, n: int) -> list:
+        """The order as 0/1 weight rows, each a tuple of the positions weighted 1.
+
+        Comparing the rows' sums in turn is comparing by the order, as
+        ``key_function`` does (Robbiano 1985). A degrevlex block over slots
+        s_0..s_k-1 gives its total degree, then the sums over s_0..s_j for
+        j = k-2 down to 0: with the rows above equal, a larger sum is a
+        smaller last exponent of the block.
+        """
+        if self.perm is not None and len(self.perm) != n:
+            raise ValueError("order permutation length does not match context")
+        perm = self.perm if self.perm is not None else tuple(range(n))
+        if self.kind == "lex":
+            return [(i,) for i in perm]
+        if self.kind == "degrevlex":
+            blocks = [perm]
+        elif self.kind == "block":
+            blocks = [perm[:self.split], perm[self.split:]]
+        else:
+            raise ValueError(f"unknown monomial order kind {self.kind!r}")
+        return [block[:j] for block in blocks for j in range(len(block), 0, -1)]
+
     def signature(self) -> str:
         p = "" if self.perm is None else ",".join(map(str, self.perm))
         return f"{self.kind}:{self.split}:{p}"

@@ -338,6 +338,9 @@ _BAD_VALUES = [
     ("cc", CC_TABLES, ("checks", 2, "type"), "triangle", "$.checks[2].terms"),
     ("oracle-curve", ORACLE_CURVE, ("branches", 1, "mult"), 0, "$.branches[1].mult"),
     ("oracle-curve", ORACLE_CURVE, ("branches",), [], "$.branches"),
+    # a repeated name: tables are looked up by name, so one would be dropped
+    ("cc", CC_TABLES, ("strata", 1, "name"), "S2", "$.strata[1].name"),
+    ("oracle-curve", ORACLE_CURVE, ("branches", 1, "name"), "cusp", "$.branches[1].name"),
 ]
 _CASES = [
     (command, base, keys, spoil, where)

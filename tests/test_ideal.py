@@ -28,7 +28,17 @@ from gecc_kit.ideal import (
     variety_contained_in,
     vector_space_dimension,
 )
-from gecc_kit.polyring import LEX, Polynomial, base_context, block_order, parse_polynomial
+from gecc_kit.polyring import (
+    LEX,
+    Polynomial,
+    base_context,
+    block_order,
+    exp_div,
+    exp_divides,
+    exp_lcm,
+    exp_mul,
+    parse_polynomial,
+)
 
 CTX = base_context(["x", "y", "t"])
 CTX_W = base_context(["x", "y", "t", "w0", "w1", "w2"])
@@ -93,7 +103,7 @@ def test_spair_budget_counts_processed_pairs_only(monkeypatch):
 
     def counting_pop(heap):
         item = real_pop(heap)
-        if len(item) == 3:  # (lcm key, i, j): a pair-queue entry
+        if isinstance(item, tuple):  # (lcm, i, j); the reduction front pops ints
             pair_pops.append(item)
         return item
 
@@ -235,13 +245,102 @@ def test_normal_form_with_cancellations(order):
     gb = J.groebner_basis(order)
     expected = textbook_remainder(p, gb, order)
     assert J.normal_form(p, order) == expected
-    # the fraction-free integer kernel agrees up to a positive scalar, which
+    # the fraction-free packed kernel agrees up to a positive scalar, which
     # primitive integer forms remove
-    keys = ideal_module._OrderKeys(order.key_function(3))
-    ints = [(t,) + ideal_module._lead(t, keys) for t in map(ideal_module._to_int_poly, gb)]
-    got = ideal_module._nf_int(ideal_module._to_int_poly(p), ints, keys)
-    assert got == ideal_module._to_int_poly(expected)
+    packing = ideal_module._packing(order, 3, 16)
+    basis = [ideal_module._element(ideal_module._encode(packing, g)[0], packing) for g in gb]
+    work = ideal_module._encode(packing, p)[0]
+    got = ideal_module._reduce(work, basis, packing.guard)[0]
+    assert ideal_module._strip(got) == ideal_module._strip(ideal_module._encode(packing, expected)[0])
     assert J.contains(p - expected)
+
+
+# -- the packed kernel: exponents and order keys as integers
+
+PACKED_ORDERS = {
+    "lex": lambda n: LEX,
+    "degrevlex": lambda n: DEGREVLEX,
+    "block-0": lambda n: block_order([0], n),
+    "block-2-0": lambda n: block_order([2, 0], n),
+}
+
+
+def random_exponent(rng, n, top):
+    """Exponents up to top, often at 0, 1 or top itself."""
+    return tuple(rng.choice([0, 1, top, top - 1, rng.randint(0, top)]) for _ in range(n))
+
+
+@pytest.mark.parametrize("width", [16, 32])
+def test_packed_arithmetic_matches_tuples(width):
+    rng = random.Random(5)
+    top = 2 ** (width - 1) - 1  # the largest exponent a field holds
+    for n in range(1, 13):
+        packing = ideal_module._packing(DEGREVLEX, n, width)
+        for _ in range(60):
+            a, b = random_exponent(rng, n, top), random_exponent(rng, n, top)
+            if rng.random() < 0.3:
+                b = tuple(min(top, x + rng.randint(0, 2)) for x in a)  # often a multiple
+            pa, pb = packing.monomial(a), packing.monomial(b)
+            assert packing.exponent(pa) == a
+            assert packing.divides(pa, pb) == exp_divides(a, b)
+            assert packing.lcm(pa, pb) == packing.monomial(exp_lcm(a, b)) & packing.mask
+            product = exp_mul(a, b)
+            if max(product) <= top:
+                assert pa + pb == packing.monomial(product)
+                assert not (pa + pb) & packing.guard
+            else:  # a field just past the boundary sets its guard bit
+                assert (pa + pb) & packing.guard
+            if exp_divides(b, a):
+                assert pa - pb == packing.monomial(exp_div(a, b))
+        # one past the largest exponent needs the next width
+        assert ideal_module._width([Polynomial(base_context([f"v{i}" for i in range(n)]),
+                                               {(top,) * n: Fraction(1)})], width) == width
+        assert ideal_module._width([Polynomial(base_context([f"v{i}" for i in range(n)]),
+                                               {(top + 1,) * n: Fraction(1)})], width) == 2 * width
+
+
+@pytest.mark.parametrize("name", list(PACKED_ORDERS))
+def test_packed_keys_order_as_key_function(name):
+    rng = random.Random(6)
+    top = 2 ** 15 - 1
+    for n in range(1, 13):
+        if name == "block-2-0" and n < 3:
+            continue
+        order = PACKED_ORDERS[name](n)
+        key = order.key_function(n)
+        packing = ideal_module._packing(order, n, 16)
+        for _ in range(60):
+            a = random_exponent(rng, n, top)
+            b = list(a)
+            for _ in range(rng.randint(0, 3)):  # near neighbours test the tie rows
+                i = rng.randrange(n)
+                b[i] = max(0, min(top, b[i] + rng.choice([-1, 1])))
+            b = tuple(b) if rng.random() < 0.7 else random_exponent(rng, n, top)
+            pa, pb = packing.monomial(a), packing.monomial(b)
+            assert (pa < pb) == (key(a) < key(b))
+            assert (pa == pb) == (a == b)
+
+
+def test_elimination_that_outgrows_its_field_widens():
+    # x^200 and y^200 fit 16-bit fields; x^40000 appears only mid-run
+    J = I("x^200 - y", "y^200 - z", ctx=CTX_XYZ)
+    assert [str(g) for g in eliminate(J, ["y"]).generators] == ["x^40000 - z"]
+
+
+def test_basis_that_needs_a_wide_field_from_the_start():
+    J = I("x^40000 - y", "y - 1", ctx=CTX_XYZ)
+    basis = J.groebner_basis()
+    assert [str(g) for g in basis] == ["y - 1", "x^40000 - 1"]
+    assert selfcheck_groebner(basis)
+    assert J.normal_form(P("x^40001*z", CTX_XYZ)) == P("x*z", CTX_XYZ)
+
+
+def test_normal_form_that_outgrows_its_field_widens():
+    J = I("x - y^2", ctx=CTX_XYZ)
+    J.groebner_basis(LEX)
+    # x^20000 fits a 16-bit field; its normal form y^40000 does not
+    assert J.normal_form(P("x^20000 + z", CTX_XYZ), LEX) == P("y^40000 + z", CTX_XYZ)
+    assert J.contains(P("x^20000 - y^40000", CTX_XYZ))
 
 
 # -- membership
