@@ -34,7 +34,6 @@ from .hypersurface import (
     AssertionRecord,
     CurveBranch,
     GenericityFailure,
-    MorseAtPoint,
     PolarNotCurve,
     cc_of_tables,
     check_complement_restriction,
@@ -273,10 +272,6 @@ def descriptor_from_json(data: Mapping) -> ProblemDescriptor:
     return ProblemDescriptor(ambient, SC, f, L, data.get("seed", 12345), dict(data))
 
 
-def _morse_json(m: MorseAtPoint) -> dict:
-    return m.to_json()
-
-
 def _emit(report: dict, transcript: list, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -302,8 +297,6 @@ def cmd_gecc(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_conormal(desc: ProblemDescriptor, args) -> tuple:
-    if desc.f is None:
-        raise StratificationError("descriptor must supply f for the relative conormal")
     cyc = relative_conormal_cycle(desc.complex, desc.f)
     report = {"relative_conormal": cyc.to_json()}
     return EXIT_OK, report, _cycle_lines(f"relative conormal cycle of {desc.f}", cyc)
@@ -322,7 +315,7 @@ def cmd_nearby(desc: ProblemDescriptor, args) -> tuple:
     if desc.L is not None:
         prep = polar_curve(desc.complex, desc.f, desc.L)
         morse = nearby_morse_at_origin(prep, desc.f)
-        report["morse_at_origin"] = _morse_json(morse)
+        report["morse_at_origin"] = morse.to_json()
         lines.append(f"Morse modules at origin: { {k: str(v) for k, v in morse.table.items()} }")
     return EXIT_OK, report, lines
 
@@ -333,7 +326,7 @@ def cmd_shriek(desc: ProblemDescriptor, args) -> tuple:
     nearby = nearby_morse_at_origin(rep, desc.f)
     records = star_equals_shriek(desc.complex, desc.f, morse, nearby)
     report = {
-        "morse_at_origin": _morse_json(morse),
+        "morse_at_origin": morse.to_json(),
         "assertions": [r.to_json() for r in records],
     }
     lines = [f"i_!i^! Morse modules at origin: { {k: str(v) for k, v in morse.table.items()} }"]
@@ -507,6 +500,15 @@ _COMMANDS = {
     "cc": cmd_cc,
     "check": cmd_check,
 }
+# the functions each subcommand needs, from the descriptor or --f/--L
+_NEEDS = {
+    "conormal": ("f",),
+    "polar": ("f", "L"),
+    "nearby": ("f",),
+    "shriek": ("f", "L"),
+    "vanishing": ("f",),
+    "check": ("f", "L"),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -528,6 +530,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     desc.f = parse_polynomial(args.f_override, ctx)
                 if args.l_override:
                     desc.L = parse_polynomial(args.l_override, ctx)
+                for key in _NEEDS.get(args.command, ()):
+                    if getattr(desc, key) is None:
+                        raise DescriptorError(f"$.{key}", f"missing; {args.command} needs {key}")
                 code, report, transcript = _COMMANDS[args.command](desc, args)
                 report["seed"] = desc.seed
                 report["engine"] = engine_counters()

@@ -68,15 +68,13 @@ class StratifiedComplex:
         ambient: AmbientSpace,
         strata: Sequence[Stratum],
         label: str = "F",
-        validate: bool = True,
     ):
         if ambient.kind != U_KIND:
             raise StratificationError("stratified complexes live in a base space U")
         self.ambient = ambient
         self.strata = list(strata)
         self.label = label
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         seen = []

@@ -17,13 +17,15 @@ from typing import Mapping, Sequence
 from . import modclass as mc
 from .decompose import minimal_primes
 from .ideal import (
+    VECDIM_CAP,
     CertificationFailure,
     Ideal,
+    ResourceLimitExceeded,
     dimension_and_degree,
     eliminate,
+    monomial_dimension_and_degree,
     radical_contains,
     saturate_element,
-    staircase,
     variety_contained_in,
 )
 from .modclass import ModClass
@@ -396,21 +398,15 @@ def gap_remove(E: GradedEnrichedCycle, J: Ideal) -> tuple:
     )
 
 
-def germ_part(
-    E: GradedEnrichedCycle,
-    point: Mapping | None = None,
-) -> GradedEnrichedCycle:
-    """Components whose fiber over the given base point is nonempty.
+def germ_part(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
+    """Components whose fiber over the origin is nonempty.
 
-    For base-space cycles this keeps components through the point; for
+    For base-space cycles this keeps components through the origin; for
     cotangent or tag ambients it keeps those meeting the fiber over it.
     """
     ambient = E.ambient
     ctx = ambient.context()
-    pins = [
-        ctx.gen(v) - ctx.const((point or {}).get(v.name, 0))
-        for v in ambient.base_vars()
-    ]
+    pins = [ctx.gen(v) for v in ambient.base_vars()]
     out: dict = {}
     for k, cyc in E.degrees.items():
         keep = {
@@ -625,8 +621,12 @@ def _field_degree(I: Ideal, free: set) -> int | None:
     bound = [i for i, v in enumerate(I.ctx.variables) if v.name not in free]
     order = block_order(bound, len(I.ctx))
     leads = [g.leading(order)[0] for g in I.groebner_basis(order)]
-    out = staircase([tuple(e[i] for i in bound) for e in leads], len(bound))
-    return None if out is None else len(out)
+    dim, count = monomial_dimension_and_degree([tuple(e[i] for i in bound) for e in leads], len(bound))
+    if dim > 0:
+        return None
+    if count > VECDIM_CAP:
+        raise ResourceLimitExceeded("standard monomial count exceeded cap")
+    return count
 
 
 def proper_pushforward(

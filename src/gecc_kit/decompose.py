@@ -31,7 +31,6 @@ from .polyring import Polynomial, VarContext, Variable, block_order
 @dataclass(frozen=True)
 class PrimeWitness:
     ideal: Ideal
-    certified: bool
     route: str = ""
 
 
@@ -481,7 +480,7 @@ def minimal_primes(I: Ideal) -> list:
             continue
         route = _certify(J)
         if route is not None:
-            primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), True, route))
+            primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), route))
             continue
 
         gb = J.groebner_basis()
@@ -526,7 +525,7 @@ def minimal_primes(I: Ideal) -> list:
         # the linear substitution in _certify can hide a fiber that is
         # linear over J's own base
         if _try_linear_fiber(J):
-            primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), True, "linear-fiber"))
+            primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), "linear-fiber"))
             continue
         raise CertificationFailure(
             f"cannot certify or split ideal with basis {[str(g) for g in gb]}"

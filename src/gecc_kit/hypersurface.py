@@ -2,9 +2,12 @@
 
 The polar curve is the pushforward of the relative conormal cycle
 intersected with the graph of the second function's differential; the
-nearby / complement-restriction / vanishing Morse modules at a point are
-tensor combinations of the input Morse tables with local intersection
-numbers of the per-stratum polar cycles.
+nearby / complement-restriction / vanishing Morse modules at the origin
+are tensor combinations of the input Morse tables with local intersection
+numbers of the per-stratum polar cycles. The germ is always at the
+origin, and each local intersection number is the length of a
+zero-dimensional local ring there, read as a degree from the Hilbert
+numerator (``ideal.local_degree``).
 """
 
 from __future__ import annotations
@@ -89,9 +92,8 @@ class PolarReport:
 
 @dataclass
 class MorseAtPoint:
-    """Per-degree Morse modules of a derived functor at a point."""
+    """Per-degree Morse modules of a derived functor at the origin."""
 
-    point: dict
     table: dict
     exponents: dict
     kind: str
@@ -104,7 +106,7 @@ class MorseAtPoint:
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
-            "point": {k: str(v) for k, v in self.point.items()},
+            "point": {},  # the germ is at the origin
             "table": {str(k): m.to_json() for k, m in sorted(self.table.items())},
             "exponents": dict(sorted(self.exponents.items())),
             "diagnostics": dict(self.diagnostics),
@@ -221,17 +223,16 @@ def classical_polar_cycle(
 def classical_polar_mu(
     ft: Polynomial,
     lt: Polynomial,
-    point: Mapping[str, Fraction],
     ambient_u: AmbientSpace,
 ) -> int:
-    """(Gamma^1_{f,l} . V(l))_p: the complex-link sphere count."""
+    """(Gamma^1_{f,l} . V(l))_0: the complex-link sphere count at the origin."""
     pieces = classical_polar_cycle(ft, lt, ambient_u)
     total = 0
     for comp, mult in pieces:
         if comp.dim != 1:
             raise PolarNotCurve(f"classical polar piece {comp!r} has dim {comp.dim}")
         cut = comp.ideal.with_extra([lt])
-        total += mult * local_degree(cut, point)
+        total += mult * local_degree(cut)
     return total
 
 
@@ -268,7 +269,6 @@ def check_polar_genericity(
     ft: Polynomial,
     lt: Polynomial,
     ss_bound: Sequence[Component] | None = None,
-    point: Mapping[str, Fraction] | None = None,
 ) -> GenericityReport:
     """Dimension, componentwise, and covector genericity diagnostics."""
     details: dict = {}
@@ -285,48 +285,36 @@ def check_polar_genericity(
         if inside_f or inside_l:
             details[repr(comp)] = "contained in a level set"
             continue
-        a = local_degree(comp.ideal.with_extra([ft]), point)
-        b = local_degree(comp.ideal.with_extra([lt]), point)
+        a = local_degree(comp.ideal.with_extra([ft]))
+        b = local_degree(comp.ideal.with_extra([lt]))
         details[repr(comp)] = {"f_degree": a, "l_degree": b}
         if a < b:
             componentwise = False
     covector = None
     if ss_bound is not None:
-        covector = _covector_test(ss_bound, lt, point)
+        covector = _covector_test(ss_bound, lt)
         details["covector_bound_size"] = len(list(ss_bound))
     return GenericityReport(dim_vf, dim_vl, componentwise, covector, details)
 
 
-def _covector_test(
-    ss_bound: Sequence[Component],
-    lt: Polynomial,
-    point: Mapping[str, Fraction] | None,
-) -> bool:
-    """(p, d_p lt) avoids every non-point component of the bound."""
+def _covector_test(ss_bound: Sequence[Component], lt: Polynomial) -> bool:
+    """(0, d_0 lt) avoids every component of the bound but the origin's conormal."""
     for comp in ss_bound:
         ambient = comp.ambient
         ctx = comp.ideal.ctx
         base_vars = ambient.base_vars()
-        point_conormal = all(
-            comp.ideal.contains(ctx.gen(v) - ctx.const((point or {}).get(v.name, 0)))
-            for v in base_vars
-        )
-        if point_conormal:
+        if all(comp.ideal.contains(ctx.gen(v)) for v in base_vars):
             continue
-        values = {}
-        for v in base_vars:
-            values[v.name] = Fraction((point or {}).get(v.name, 0))
+        values = {v.name: Fraction(0) for v in base_vars}
         for zv, wv in zip(base_vars, ambient.cotangent_vars()):
-            values[wv.name] = lt.partial(zv.name).evaluate(
-                {u.name: Fraction((point or {}).get(u.name, 0)) for u in lt.ctx.variables}
-            )
+            values[wv.name] = lt.partial(zv.name).constant_term()
         if all(g.evaluate(values) == 0 for g in comp.ideal.generators):
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# Nearby cycles and Morse modules at a point
+# Nearby cycles and Morse modules at the origin
 
 
 def nearby_gecc(
@@ -340,58 +328,45 @@ def nearby_gecc(
     return divisor_intersect(rel, ft.lift(SC.tstar_ambient().context()))
 
 
-def _stratum_local_degrees(
-    report: PolarReport,
-    divisor: Polynomial,
-    point: Mapping[str, Fraction] | None,
-) -> dict:
+def _stratum_local_degrees(report: PolarReport, divisor: Polynomial) -> dict:
     out: dict = {}
     for name, pieces in report.per_stratum.items():
         total = 0
         for comp, mult in pieces:
-            total += mult * local_degree(comp.ideal.with_extra([divisor]), point)
+            total += mult * local_degree(comp.ideal.with_extra([divisor]))
         out[name] = total
     return out
 
 
-def nearby_morse_at_origin(
-    report: PolarReport,
-    ft: Polynomial,
-    point: Mapping[str, Fraction] | None = None,
-) -> MorseAtPoint:
-    """Morse modules of the shifted nearby cycles at the point."""
-    gen = check_polar_genericity(report, ft, report.extension, None, point)
+def _weighted_morse(SC: StratifiedComplex, weights: Mapping[str, int], table: dict) -> dict:
+    """table plus each visible stratum's Morse modules times its weight."""
+    for s in SC.visible_strata():
+        w = weights.get(s.name, 0)
+        if not w:
+            continue
+        for k, m in s.morse_items():
+            table[k] = mc.direct_sum(table.get(k, ModClass.zero()), mc.tensor(m, ModClass.free(w)))
+    return table
+
+
+def nearby_morse_at_origin(report: PolarReport, ft: Polynomial) -> MorseAtPoint:
+    """Morse modules of the shifted nearby cycles at the origin."""
+    gen = check_polar_genericity(report, ft, report.extension)
     if not gen.dim_vf:
         raise GenericityFailure("polar set meets V(f) in positive dimension")
-    alphas = _stratum_local_degrees(report, ft, point)
-    table: dict = {}
-    for s in report.complex.visible_strata():
-        a = alphas.get(s.name, 0)
-        if not a:
-            continue
-        for k, m in s.morse_items():
-            table[k] = mc.direct_sum(table.get(k, ModClass.zero()), mc.tensor(m, ModClass.free(a)))
-    return MorseAtPoint(dict(point or {}), table, alphas, "nearby", {"genericity": gen.to_json()})
+    alphas = _stratum_local_degrees(report, ft)
+    table = _weighted_morse(report.complex, alphas, {})
+    return MorseAtPoint(table, alphas, "nearby", {"genericity": gen.to_json()})
 
 
-def shriek_morse_at_origin(
-    report: PolarReport,
-    lt: Polynomial,
-    point: Mapping[str, Fraction] | None = None,
-) -> MorseAtPoint:
-    """Morse modules of i_! i^! at the point (complement extension)."""
-    gen = check_polar_genericity(report, report.function, lt, None, point)
+def shriek_morse_at_origin(report: PolarReport, lt: Polynomial) -> MorseAtPoint:
+    """Morse modules of i_! i^! at the origin (complement extension)."""
+    gen = check_polar_genericity(report, report.function, lt)
     if not gen.dim_vl:
         raise GenericityFailure("polar set meets V(L) in positive dimension")
-    betas = _stratum_local_degrees(report, lt, point)
-    table: dict = {}
-    for s in report.complex.visible_strata():
-        b = betas.get(s.name, 0)
-        if not b:
-            continue
-        for k, m in s.morse_items():
-            table[k] = mc.direct_sum(table.get(k, ModClass.zero()), mc.tensor(m, ModClass.free(b)))
-    return MorseAtPoint(dict(point or {}), table, betas, "shriek", {"genericity": gen.to_json()})
+    betas = _stratum_local_degrees(report, lt)
+    table = _weighted_morse(report.complex, betas, {})
+    return MorseAtPoint(table, betas, "shriek", {"genericity": gen.to_json()})
 
 
 def vanishing_morse_at_origin(
@@ -400,10 +375,9 @@ def vanishing_morse_at_origin(
     lt: Polynomial,
     m0: Mapping[int, ModClass],
     ss_bound: Sequence[Component] | None = None,
-    point: Mapping[str, Fraction] | None = None,
 ) -> MorseAtPoint:
-    """Morse modules of the shifted vanishing cycles at the point."""
-    gen = check_polar_genericity(report, ft, lt, ss_bound, point)
+    """Morse modules of the shifted vanishing cycles at the origin."""
+    gen = check_polar_genericity(report, ft, lt, ss_bound)
     if not gen.dim_vl:
         raise GenericityFailure("polar set meets V(L) in positive dimension")
     if not gen.componentwise:
@@ -412,18 +386,11 @@ def vanishing_morse_at_origin(
         )
     if gen.covector is False:
         raise GenericityFailure("covector lies in the microsupport bound")
-    alphas = _stratum_local_degrees(report, ft, point)
-    betas = _stratum_local_degrees(report, lt, point)
+    alphas = _stratum_local_degrees(report, ft)
+    betas = _stratum_local_degrees(report, lt)
     deltas = {name: alphas.get(name, 0) - betas.get(name, 0) for name in alphas}
-    table: dict = {k: m for k, m in m0.items() if not m.is_zero()}
-    for s in report.complex.visible_strata():
-        d = deltas.get(s.name, 0)
-        if not d:
-            continue
-        for k, m in s.morse_items():
-            table[k] = mc.direct_sum(table.get(k, ModClass.zero()), mc.tensor(m, ModClass.free(d)))
+    table = _weighted_morse(report.complex, deltas, {k: m for k, m in m0.items() if not m.is_zero()})
     return MorseAtPoint(
-        dict(point or {}),
         table,
         deltas,
         "vanishing",
@@ -617,10 +584,10 @@ def analyze_curve_branches(
     for s in SC.strata:
         if s.dim != 1:
             continue
-        mult = local_degree(s.closure_ideal.with_extra([lt]), None)
+        mult = local_degree(s.closure_ideal.with_extra([lt]))
         in_vf = radical_contains(s.closure_ideal, ft)
         eta = 0
         if not in_vf:
-            eta = local_degree(s.closure_ideal.with_extra([ft]), None)
+            eta = local_degree(s.closure_ideal.with_extra([ft]))
         out.append(CurveBranch(s.name, mult, in_vf, eta))
     return out

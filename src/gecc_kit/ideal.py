@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .polyring import (
     DEGREVLEX,
@@ -85,7 +85,7 @@ DEFAULT_LIMITS = EngineLimits()
 _SESSION: ContextVar[tuple] = ContextVar("engine_session", default=(DEFAULT_LIMITS, None))
 
 SATURATION_CAP = 32  # largest exponent ``saturate`` reports
-VECDIM_CAP = 200_000  # standard monomials enumerated by ``staircase``
+VECDIM_CAP = 200_000  # standard monomials counted or enumerated
 
 
 @contextmanager
@@ -569,7 +569,17 @@ def dimension_and_degree(I: Ideal) -> tuple:
     the lengths times the degrees of the top-dimensional components only.
     """
     gb = I.groebner_basis()
-    num = _hilbert_numerator([g.leading(DEGREVLEX)[0] for g in gb])
+    return monomial_dimension_and_degree([g.leading(DEGREVLEX)[0] for g in gb], len(I.ctx))
+
+
+def monomial_dimension_and_degree(lms: Sequence[tuple], n: int) -> tuple:
+    """(dimension, degree) of Q[x_1..x_n]/(lms) for exponents lms; (-1, 0) when 1 is in lms.
+
+    Read from the Hilbert numerator of the monomial ideal, which no
+    monomial order enters. In dimension 0 the degree is the number of
+    exponents that no element of lms divides.
+    """
+    num = _hilbert_numerator(lms)
     if not any(num):
         return -1, 0
     codim = 0
@@ -577,7 +587,7 @@ def dimension_and_degree(I: Ideal) -> tuple:
         # N(t) = (1-t) Q(t): Q's coefficients are the prefix sums of N's
         num = list(itertools.accumulate(num))[:-1]
         codim += 1
-    return len(I.ctx) - codim, sum(num)
+    return n - codim, sum(num)
 
 
 def _hilbert_numerator(gens: list) -> list:
@@ -668,12 +678,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     t = ctx2.gen(tv)
     gens = [g.lift(ctx2) * t for g in I.generators]
     gens += [g.lift(ctx2) * (ctx2.one() - t) for g in J.generators]
-    big = Ideal(ctx2, gens)
-    drop_pos = ctx2.position(tv)
-    order = block_order([drop_pos], len(ctx2))
-    gb = big.groebner_basis(order)
-    keep = [g for g in gb if g.degree_in(tv) <= 0]
-    return Ideal(I.ctx, [g.restrict(I.ctx) for g in keep])
+    return eliminate(Ideal(ctx2, gens), [tv], restrict=True)
 
 
 @dataclass
@@ -721,11 +726,7 @@ def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
     t = ctx2.gen(tv)
     gens = [g.lift(ctx2) for g in I.generators]
     gens.append(ctx2.one() - t * h.lift(ctx2))
-    big = Ideal(ctx2, gens)
-    order = block_order([ctx2.position(tv)], len(ctx2))
-    gb = big.groebner_basis(order)
-    keep = [g for g in gb if g.degree_in(tv) <= 0]
-    return Ideal(I.ctx, [g.restrict(I.ctx) for g in keep])
+    return eliminate(Ideal(ctx2, gens), [tv], restrict=True)
 
 
 def eliminate(
@@ -763,34 +764,14 @@ def variety_contained_in(I: Ideal, J: Ideal) -> bool:
     return all(radical_contains(I, g) for g in J.generators)
 
 
-def translate(I: Ideal, point: Mapping[str, Fraction]) -> Ideal:
-    """Move the given point to the origin: v -> v + p_v."""
-    ctx = I.ctx
-    assignment = {
-        v.name: ctx.gen(v.name) + ctx.const(point.get(v.name, 0))
-        for v in ctx.variables
-    }
-    return Ideal(ctx, [g.substitute(assignment) for g in I.generators])
-
-
-def vector_space_dimension(I: Ideal) -> int | None:
-    """Q-dimension of Q[ctx]/I; None when not zero-dimensional."""
-    basis = standard_monomials(I)
-    return None if basis is None else len(basis)
-
-
 def standard_monomials(I: Ideal) -> list | None:
-    """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order."""
-    gb = I.groebner_basis()
-    out = staircase([g.leading(DEGREVLEX)[0] for g in gb], len(I.ctx))
-    return None if out is None else sorted(out, key=DEGREVLEX.key_function(len(I.ctx)))
+    """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order.
 
-
-def staircase(lms: Sequence[tuple], n: int) -> list | None:
-    """Exponents in n variables that no exponent of lms divides; None when infinitely many.
-
-    Raises ResourceLimitExceeded past ``VECDIM_CAP`` monomials.
+    Walks the staircase of the degrevlex leading monomials; raises
+    ResourceLimitExceeded past ``VECDIM_CAP`` monomials.
     """
+    n = len(I.ctx)
+    lms = [g.leading(DEGREVLEX)[0] for g in I.groebner_basis()]
     if not all(any(not any(e[:i] + e[i + 1:]) for e in lms) for i in range(n)):
         return None  # some variable has no pure power (or 1) among the lms
     out: list = []
@@ -808,31 +789,30 @@ def staircase(lms: Sequence[tuple], n: int) -> list | None:
             if nm not in seen:
                 seen.add(nm)
                 stack.append(nm)
-    return out
+    return sorted(out, key=DEGREVLEX.key_function(n))
 
 
-def local_degree(
-    I: Ideal,
-    point: Mapping[str, Fraction] | None = None,
-) -> int:
-    """Length of the local ring of Q[ctx]/I at the point (0 off V(I)).
+def local_degree(I: Ideal) -> int:
+    """Length of the local ring of Q[ctx]/I at the origin (0 off V(I)).
 
-    Q[ctx]/I must be finite, else NotZeroDimensional. With D its
-    Q-dimension, the local algebra at the point has length at most D, so
-    the D-th power of its maximal ideal is zero, while at every other
-    point of V(I) some centred coordinate is a unit. Joining the D-th
-    power of every centred coordinate therefore leaves exactly the local
-    algebra, whose dimension is counted by standard monomials.
+    Q[ctx]/I must be finite, else NotZeroDimensional; past ``VECDIM_CAP``
+    standard monomials, ResourceLimitExceeded. With D its Q-dimension,
+    the local algebra at the origin has length at most D, so the D-th
+    power of its maximal ideal is zero, while at every other point of
+    V(I) some coordinate is a unit. Joining the D-th power of every
+    coordinate therefore leaves exactly the local algebra. Both D and the
+    length are degrees of zero-dimensional ideals, read by
+    ``dimension_and_degree``.
     """
-    J = translate(I, point) if point else I
-    for g in J.generators:
-        if g.constant_term() != 0:
-            return 0
-    D = vector_space_dimension(J)
-    if D is None:
+    if any(g.constant_term() != 0 for g in I.generators):
+        return 0
+    dim, D = dimension_and_degree(I)
+    if dim != 0:
         raise NotZeroDimensional(
             "local degree requested for an ideal whose quotient ring is not finite"
         )
-    ctx = J.ctx
+    if D > VECDIM_CAP:
+        raise ResourceLimitExceeded("standard monomial count exceeded cap")
+    ctx = I.ctx
     powers = tuple(ctx.gen(v) ** D for v in ctx.variables)
-    return vector_space_dimension(Ideal(ctx, J.groebner_basis() + powers))
+    return dimension_and_degree(Ideal(ctx, I.groebner_basis() + powers))[1]

@@ -11,7 +11,7 @@ gecc by downward induction over dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import modclass as mc
 from .cycles import (
@@ -149,14 +149,13 @@ def isolating_check(
     SC: StratifiedComplex,
     ft: Polynomial,
     ss_bound: Sequence[Component],
-    point: Mapping | None = None,
     s_dim: int | None = None,
 ) -> dict:
     """Isolating-coordinate diagnostics for the ambient coordinate order.
 
     For each j below the support dimension, the projectivized bound must
     meet the coordinate plane of the first j+1 cotangent directions
-    properly, with the point isolated in the sliced base image.
+    properly, with the origin isolated in the sliced base image.
     """
     ambient_t = SC.tstar_ambient()
     ambient_u = SC.ambient
@@ -188,26 +187,16 @@ def isolating_check(
                     continue
                 image = eliminate(p.ideal, wvars, restrict=True)
                 image = Ideal(uctx, [g.lift(uctx) for g in image.generators])
-                slices = [
-                    uctx.gen(z) - uctx.const((point or {}).get(z.name, 0))
-                    for z in zvars[:j]
-                ]
-                K = image.with_extra(slices)
+                K = image.with_extra([uctx.gen(z) for z in zvars[:j]])
                 if K.is_trivial():
                     continue
                 if K.dimension() <= 0:
                     continue
                 for w in decompose_components(K, ambient_u):
-                    through = all(
-                        g.evaluate(
-                            {v.name: (point or {}).get(v.name, 0) for v in uctx.variables}
-                        )
-                        == 0
-                        for g in w.ideal.generators
-                    )
+                    through = all(g.constant_term() == 0 for g in w.ideal.generators)
                     if w.dim >= 1 and through:
                         ok = False
-                        notes.append(f"{w!r}: positive-dimensional through the point at j={j}")
+                        notes.append(f"{w!r}: positive-dimensional through the origin at j={j}")
         results["per_j"][j] = ok
         if notes:
             results.setdefault("notes", []).extend(notes)

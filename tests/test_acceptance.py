@@ -78,7 +78,7 @@ def test_criterion_1_classical_polar(sc_xyt):
     for comp, _ in pieces:
         assert variety_contained_in(comp.ideal, target)
     # the components exhaust the polar cycle: total slice degree 2 = deg of target
-    assert classical_polar_mu(f, parse_polynomial("t", ctx), None, amb) == 2
+    assert classical_polar_mu(f, parse_polynomial("t", ctx), amb) == 2
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     report(1, started, "Gamma^1_{f,t} and (Gamma . V(t))_0 = 2")

@@ -369,6 +369,38 @@ def test_every_schema_key_is_checked(tmp_path, capsys, command, base, keys, spoi
     assert "Traceback" not in err
 
 
+CUSP = {
+    "ambient": {"n": 1, "coords": ["x", "y"]},
+    "strata": [
+        {"name": "cusp", "ideal": ["y^2-x^3"], "dim": 1, "morse": {"0": {"rank": 1, "torsion": []}}},
+        {"name": "origin", "ideal": ["x", "y"], "dim": 0, "morse": {"0": {"rank": 1, "torsion": []}}},
+    ],
+    "f": "y",
+    "L": "x",
+}
+# (subcommand, function dropped from the descriptor, extra arguments, exit
+# code): each subcommand without each function it needs, then --f
+# supplying the missing f
+_MISSING = [
+    (command, key, [], EXIT_DIAGNOSTIC)
+    for command, keys in [("conormal", "f"), ("polar", "fL"), ("nearby", "f"),
+                          ("shriek", "fL"), ("vanishing", "f"), ("check", "fL")]
+    for key in keys
+] + [("polar", "f", ["--f", "y"], EXIT_OK)]
+
+
+@pytest.mark.parametrize("command, key, extra, expected", _MISSING,
+                         ids=[f"{c}:{k}{''.join(e)}" for c, k, e, _ in _MISSING])
+def test_missing_function_is_located(tmp_path, capsys, command, key, extra, expected):
+    data = {k: v for k, v in CUSP.items() if k != key}
+    code = main([command, write_descriptor(tmp_path, data), *extra])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    if expected == EXIT_DIAGNOSTIC:
+        assert f"descriptor $.{key}: missing" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_curve_command(tmp_path, capsys):
     path = write_descriptor(tmp_path, ORACLE_CURVE, "curve.json")
     code, out = run_cli(capsys, "oracle-curve", path, "--json")

@@ -75,13 +75,13 @@ def test_lambda_slice_oracle(sc_txy):
         GradedEnrichedCycle.single(0, lam1), parse_polynomial("t", ctx)
     )
     total = sum(
-        m.rank * local_degree(c.ideal, None)
+        m.rank * local_degree(c.ideal)
         for c, m in sliced.degree(0).terms.items()
     )
     assert total == 2
     lam0 = lam.get(0, 0)
     total0 = sum(
-        m.rank * local_degree(c.ideal, None) for c, m in lam0.terms.items()
+        m.rank * local_degree(c.ideal) for c, m in lam0.terms.items()
     )
     assert total0 == 4
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gecc_kit.cycles import (
+    _field_degree,
     AmbientSpace,
     EnrichedCycle,
     GenericInjectivityFailure,
@@ -24,7 +25,7 @@ from gecc_kit.cycles import (
 )
 from gecc_kit.ideal import CertificationFailure, Ideal
 from gecc_kit.modclass import ModClass
-from gecc_kit.polyring import parse_polynomial
+from gecc_kit.polyring import base_context, parse_polynomial
 
 AMB_T = AmbientSpace("TstarU", 2, ("x", "y", "t"))
 AMB_U = AmbientSpace("U", 2, ("x", "y", "t"))
@@ -222,6 +223,13 @@ def test_pushforward_with_degree(source, gens, target, image, degree):
     src, tgt = (AmbientSpace(kind, 1, ("x", "y")) for kind in (source, target))
     pushed = pushforward_with_degree(single(comp(*gens, amb=src), Z(1)), tgt)
     assert pushed.degree(0).terms == {comp(*image, amb=tgt): Z(degree)}
+
+
+def test_field_degree_of_a_double_cover():
+    ctx = base_context(["x", "y"])
+    # K(x)[y]/(y^2 - x) has degree 2 over K(x); the unit ideal counts 0
+    assert _field_degree(Ideal(ctx, [parse_polynomial("y^2-x", ctx)]), {"x"}) == 2
+    assert _field_degree(Ideal(ctx, [ctx.one()]), {"x"}) == 0
 
 
 def test_to_ordinary_alternating():

@@ -58,7 +58,7 @@ def test_classical_polar_running_example(sc_xyt):
         assert variety_contained_in(comp.ideal, target)
     total = sum(m * 1 for _, m in pieces)
     assert total == 2  # two branches, multiplicity one each
-    assert classical_polar_mu(f, P("t", sc_xyt), None, amb) == 2
+    assert classical_polar_mu(f, P("t", sc_xyt), amb) == 2
 
 
 def test_classical_polar_a1_point():
@@ -66,7 +66,7 @@ def test_classical_polar_a1_point():
     ctx = amb.context()
     f = parse_polynomial("x^2+y^2+t^2", ctx)
     l = parse_polynomial("x+2*y+3*t", ctx)
-    assert classical_polar_mu(f, l, None, amb) == 1
+    assert classical_polar_mu(f, l, amb) == 1
 
 
 def test_classical_polar_smooth_function_empty():
@@ -75,7 +75,7 @@ def test_classical_polar_smooth_function_empty():
     assert classical_polar_cycle(parse_polynomial("x", ctx),
                                  parse_polynomial("t", ctx), amb) == []
     assert classical_polar_mu(parse_polynomial("x", ctx),
-                              parse_polynomial("t", ctx), None, amb) == 0
+                              parse_polynomial("t", ctx), amb) == 0
 
 
 # -- relative polar curve
