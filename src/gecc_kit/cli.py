@@ -324,7 +324,7 @@ def cmd_shriek(desc: ProblemDescriptor, args) -> tuple:
     rep = polar_curve(desc.complex, desc.f, desc.L)
     morse = shriek_morse_at_origin(rep, desc.L)
     nearby = nearby_morse_at_origin(rep, desc.f)
-    records = star_equals_shriek(desc.complex, desc.f, morse, nearby)
+    records = star_equals_shriek(morse, nearby)
     report = {
         "morse_at_origin": morse.to_json(),
         "assertions": [r.to_json() for r in records],

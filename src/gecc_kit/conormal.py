@@ -25,6 +25,7 @@ from .cycles import (
 from .decompose import minimal_primes
 from .ideal import (
     Ideal,
+    block_memo,
     radical_contains,
     saturate_element,
     variety_contained_in,
@@ -164,11 +165,7 @@ def _minors_with_last_row(rows: list, size: int, ncols: int) -> list:
 
 
 def _rank_witness(rows: list, size: int, ncols: int, modulus: Ideal) -> Polynomial | None:
-    """A size x size minor of the given rows nonzero mod the ideal."""
-    if size == 0:
-        return None  # rank condition vacuous; no saturation needed
-    if size > len(rows) or size > ncols:
-        return "rank-too-small"  # sentinel: no such minor exists
+    """A size x size minor of the given rows nonzero mod the ideal, or None."""
     for rsel in itertools.combinations(range(len(rows)), size):
         for csel in itertools.combinations(range(ncols), size):
             matrix = [[rows[i][j] for j in csel] for i in rsel]
@@ -177,34 +174,54 @@ def _rank_witness(rows: list, size: int, ncols: int, modulus: Ideal) -> Polynomi
                 continue
             if not modulus.contains(d):
                 return d
-    return "rank-too-small"
+    return None
+
+
+def _conormal(stratum: Stratum, extra_rows: list, ambient_t: AmbientSpace) -> Component | None:
+    """The stratum's conormal relative to the functions whose gradients are
+    the extra rows (None when they are constant on it), built once per
+    ``engine_limits`` block and keyed by the closure's reduced basis, the
+    extra rows and the ambient."""
+    key = ("conormal", ambient_t, stratum.closure_ideal.groebner_basis(),
+           tuple(map(tuple, extra_rows)))
+    return block_memo(key, lambda: _conormal_from_rows(stratum, extra_rows, ambient_t))
 
 
 def _conormal_from_rows(
     stratum: Stratum,
     extra_rows: list,
     ambient_t: AmbientSpace,
-) -> Component:
-    """Common core: I_S + minors([J; extras; w]) saturated at a rank witness."""
+) -> Component | None:
+    """I_S + minors([J; extras; w]) saturated at a rank witness of [J; extras];
+    None when there is none, which for [J; df] means that d(f|_S) = 0."""
     ctx = ambient_t.context()
     base_names = [v.name for v in ambient_t.base_vars()]
     lifted = [g.lift(ctx) for g in stratum.closure_ideal.generators]
-    base = Ideal(ctx, lifted)
     rows = [_gradient(g, base_names, ctx) for g in stratum.closure_ideal.generators]
     rows += extra_rows
-    c = (ambient_t.n + 1) - stratum.dim + (len(extra_rows))
+    c = (ambient_t.n + 1) - stratum.dim + len(extra_rows)
     ncols = ambient_t.n + 1
-    witness = _rank_witness(rows, c, ncols, base)
-    if witness == "rank-too-small" and c <= min(len(rows), ncols):
+    witness = _rank_witness(rows, c, ncols, Ideal(ctx, lifted)) if c else None
+    if c and witness is None:
+        if extra_rows:
+            return None
         raise RankAnomaly(
             f"stratum {stratum.name}: expected generic rank {c} not attained"
         )
     wrow = [ctx.gen(v) for v in ambient_t.cotangent_vars()]
     minors = _minors_with_last_row(rows + [wrow], c + 1, ncols)
     full = Ideal(ctx, lifted + minors)
-    if isinstance(witness, Polynomial):
+    if witness is not None:
         full = saturate_element(full, witness)
-    return component_from_prime(full, ambient_t)
+    comp = component_from_prime(full, ambient_t)
+    expected = ncols + len(extra_rows)
+    if comp.dim != expected:
+        what = "relative conormal" if extra_rows else "conormal"
+        raise RankAnomaly(
+            f"{what} of {stratum.name} has dimension {comp.dim}, expected {expected}"
+        )
+    _assert_conic(comp, ambient_t)
+    return comp
 
 
 def conormal_variety(
@@ -212,26 +229,7 @@ def conormal_variety(
     ambient_t: AmbientSpace,
 ) -> Component:
     """Closure of the conormal space to the stratum, as a certified component."""
-    comp = _conormal_from_rows(stratum, [], ambient_t)
-    if comp.dim != ambient_t.n + 1:
-        raise RankAnomaly(
-            f"conormal of {stratum.name} has dimension {comp.dim}, "
-            f"expected Lagrangian dimension {ambient_t.n + 1}"
-        )
-    _assert_conic(comp, ambient_t)
-    return comp
-
-
-def f_nonconstant_on(stratum: Stratum, ft: Polynomial, ambient_t: AmbientSpace) -> bool:
-    """d(f|_S) not identically zero: some Jacobian+gradient minor survives."""
-    ctx = ambient_t.context()
-    base_names = [v.name for v in ambient_t.base_vars()]
-    base = Ideal(ctx, [g.lift(ctx) for g in stratum.closure_ideal.generators])
-    rows = [_gradient(g, base_names, ctx) for g in stratum.closure_ideal.generators]
-    rows.append(_gradient(ft, base_names, ctx))
-    c = (ambient_t.n + 1) - stratum.dim
-    witness = _rank_witness(rows, c + 1, ambient_t.n + 1, base)
-    return isinstance(witness, Polynomial)
+    return _conormal(stratum, [], ambient_t)
 
 
 def relative_conormal(
@@ -240,20 +238,13 @@ def relative_conormal(
     ambient_t: AmbientSpace,
 ) -> Component:
     """Closure of the relative conormal of f on the stratum."""
-    ctx = ambient_t.context()
     base_names = [v.name for v in ambient_t.base_vars()]
-    if not f_nonconstant_on(stratum, ft, ambient_t):
+    frow = _gradient(ft, base_names, ambient_t.context())
+    comp = _conormal(stratum, [frow], ambient_t)
+    if comp is None:
         raise FConstantOnStratum(
             f"{ft} is constant on stratum {stratum.name}"
         )
-    frow = _gradient(ft, base_names, ctx)
-    comp = _conormal_from_rows(stratum, [frow], ambient_t)
-    if comp.dim != ambient_t.n + 2:
-        raise RankAnomaly(
-            f"relative conormal of {stratum.name} has dimension {comp.dim}, "
-            f"expected {ambient_t.n + 2}"
-        )
-    _assert_conic(comp, ambient_t)
     return comp
 
 
@@ -290,9 +281,10 @@ def relative_conormal_cycle(SC: StratifiedComplex, ft: Polynomial) -> GradedEnri
     ambient_t = SC.tstar_ambient()
     degrees: dict = {}
     for s in SC.visible_strata():
-        if not f_nonconstant_on(s, ft, ambient_t):
+        try:
+            comp = relative_conormal(s, ft, ambient_t)
+        except FConstantOnStratum:
             continue
-        comp = relative_conormal(s, ft, ambient_t)
         for k, m in s.morse_items():
             cyc = degrees.setdefault(k, EnrichedCycle(ambient_t))
             degrees[k] = cyc.add_term(comp, m)

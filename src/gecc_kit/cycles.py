@@ -272,14 +272,6 @@ class GradedEnrichedCycle:
     def degree(self, k: int) -> EnrichedCycle:
         return self.degrees.get(k, EnrichedCycle(self.ambient))
 
-    def support(self) -> list:
-        seen: list = []
-        for k in sorted(self.degrees):
-            for c in self.degrees[k].support():
-                if c not in seen:
-                    seen.append(c)
-        return seen
-
     def shift(self, j: int) -> "GradedEnrichedCycle":
         return GradedEnrichedCycle(
             self.ambient, {k - j: cyc for k, cyc in self.degrees.items()}

@@ -7,7 +7,9 @@ are tensor combinations of the input Morse tables with local intersection
 numbers of the per-stratum polar cycles. The germ is always at the
 origin, and each local intersection number is the length of a
 zero-dimensional local ring there, read as a degree from the Hilbert
-numerator (``ideal.local_degree``).
+numerator (``ideal.local_degree``). A command measures each polar length
+once (``polar_length``), and the genericity checks and the three Morse
+tables read that one measurement.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .cycles import (
     to_ordinary,
 )
 from .conormal import (
+    FConstantOnStratum,
     StratifiedComplex,
     conormal_variety,
-    f_nonconstant_on,
     gecc_assemble,
     im_d,
     relative_conormal,
@@ -40,6 +42,7 @@ from .conormal import (
 )
 from .ideal import (
     Ideal,
+    block_memo,
     local_degree,
     radical_contains,
 )
@@ -99,10 +102,6 @@ class MorseAtPoint:
     kind: str
     diagnostics: dict = field(default_factory=dict)
 
-    def rank(self, k: int) -> int:
-        m = self.table.get(k)
-        return m.rank if m else 0
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -126,9 +125,10 @@ def polar_curve(
     degrees: dict = {}
     diagnostics: dict = {"strata": {}}
     for s in SC.visible_strata():
-        if not f_nonconstant_on(s, ft, ambient_t):
+        try:
+            rel = relative_conormal(s, ft, ambient_t)
+        except FConstantOnStratum:
             continue
-        rel = relative_conormal(s, ft, ambient_t)
         cyc = GradedEnrichedCycle.single(0, EnrichedCycle(ambient_t, {rel: ModClass.free(1)}))
         inter = ci_intersect(cyc, list(graph.generators))
         if not inter:
@@ -285,8 +285,8 @@ def check_polar_genericity(
         if inside_f or inside_l:
             details[repr(comp)] = "contained in a level set"
             continue
-        a = local_degree(comp.ideal.with_extra([ft]))
-        b = local_degree(comp.ideal.with_extra([lt]))
+        a = polar_length(comp, ft)
+        b = polar_length(comp, lt)
         details[repr(comp)] = {"f_degree": a, "l_degree": b}
         if a < b:
             componentwise = False
@@ -328,14 +328,20 @@ def nearby_gecc(
     return divisor_intersect(rel, ft.lift(SC.tstar_ambient().context()))
 
 
+def polar_length(comp: Component, divisor: Polynomial) -> int:
+    """(comp . V(divisor))_0 for a polar component, measured once per
+    ``engine_limits`` block: genericity and the Morse tables share it."""
+    return block_memo(
+        ("polar length", comp, divisor),
+        lambda: local_degree(comp.ideal.with_extra([divisor])),
+    )
+
+
 def _stratum_local_degrees(report: PolarReport, divisor: Polynomial) -> dict:
-    out: dict = {}
-    for name, pieces in report.per_stratum.items():
-        total = 0
-        for comp, mult in pieces:
-            total += mult * local_degree(comp.ideal.with_extra([divisor]))
-        out[name] = total
-    return out
+    return {
+        name: sum(mult * polar_length(comp, divisor) for comp, mult in pieces)
+        for name, pieces in report.per_stratum.items()
+    }
 
 
 def _weighted_morse(SC: StratifiedComplex, weights: Mapping[str, int], table: dict) -> dict:
@@ -410,8 +416,6 @@ class AssertionRecord:
 
 
 def star_equals_shriek(
-    SC: StratifiedComplex,
-    ft: Polynomial,
     shriek: MorseAtPoint,
     nearby: MorseAtPoint | None = None,
 ) -> list:

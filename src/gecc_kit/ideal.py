@@ -29,7 +29,9 @@ memo also keys them by (context, generator set, order), so a second
 Ideal with the same generators, in any order or repeated, takes the basis
 without a run. A reduced basis is unique for its ideal and order, so a memo hit
 returns exactly what a run would. The memo is dropped when the block
-ends; outside any block there is none.
+ends; outside any block there is none. ``block_memo`` keeps other objects
+built from bases (conormals, polar lengths) in the same memo, on the same
+terms.
 
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
@@ -100,6 +102,23 @@ def engine_limits(config: EngineLimits):
         yield
     finally:
         _SESSION.reset(token)
+
+
+def block_memo(key: tuple, build):
+    """build(), made once per ``engine_limits`` block and kept there under key.
+
+    Objects built from Groebner runs (conormals, polar lengths) live in the
+    block's memo beside its reduced bases and follow the same rule: a
+    nested block builds them again under its own budget, and outside any
+    block nothing is kept. Keys start with a string, which no basis key
+    does.
+    """
+    memo = _SESSION.get()[1]
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 # process-wide counters surfaced on CLI reports; a memo hit is not a run

@@ -96,10 +96,6 @@ class VarContext:
     def extend(self, extra: Sequence[Variable]) -> "VarContext":
         return VarContext(self.variables + tuple(extra))
 
-    def restrict(self, keep: Sequence[Variable]) -> "VarContext":
-        keep_set = {v.name for v in keep}
-        return VarContext(tuple(v for v in self.variables if v.name in keep_set))
-
 
 def base_context(names: Sequence[str]) -> VarContext:
     return VarContext(tuple(Variable(n, BASE, i) for i, n in enumerate(names)))
@@ -404,11 +400,11 @@ class Polynomial:
         """Reinterpret in a smaller context; dropped variables must not occur."""
         keep = []
         for i, v in enumerate(self.ctx.variables):
-            if v.name in target.names():
-                keep.append((i, target.position(v.name)))
-            else:
-                if any(e[i] for e in self.terms):
-                    raise ValueError(f"variable {v.name} occurs; cannot restrict")
+            p = target._by_name.get(v.name)
+            if p is not None:
+                keep.append((i, p))
+            elif any(e[i] for e in self.terms):
+                raise ValueError(f"variable {v.name} occurs; cannot restrict")
         m = len(target)
         terms = {}
         for e, c in self.terms.items():

@@ -5,7 +5,10 @@ graded cycle, and the blow-up / exceptional-divisor cross-check.
 The iteration cuts the input graded cycle by the graph equations of df
 one coordinate at a time, splitting off at each step the part supported
 on the graph; pushforwards of those parts determine the vanishing-cycle
-gecc by downward induction over dimension.
+gecc by downward induction over dimension. Each candidate of the induction
+gets one conormal and one projectivization. Conormals are built once per
+command (``conormal``): the bound, the support dimension, the assembled
+gecc and a candidate whose closure is a stratum closure share them.
 """
 
 from __future__ import annotations
@@ -99,12 +102,10 @@ class MicrosupportBound:
 def microsupport_phi_bound(
     SC: StratifiedComplex,
     ft: Polynomial,
-    psi: GradedEnrichedCycle | None = None,
 ) -> MicrosupportBound:
     """Lower/upper bounds for |gecc(vanishing cycles)| per degree."""
     ambient_t = SC.tstar_ambient()
-    if psi is None:
-        psi = nearby_gecc(SC, ft)
+    psi = nearby_gecc(SC, ft)
     lower: dict = {}
     upper: dict = {}
     for s in SC.visible_strata():
@@ -149,7 +150,6 @@ def isolating_check(
     SC: StratifiedComplex,
     ft: Polynomial,
     ss_bound: Sequence[Component],
-    s_dim: int | None = None,
 ) -> dict:
     """Isolating-coordinate diagnostics for the ambient coordinate order.
 
@@ -163,8 +163,7 @@ def isolating_check(
     uctx = ambient_u.context()
     wvars = list(ambient_t.cotangent_vars())
     zvars = list(ambient_u.base_vars())
-    if s_dim is None:
-        s_dim = phi_support_dimension(SC, ft)
+    s_dim = phi_support_dimension(SC, ft)
     results: dict = {"s": s_dim, "per_j": {}, "pass": True}
     for j in range(max(s_dim, 0)):
         ok = True
@@ -397,33 +396,22 @@ def char_polar_cycles(
     return CharPolarCycles(ambient_u, out)
 
 
-def absolute_polar_slice_multiplicity(
-    W: Component,
-    j: int,
-) -> int:
-    """Coefficient of [W] in eta_*( P(T*_W) . U x P^j x {0} )."""
-    ambient_u = W.ambient
-    stratum = Stratum("_candidate", W.ideal, W.dim, {0: ModClass.free(1)})
-    conormal = conormal_variety(stratum, ambient_u.with_kind(TSTAR_KIND))
-    P = projectivize(
-        GradedEnrichedCycle.single(
-            0, EnrichedCycle(conormal.ambient, {conormal: ModClass.free(1)})
-        ),
-    )
-    sliced = char_polar_cycles(P, [j])
-    coeff = sliced.get(0, j).terms.get(W)
-    if coeff is None:
-        raise InconsistencyError(
-            f"candidate conormal of {W!r} does not slice onto its base"
-        )
-    return coeff.rank
+def _polar_slice(P: EnrichedCycle, j: int) -> EnrichedCycle:
+    """eta_*(P . U x P^j x {0}): a projectivized cycle sliced at level j, in U."""
+    return char_polar_cycles(GradedEnrichedCycle.single(0, P), [j]).get(0, j)
 
 
 def reconstruct_gecc(
     cpc: CharPolarCycles,
 ) -> GradedEnrichedCycle:
     """Downward induction over dimension: recover the graded cycle whose
-    characteristic polar cycles are the given ones."""
+    characteristic polar cycles are the given ones.
+
+    Each candidate W gets one conormal and one projectivization P(T*_W):
+    the coefficient c of [W] in its slice divides the leftover class, and
+    P(T*_W) times the resulting Morse class joins the sum that corrects the
+    lower steps.
+    """
     ambient_u = cpc.ambient
     ambient_t = ambient_u.with_kind(TSTAR_KIND)
     result_degrees: dict = {}
@@ -432,17 +420,10 @@ def reconstruct_gecc(
         if not dims:
             continue
         acc = EnrichedCycle(ambient_t)
-        projective_sum = None  # D_{>= j+1} as a projectivized cycle
+        projective_sum = EnrichedCycle(ambient_u.with_kind(U_P_KIND))  # D_{>= j+1}
         for j in range(max(dims), -1, -1):
-            lam = cpc.get(k, j)
-            correction = EnrichedCycle(ambient_u)
-            if projective_sum is not None and projective_sum:
-                sliced = char_polar_cycles(
-                    GradedEnrichedCycle.single(0, projective_sum), [j]
-                )
-                correction = sliced.get(0, j)
-            M: dict = dict(lam.terms)
-            for comp, m in correction.terms.items():
+            M: dict = dict(cpc.get(k, j).terms)
+            for comp, m in _polar_slice(projective_sum, j).terms.items():
                 have = M.get(comp, ModClass.zero())
                 if not mc.mod_leq(m, have):
                     raise InconsistencyError(
@@ -458,21 +439,24 @@ def reconstruct_gecc(
                     raise InconsistencyError(
                         f"leftover cycle {W!r} has dim {W.dim} at induction step {j}"
                     )
-                c = absolute_polar_slice_multiplicity(W, j)
-                morse = mc.divide_free(coeff, c)
                 stratum = Stratum("_rec", W.ideal, W.dim, {0: ModClass.free(1)})
                 conormal = conormal_variety(stratum, ambient_t)
-                acc = acc.add_term(conormal, morse)
                 P = projectivize(
                     GradedEnrichedCycle.single(
-                        0, EnrichedCycle(ambient_t, {conormal: morse})
+                        0, EnrichedCycle(ambient_t, {conormal: ModClass.free(1)})
                     ),
                 ).degree(0)
-                projective_sum = P if projective_sum is None else projective_sum.plus(P)
+                c = _polar_slice(P, j).terms.get(W)
+                if c is None:
+                    raise InconsistencyError(
+                        f"candidate conormal of {W!r} does not slice onto its base"
+                    )
+                morse = mc.divide_free(coeff, c.rank)
+                acc = acc.add_term(conormal, morse)
+                projective_sum = projective_sum.plus(P.scale(morse))
         if acc:
             result_degrees[k] = acc
-    ambient = ambient_t
-    return GradedEnrichedCycle(ambient, result_degrees)
+    return GradedEnrichedCycle(ambient_t, result_degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from gecc_kit.conormal import (
     Stratum,
     StratifiedComplex,
     conormal_variety,
-    f_nonconstant_on,
     gecc_assemble,
     im_d,
     relative_conormal,
@@ -158,7 +157,6 @@ def test_relative_conormal_curve_stratum_whole_space():
 def test_relative_conormal_constant_function_rejected():
     amb_t = AMB_XYT.with_kind("TstarU")
     s3 = stratum(AMB_XYT, "S3", ["x", "y"], 1)
-    assert not f_nonconstant_on(s3, P("x", AMB_XYT), amb_t)
     with pytest.raises(FConstantOnStratum):
         relative_conormal(s3, P("x", AMB_XYT), amb_t)
 

@@ -191,7 +191,7 @@ def test_star_equals_shriek_records(sc_xyt):
     rep = polar_curve(sc_xyt, P("x", sc_xyt), P("t", sc_xyt))
     shr = shriek_morse_at_origin(rep, P("t", sc_xyt))
     near = nearby_morse_at_origin(rep, P("x", sc_xyt))
-    records = star_equals_shriek(sc_xyt, P("x", sc_xyt), shr, near)
+    records = star_equals_shriek(shr, near)
     assert all(r.passed for r in records)
     # Cor 6.2 monotonicity appears among the records
     assert any("<=" in r.name for r in records)

@@ -519,6 +519,22 @@ def test_minimal_primes_fiber_linear_over_own_base():
     assert [(w.ideal, w.route) for w in ps] == [(J, "linear-fiber")]
 
 
+def test_minimal_primes_point_field():
+    # Q[x, y]/(x^2 - 2, y^2 - 3) is the field Q(sqrt 2, sqrt 3), certified
+    # by a primitive element whose minimal polynomial is irreducible
+    ctx = base_context(["x", "y"])
+    J = I("x^2-2", "y^2-3", ctx=ctx)
+    assert [(w.ideal, w.route) for w in minimal_primes(J)] == [(J, "point")]
+
+
+def test_minimal_primes_point_field_splits():
+    # over (x^2 - 2, y^2 - 2) the primitive element's minimal polynomial
+    # factors, and its factor splits the point into two conjugate pairs
+    ctx = base_context(["x", "y"])
+    ps = minimal_primes(I("x^2-2", "y^2-2", ctx=ctx))
+    assert {tuple(gens_str(w.ideal)) for w in ps} == {("x + y", "y^2 - 2"), ("x - y", "y^2 - 2")}
+
+
 def test_minimal_primes_intersection_property():
     rng = random.Random(10)
     J = I("x^2*(x+t^2)", "y")

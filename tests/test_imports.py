@@ -1,7 +1,8 @@
 """Every name an engine module imports is used, every top-level def and
 method is, no engine module imports ``random``, only ``decompose.py``
-imports ``sympy``, factoring loads none of sympy's tensor machinery, and
-no engine function takes a ``limits`` parameter.
+imports ``sympy``, factoring loads none of sympy's tensor machinery, no
+engine function takes a ``limits`` parameter, and every engine name that
+bench/spans.py traces exists.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -13,6 +14,8 @@ bench/spans.py's wrap table) other than at its own definition.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -247,3 +250,17 @@ def test_scan_flags_an_unused_def(tmp_path):
     )
     assert unused_defs([module], [module]) == [
         "sample.py: orphan (line 3)", "sample.py: Orphan (line 5)", "sample.py: Kept.uncalled (line 12)"]
+
+
+def test_every_traced_name_exists():
+    # spans.install looks each (module, attribute) of SPANS up with no
+    # default, so a traced run breaks on a deleted or renamed engine name
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in spans.SPANS
+        if not hasattr(importlib.import_module(f"gecc_kit.{module}"), attr)
+    ]
+    assert spans.SPANS and missing == []

@@ -254,6 +254,23 @@ def test_reconstruct_point_supported(sc_txy):
     assert rebuilt.degree(0).terms == {tcomp(sc_txy, "t", "x", "y"): Z(5)}
 
 
+def test_reconstruct_subtracts_the_higher_correction():
+    # A1 singularities along W = V(y, t - x^2): Lambda^1 = [W], and the
+    # slice of P(T*_W) at level 0 accounts for all of Lambda^0, so the
+    # downward induction must subtract it and leave CC = [T*_W].
+    amb = AmbientSpace("U", 2, ("t", "x", "y"))
+    SC = StratifiedComplex(amb, [make_stratum(amb, "U", [], 3, {0: Z(1)})])
+    rep = vanishing_pipeline(SC, P("y^2+(t-x^2)^2", SC), route="both")
+    W = ucomp(SC, "y", "x^2-t")
+    assert rep.lambdas.get(0, 1).terms == {W: Z(1)}
+    assert rep.lambdas.get(0, 0).terms == {ucomp(SC, "t", "x", "y"): Z(1)}
+    conormal_w = tcomp(SC, "y", "x*w0 + 1/2*w1", "t*w0 + 1/2*x*w1", "x^2 - t")
+    assert conormal_w == conormal_variety(Stratum("W", W.ideal, 1), SC.tstar_ambient())
+    assert rep.gecc_phi.degree(0).terms == {conormal_w: Z(1)}
+    assert rep.cc_phi.terms == {conormal_w: 1}
+    assert rep.agreement is True
+
+
 # -- blow-up route
 
 
