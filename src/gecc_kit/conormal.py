@@ -26,9 +26,9 @@ from .decompose import minimal_primes
 from .ideal import (
     Ideal,
     block_memo,
+    prime_contains_all,
     radical_contains,
     saturate_element,
-    variety_contained_in,
 )
 from .polyring import Polynomial, VarContext
 
@@ -115,7 +115,7 @@ class StratifiedComplex:
             pieces = minimal_primes(cut)
             for w in pieces:
                 if not any(
-                    variety_contained_in(w.ideal, t.closure_ideal)
+                    prime_contains_all(w.ideal, t.closure_ideal.generators)
                     for t in inside
                 ):
                     return False

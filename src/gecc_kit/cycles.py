@@ -24,9 +24,8 @@ from .ideal import (
     dimension_and_degree,
     eliminate,
     monomial_dimension_and_degree,
-    radical_contains,
+    prime_contains_all,
     saturate_element,
-    variety_contained_in,
 )
 from .modclass import ModClass
 from .polyring import (
@@ -116,7 +115,26 @@ def _ambient_context(kind: str, n: int, coords: tuple) -> VarContext:
 
 @dataclass(frozen=True)
 class Component:
-    """Irreducible variety: certified prime ideal in an ambient space."""
+    """Irreducible variety: certified prime ideal in an ambient space.
+
+    Each constructor's ideal is prime by how it is made:
+    - ``decompose_components``: a ``minimal_primes`` witness, certified by
+      one of the decomposition engine's routes;
+    - ``_pushforward_component``: the elimination of a prime, the ideal of
+      the image of an irreducible variety;
+    - ``vanishing._blowup_cone``: the graph u = s h over a prime with s
+      eliminated; before the elimination the quotient is a polynomial
+      ring in s over the prime's domain;
+    - ``conormal``: the saturation at a rank witness of the Jacobian-minor
+      ideal over a prime closure, the decomposition engine's
+      prime-fiber route;
+    - ``vanishing.projectivize``: a component's ideal with the cotangent
+      variables renamed to the tags;
+    - ``hypersurface.classical_polar_cycle``: the zero ideal.
+    So V(ideal) lies in V(J) exactly when J lies in the ideal, which
+    ``prime_contains_all`` tests by normal forms; only ideals with no such
+    certificate take ``radical_contains``.
+    """
 
     ideal: Ideal
     ambient: AmbientSpace
@@ -163,7 +181,7 @@ def decompose_components(I: Ideal, ambient: AmbientSpace) -> list:
     out = []
     irr = irrelevant_ideal(ambient)
     for w in minimal_primes(I):
-        if irr is not None and variety_contained_in(w.ideal, irr):
+        if irr is not None and prime_contains_all(w.ideal, irr.generators):
             continue
         out.append(component_from_prime(w.ideal, ambient))
     return out
@@ -376,7 +394,7 @@ def gap_remove(E: GradedEnrichedCycle, J: Ideal) -> tuple:
         ins: dict = {}
         outs: dict = {}
         for comp, m in cyc.terms.items():
-            if variety_contained_in(comp.ideal, J):
+            if prime_contains_all(comp.ideal, J.generators):
                 ins[comp] = m
             else:
                 outs[comp] = m
@@ -507,7 +525,7 @@ def _intersect_component(
     g: Polynomial,
     ambient: AmbientSpace,
 ) -> list:
-    if radical_contains(comp.ideal, g):
+    if prime_contains_all(comp.ideal, [g]):
         raise ImproperIntersection(
             f"component {comp!r} is contained in the divisor V({g})"
         )

@@ -21,7 +21,9 @@ from sympy.polys.rings import PolyRing
 from .ideal import (
     CertificationFailure,
     Ideal,
+    block_memo,
     eliminate,
+    polynomial_key,
     saturate_element,
     standard_monomials,
 )
@@ -57,16 +59,17 @@ def _factor_key(dense: list, ngens: int, mult: int) -> tuple:
     return (len(dense), ngens, mult, dense)
 
 
-_FACTOR_CACHE: dict = {}
-
-
 def factor_list(p: Polynomial) -> list:
-    """Irreducible factors over Q with multiplicities; constants dropped."""
+    """Irreducible factors over Q with multiplicities; constants dropped.
+
+    Factored once per ``engine_limits`` block (``block_memo``).
+    """
     if p.is_zero() or p.total_degree() == 0:
         return []
-    cached = _FACTOR_CACHE.get(p)
-    if cached is not None:
-        return cached
+    return block_memo(("factor", p.ctx, polynomial_key(p)), lambda: _factor(p))
+
+
+def _factor(p: Polynomial) -> list:
     ctx, n = p.ctx, len(p.ctx)
     names = ctx.names()
     content = [min(e[i] for e in p.terms) for i in range(n)]
@@ -95,11 +98,7 @@ def factor_list(p: Polynomial) -> list:
                 terms[tuple(e)] = Fraction(int(c))
             keyed.append((_factor_key(f.to_dense(), R.ngens, mult), Polynomial(ctx, terms), mult))
     keyed.sort(key=lambda item: item[0])
-    out = [(q, mult) for _, q, mult in keyed]
-    if len(_FACTOR_CACHE) > 4096:
-        _FACTOR_CACHE.clear()
-    _FACTOR_CACHE[p] = out
-    return out
+    return [(q, mult) for _, q, mult in keyed]
 
 
 def is_irreducible(p: Polynomial) -> bool:

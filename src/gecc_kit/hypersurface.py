@@ -44,6 +44,7 @@ from .ideal import (
     Ideal,
     block_memo,
     local_degree,
+    prime_contains_all,
     radical_contains,
 )
 from .modclass import ModClass
@@ -213,7 +214,7 @@ def classical_polar_cycle(
     inter = ci_intersect(ambient_cycle, cuts)
     pieces = []
     for comp, m in inter.degree(0).terms.items():
-        if all(radical_contains(comp.ideal, g) for g in sigma.generators):
+        if prime_contains_all(comp.ideal, sigma.generators):
             continue  # contained in the critical locus: gap-removed
         pieces.append((comp, m.rank))
     pieces.sort(key=lambda t: sorted(t[0].gen_strings()))
@@ -276,8 +277,8 @@ def check_polar_genericity(
     dim_vl = True
     componentwise = True
     for comp in report.components():
-        inside_f = radical_contains(comp.ideal, ft)
-        inside_l = radical_contains(comp.ideal, lt)
+        inside_f = prime_contains_all(comp.ideal, [ft])
+        inside_l = prime_contains_all(comp.ideal, [lt])
         if inside_f:
             dim_vf = False
         if inside_l:

@@ -27,11 +27,13 @@ Two caches. Each Ideal keeps its reduced basis, the run's stats and its
 packed basis per monomial order. Inside an ``engine_limits`` block, a
 memo also keys them by (context, generator set, order), so a second
 Ideal with the same generators, in any order or repeated, takes the basis
-without a run. A reduced basis is unique for its ideal and order, so a memo hit
-returns exactly what a run would. The memo is dropped when the block
-ends; outside any block there is none. ``block_memo`` keeps other objects
-built from bases (conormals, polar lengths) in the same memo, on the same
-terms.
+without a run; a generator enters the key as its (exponent, numerator,
+denominator) triples, so no Fraction is hashed. A reduced basis is unique
+for its ideal and order, so a memo hit returns exactly what a run would.
+The memo is dropped when the block ends; outside any block there is none.
+``block_memo`` keeps in the same memo, on the same terms, what is built
+from bases or kept for reuse: the (dimension, degree) of each degrevlex
+leading-monomial ideal, conormals, polar lengths and factorizations.
 
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
@@ -59,9 +61,7 @@ from .polyring import (
     VarContext,
     Variable,
     block_order,
-    exp_div,
     exp_divides,
-    exp_lcm,
 )
 
 
@@ -107,11 +107,12 @@ def engine_limits(config: EngineLimits):
 def block_memo(key: tuple, build):
     """build(), made once per ``engine_limits`` block and kept there under key.
 
-    Objects built from Groebner runs (conormals, polar lengths) live in the
-    block's memo beside its reduced bases and follow the same rule: a
-    nested block builds them again under its own budget, and outside any
-    block nothing is kept. Keys start with a string, which no basis key
-    does.
+    Objects built from Groebner runs (conormals, polar lengths, the
+    dimension and degree of a leading-monomial ideal) and factorizations
+    live in the block's memo beside its reduced bases and follow the same
+    rule: a nested block builds them again under its own budget, and
+    outside any block nothing is kept. Keys start with a string, which no
+    basis key does.
     """
     memo = _SESSION.get()[1]
     if memo is None:
@@ -196,7 +197,11 @@ def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
 
 def _width(polys: Iterable[Polynomial], width: int = 16) -> int:
     """The narrowest field width, from ``width`` up by doubling, that holds polys."""
-    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    return _width_for(max((x for p in polys for e in p.terms for x in e), default=0), width)
+
+
+def _width_for(top: int, width: int = 16) -> int:
+    """The narrowest field width, from ``width`` up by doubling, that holds top."""
     while top >> (width - 1):
         width *= 2
     return width
@@ -443,6 +448,11 @@ def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list
 # Ideals
 
 
+def polynomial_key(p: Polynomial) -> frozenset:
+    """Equal exactly when the polynomials are, with no Fraction hashed."""
+    return frozenset([(e, c.numerator, c.denominator) for e, c in p.terms.items()])
+
+
 class Ideal:
     """Ideal of Q[ctx], generators plus a per-order reduced-basis cache.
 
@@ -481,7 +491,7 @@ class Ideal:
         if memo is None:
             found = self._run(order, limits.spair_budget)
         else:
-            key = (self.ctx, frozenset(self.generators), sig)
+            key = (self.ctx, frozenset(map(polynomial_key, self.generators)), sig)
             found = memo.get(key)
             if found is None:
                 found = memo[key] = self._run(order, limits.spair_budget)
@@ -586,9 +596,15 @@ def dimension_and_degree(I: Ideal) -> tuple:
     N(t)/(1-t)^n, the dimension is n less the order of the zero of N at
     t = 1, and the degree is N(t)/(1-t)^(n-dim) at t = 1. The degree sums
     the lengths times the degrees of the top-dimensional components only.
+    The leading monomials are read off the run's packed basis, and each
+    monomial ideal is measured once per ``engine_limits`` block.
     """
-    gb = I.groebner_basis()
-    return monomial_dimension_and_degree([g.leading(DEGREVLEX)[0] for g in gb], len(I.ctx))
+    I.groebner_basis()
+    _, _, packing, basis = I._cache[DEGREVLEX.signature()]
+    mask = packing.mask
+    lms = tuple([g[0] & mask for g in basis])
+    return block_memo(("hilbert numerator", packing, lms),
+                      lambda: _packed_dimension_and_degree(lms, packing))
 
 
 def monomial_dimension_and_degree(lms: Sequence[tuple], n: int) -> tuple:
@@ -598,7 +614,14 @@ def monomial_dimension_and_degree(lms: Sequence[tuple], n: int) -> tuple:
     monomial order enters. In dimension 0 the degree is the number of
     exponents that no element of lms divides.
     """
-    num = _hilbert_numerator(lms)
+    packing = _packing(DEGREVLEX, n, _width_for(max((x for e in lms for x in e), default=0)))
+    mask = packing.mask
+    return _packed_dimension_and_degree([packing.monomial(e) & mask for e in lms], packing)
+
+
+def _packed_dimension_and_degree(lms: Sequence[int], packing: _Packing) -> tuple:
+    """``monomial_dimension_and_degree`` for the fields of packed monomials."""
+    num = _hilbert_numerator(lms, packing)
     if not any(num):
         return -1, 0
     codim = 0
@@ -606,37 +629,54 @@ def monomial_dimension_and_degree(lms: Sequence[tuple], n: int) -> tuple:
         # N(t) = (1-t) Q(t): Q's coefficients are the prefix sums of N's
         num = list(itertools.accumulate(num))[:-1]
         codim += 1
-    return n - codim, sum(num)
+    return len(packing.shifts) - codim, sum(num)
 
 
-def _hilbert_numerator(gens: list) -> list:
+def _hilbert_numerator(gens: Sequence[int], packing: _Packing) -> list:
     """Coefficients of N(t), in rising powers of t, for the monomial ideal (gens).
 
-    N(M' + (m)) = N(M') - t^|m| N(M' : m); factors over groups of
-    generators with disjoint supports multiply.
+    gens are the fields of packed monomials. N(M' + (m)) = N(M') -
+    t^|m| N(M' : m); factors over groups of generators with disjoint
+    supports multiply. Divisibility, lcm and colon are the packing's
+    guard-bit operations; packed fields ascend in a lex order, so a
+    divisor sorts before its multiples.
     """
+    guard = packing.guard
     minimal: list = []
-    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
-        if not any(exp_divides(h, g) for h in minimal):
+    for g in sorted(set(gens)):
+        over = g | guard
+        for h in minimal:  # _Packing.divides, inlined
+            if (over - h) & guard == guard:
+                break
+        else:
             minimal.append(g)
     if not minimal:
         return [1]
-    groups: list = []  # [support, generators]
+    ones = guard >> (packing.width - 1)
+    groups: list = []  # [support, generators]; a support has the guard bits of its nonzero fields
     for g in minimal:
-        support = {i for i, x in enumerate(g) if x}
-        joined = [grp for grp in groups if grp[0] & support]
-        for grp in joined:
-            groups.remove(grp)
-            support |= grp[0]
-        groups.append([support, [g] + [h for grp in joined for h in grp[1]]])
+        support = ((g | guard) - ones) & guard
+        members = [g]
+        apart = []
+        for grp in groups:
+            if grp[0] & support:
+                support |= grp[0]
+                members += grp[1]
+            else:
+                apart.append(grp)
+        apart.append([support, members])
+        groups = apart
     if len(groups) > 1:
         product = [1]
         for _, members in groups:
-            product = _poly_mul(product, _hilbert_numerator(members))
+            product = _poly_mul(product, _hilbert_numerator(members, packing))
         return product
     m, rest = minimal[-1], minimal[:-1]
-    colon = [exp_div(exp_lcm(g, m), m) for g in rest]
-    return _poly_sub(_hilbert_numerator(rest), [0] * sum(m) + _hilbert_numerator(colon))
+    colon = [packing.lcm(g, m) - m for g in rest]
+    values = packing.values
+    degree = sum([(m >> s) & values for s in packing.shifts])
+    return _poly_sub(_hilbert_numerator(rest, packing),
+                     [0] * degree + _hilbert_numerator(colon, packing))
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -768,7 +808,13 @@ def eliminate(
 
 
 def radical_contains(I: Ideal, p: Polynomial) -> bool:
-    """p in sqrt(I), by the auxiliary-variable membership test."""
+    """p in sqrt(I), by the auxiliary-variable membership test.
+
+    For ideals with no primality certificate: stratum closures, prime only
+    by the descriptor's word, and ideals not known to be prime. A
+    certified prime P is its own radical, so ``prime_contains_all``
+    answers by normal forms mod P, with no further Groebner run.
+    """
     if p.is_zero() or I.contains(p):
         return True
     ctx2, tv = _extend_with(I.ctx, "_r")
@@ -779,8 +825,24 @@ def radical_contains(I: Ideal, p: Polynomial) -> bool:
 
 
 def variety_contained_in(I: Ideal, J: Ideal) -> bool:
-    """V(I) subseteq V(J): every generator of J vanishes on V(I)."""
+    """V(I) subseteq V(J): every generator of J vanishes on V(I).
+
+    By ``radical_contains``, for an I with no primality certificate; for a
+    certified prime, ``prime_contains_all(I, J.generators)``.
+    """
     return all(radical_contains(I, g) for g in J.generators)
+
+
+def prime_contains_all(P: Ideal, polys: Iterable[Polynomial]) -> bool:
+    """V(P) subseteq V(polys) for a prime P: every poly reduces to 0 mod P.
+
+    A prime is its own radical, so vanishing on V(P) is membership in P
+    (Cox, Little and O'Shea, ch. 4 section 2): a normal form against the
+    basis P already has. The ideals that qualify are a ``Component``'s and
+    a ``minimal_primes`` witness's; any other ideal takes
+    ``radical_contains``, which also finds x in sqrt((x^2)).
+    """
+    return all(P.contains(p) for p in polys)
 
 
 def standard_monomials(I: Ideal) -> list | None:

@@ -50,6 +50,7 @@ from .hypersurface import nearby_gecc
 from .ideal import (
     Ideal,
     eliminate,
+    prime_contains_all,
     radical_contains,
     variety_contained_in,
 )
@@ -172,11 +173,11 @@ def isolating_check(
             cut = comp.ideal.with_extra([ctx.gen(w) for w in wvars[j + 1 :]])
             if cut.is_trivial():
                 continue
-            visible = Ideal(ctx, [ctx.gen(w) for w in wvars[: j + 1]])
+            visible = [ctx.gen(w) for w in wvars[: j + 1]]
             pieces = [
                 p
                 for p in decompose_components(cut, ambient_t)
-                if not variety_contained_in(p.ideal, visible)
+                if not prime_contains_all(p.ideal, visible)
             ]
             for p in pieces:
                 # proper slice of the projectivized cone: affine dim j+1
@@ -271,7 +272,7 @@ def pi_delta(
             pi_terms: dict = {}
             discard_terms: dict = {}
             for comp, m in total.terms.items():
-                if variety_contained_in(comp.ideal, graph):
+                if prime_contains_all(comp.ideal, graph_gens):
                     delta_terms[comp] = m
                 elif comp.ideal.with_extra(graph_gens).is_trivial():
                     discard_terms[comp] = m
@@ -544,7 +545,7 @@ def _exceptional_of_component(
     ambient_b: AmbientSpace,
 ):
     ctx_t = comp.ideal.ctx
-    if variety_contained_in(comp.ideal, graph):
+    if prime_contains_all(comp.ideal, graph.generators):
         return BlowupComponentResult(comp, "inside-center", None)
     meet = comp.ideal.with_extra(graph.generators)
     if meet.is_trivial():

@@ -1,11 +1,13 @@
 """Groebner engine: bases, membership, saturation, elimination,
 dimension, radical membership, decomposition, local degree."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyElement
 
 from gecc_kit import ideal as ideal_module
 from gecc_kit.decompose import _certify, factor_list, minimal_primes
@@ -21,6 +23,7 @@ from gecc_kit.ideal import (
     engine_limits,
     intersect,
     local_degree,
+    monomial_dimension_and_degree,
     radical_contains,
     saturate,
     saturate_element,
@@ -182,6 +185,17 @@ def test_basis_memo_lives_for_one_block(monkeypatch):
         with engine_limits(EngineLimits()):
             I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ).groebner_basis()
     assert len(budgets) == 4  # each block opens a fresh memo
+
+
+def test_basis_memo_keys_exact_coefficients(monkeypatch):
+    budgets = spy_budgets(monkeypatch)
+    with engine_limits(EngineLimits()):
+        half = I("x+1/2", "y").groebner_basis()
+        two = I("y", "x+2").groebner_basis()
+        assert half != two
+        assert len(budgets) == 2
+        assert I("y", "x+1/2", "y").groebner_basis() == half
+        assert len(budgets) == 2
 
 
 def test_nested_tighter_block_does_not_take_the_outer_basis():
@@ -640,6 +654,68 @@ def test_degree_counts_the_standard_monomials():
             gens.append(Polynomial(CTX, {tuple(e): Fraction(1)}) + random_tail(rng, e[i] - 1))
         J = Ideal(CTX, gens)
         assert dimension_and_degree(J) == (0, len(standard_monomials(J)))
+
+
+def test_dimension_and_degree_measured_once_per_block(monkeypatch):
+    measured = []
+    real = ideal_module._packed_dimension_and_degree
+
+    def spy(lms, packing):
+        measured.append(lms)
+        return real(lms, packing)
+
+    monkeypatch.setattr(ideal_module, "_packed_dimension_and_degree", spy)
+    with engine_limits(EngineLimits()):
+        assert dimension_and_degree(I("x*y", "t")) == (1, 2)
+        # another ideal with the same leading monomials
+        assert dimension_and_degree(I("x*y+t", "t")) == (1, 2)
+        assert len(measured) == 1
+        with engine_limits(EngineLimits()):
+            assert I("x*y", "t").dimension() == 1
+        assert len(measured) == 2  # a nested block measures again
+    assert I("x*y", "t").dimension() == I("x*y", "t").dimension() == 1
+    assert len(measured) == 4  # nothing is kept outside a block
+
+
+def _independent_dimension(lms, n):
+    """The largest set of variables that contains the support of no exponent."""
+    for size in range(n, -1, -1):
+        for free in itertools.combinations(range(n), size):
+            if not any(all(i in free for i, x in enumerate(e) if x) for e in lms):
+                return size
+    return -1
+
+
+def test_monomial_dimension_and_degree_by_brute_force():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        lms = [tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        dim, degree = monomial_dimension_and_degree(lms, n)
+        assert dim == _independent_dimension(lms, n)
+        if dim == 0:
+            box = itertools.product(range(4), repeat=n)  # every pure power is at most 3
+            assert degree == sum(1 for m in box if not any(exp_divides(e, m) for e in lms))
+    # exponents past a 16-bit field: the packing widens
+    assert monomial_dimension_and_degree([(40000, 0), (0, 3)], 2) == (0, 120000)
+    assert monomial_dimension_and_degree([(40000, 1)], 2) == (1, 40001)
+
+
+def test_factor_list_factors_once_per_block(monkeypatch):
+    factored = []
+    real = PolyElement.factor_list
+
+    def spy(self):
+        factored.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PolyElement, "factor_list", spy)
+    with engine_limits(EngineLimits()):
+        assert factor_list(P("y^2*(x+t^2)^2")) == factor_list(P("(t^2+x)^2*y^2"))
+    assert len(factored) == 1
+    factor_list(P("y^2*(x+t^2)^2"))
+    factor_list(P("y^2*(x+t^2)^2"))
+    assert len(factored) == 3
 
 
 def test_factor_list_cache_round_trip():
