@@ -141,7 +141,7 @@ class Component:
     dim: int
 
     def __hash__(self):
-        return hash((self.ambient, self.ideal.groebner_basis()))
+        return hash((self.ambient, self.ideal))
 
     def __eq__(self, other):
         if not isinstance(other, Component):
@@ -433,14 +433,9 @@ def _chart_restrict(I: Ideal, ambient: AmbientSpace, chart: int) -> Ideal:
     """Dehomogenize at tag chart u_chart = 1 (tags below the chart set to 0)."""
     ctx = ambient.context()
     tags = ambient.projective_vars()
-    keep = [v for v in ctx.variables if v not in tags[: chart + 1]]
-    small = VarContext(keep)
-    assignment = {v.name: small.gen(v.name) for v in keep}
-    for j, tv in enumerate(tags):
-        if j < chart:
-            assignment[tv.name] = small.zero()
-        elif j == chart:
-            assignment[tv.name] = small.one()
+    small = VarContext([v for v in ctx.variables if v not in tags[: chart + 1]])
+    assignment = {tv.name: small.zero() for tv in tags[:chart]}
+    assignment[tags[chart].name] = small.one()
     gens = [g.substitute(assignment) for g in I.generators]
     return Ideal(small, [g for g in gens if not g.is_zero()])
 

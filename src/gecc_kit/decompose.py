@@ -110,39 +110,58 @@ def is_irreducible(p: Polynomial) -> bool:
 # Certification routes
 
 
-def _substitute_out_linear(gens: list, ctx: VarContext) -> tuple:
-    """Eliminate variables occurring linearly with constant coefficient.
+def _linear_pivot(g: Polynomial) -> tuple | None:
+    """(position, c) of the first variable x whose only term in g is c*x; else None.
 
-    Returns (ideal in a possibly smaller context); quotient rings are
-    isomorphic, so primality transfers.
+    One pass over the terms: the bare variables, and the fieldwise largest
+    exponent of every other term.
+    """
+    units: dict = {}
+    others = [0] * len(g.ctx)
+    for e, c in g.terms.items():
+        if sum(e) == 1:
+            units[e.index(1)] = c
+        else:
+            others = list(map(max, others, e))
+    return min(((i, c) for i, c in units.items() if not others[i]), default=None)
+
+
+def _eliminate_linear(gens: list, ctx: VarContext) -> tuple:
+    """(gens, ctx, chain): variables occurring only as c*x solved for and substituted.
+
+    The pivot is the first such variable of the first generator that has
+    one; its generator is dropped. ``chain`` lists (name, image) in the
+    order the variables were eliminated, each image in the context that
+    remained after its step.
     """
     gens = [g for g in gens if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
+    chain = []
+    while True:
         for g in gens:
-            for v in ctx.variables:
-                if g.degree_in(v) != 1:
-                    continue
-                coeff = g.coefficient_of(v, 1)
-                if coeff.total_degree() != 0:
-                    continue
-                c = coeff.constant_term()
-                rest = g - ctx.gen(v) * coeff
-                # v = -rest/c
-                small = VarContext([u for u in ctx.variables if u.name != v.name])
-                image = (rest * (Fraction(-1) / c)).restrict(small) if rest else small.zero()
-                assignment = {
-                    u.name: small.gen(u.name) for u in ctx.variables if u.name != v.name
-                }
-                assignment[v.name] = image
-                gens = [h.substitute(assignment) for h in gens if h is not g]
-                gens = [h for h in gens if not h.is_zero()]
-                ctx = small
-                changed = True
+            pivot = _linear_pivot(g)
+            if pivot is not None:
                 break
-            if changed:
-                break
+        else:
+            return gens, ctx, chain
+        i, c = pivot
+        small = VarContext(ctx.variables[:i] + ctx.variables[i + 1:])
+        # x = -(g - c x)/c
+        image = Polynomial(small, {e[:i] + e[i + 1:]: -q / c
+                                   for e, q in g.terms.items() if e[i] == 0})
+        name = ctx.variables[i].name
+        gens = [h.substitute({name: image}) for h in gens if h is not g]
+        gens = [h for h in gens if not h.is_zero()]
+        chain.append((name, image))
+        ctx = small
+
+
+def _substitute_out_linear(gens: list, ctx: VarContext) -> Ideal:
+    """Eliminate variables occurring linearly with constant coefficient.
+
+    Returns the ideal in a possibly smaller context; quotient rings are
+    isomorphic, so primality transfers.
+    """
+    gens, ctx, _ = _eliminate_linear(gens, ctx)
     return Ideal(ctx, gens)
 
 
@@ -388,33 +407,7 @@ def rational_point(I: Ideal, rng) -> dict | None:
     benchmark tracer (bench/spans.py) wraps it by name; it goes when the
     benchmark drops that span.
     """
-    gens = [g for g in I.groebner_basis()]
-    ctx = I.ctx
-    chain = []
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            for v in ctx.variables:
-                if g.degree_in(v) != 1:
-                    continue
-                coeff = g.coefficient_of(v, 1)
-                if coeff.total_degree() != 0:
-                    continue
-                c = coeff.constant_term()
-                rest = g - ctx.gen(v) * coeff
-                small = VarContext([u for u in ctx.variables if u.name != v.name])
-                expr = (rest * (Fraction(-1) / c)).restrict(small) if rest else small.zero()
-                assignment = {u.name: small.gen(u.name) for u in small.variables}
-                assignment[v.name] = expr
-                gens = [h.substitute(assignment) for h in gens if h is not g]
-                gens = [h for h in gens if not h.is_zero()]
-                chain.append((v.name, expr))
-                ctx = small
-                changed = True
-                break
-            if changed:
-                break
+    gens, ctx, chain = _eliminate_linear(list(I.groebner_basis()), I.ctx)
     if gens:
         return None
     values: dict = {}

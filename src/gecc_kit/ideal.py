@@ -24,16 +24,18 @@ pair from the live map only, and its stale heap entry is skipped without
 counting against the S-pair budget.
 
 Two caches. Each Ideal keeps its reduced basis, the run's stats and its
-packed basis per monomial order. Inside an ``engine_limits`` block, a
-memo also keys them by (context, generator set, order), so a second
-Ideal with the same generators, in any order or repeated, takes the basis
-without a run; a generator enters the key as its (exponent, numerator,
-denominator) triples, so no Fraction is hashed. A reduced basis is unique
-for its ideal and order, so a memo hit returns exactly what a run would.
-The memo is dropped when the block ends; outside any block there is none.
-``block_memo`` keeps in the same memo, on the same terms, what is built
-from bases or kept for reuse: the (dimension, degree) of each degrevlex
-leading-monomial ideal, conormals, polar lengths and factorizations.
+packed basis per monomial order; a basis that ``eliminate`` hands over
+without a run is packed when first used. Inside an ``engine_limits``
+block, a memo also keys them by (context, generator set, order), so a
+second Ideal with the same generators, in any order or repeated, takes
+the basis without a run; a generator enters the key as its (exponent,
+numerator, denominator) triples, so no Fraction is hashed. A reduced
+basis is unique for its ideal and order, so a memo hit returns exactly
+what a run would. The memo is dropped when the block ends; outside any
+block there is none. ``block_memo`` keeps in the same memo, on the same
+terms, what is built from bases or kept for reuse: the (dimension,
+degree) of each degrevlex leading-monomial ideal, conormals, polar
+lengths and factorizations.
 
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
@@ -472,7 +474,8 @@ class Ideal:
                 gens.append(g)
         self.ctx = ctx
         self.generators = tuple(gens)
-        # order signature -> (reduced basis, stats, packing, packed basis)
+        # order signature -> [reduced basis, stats, packing, packed basis];
+        # packing and packed basis are None until first used
         self._cache: dict = {}
         self._hash = None
 
@@ -500,8 +503,8 @@ class Ideal:
         self._cache[sig] = found
         return found[0]
 
-    def _run(self, order: MonomialOrder, budget: int) -> tuple:
-        """(reduced basis, stats, packing, packed basis) by one Buchberger run.
+    def _run(self, order: MonomialOrder, budget: int) -> list:
+        """[reduced basis, stats, packing, packed basis] by one Buchberger run.
 
         The run starts at the narrowest field width that holds the
         generators and is redone twice as wide whenever a product overflows.
@@ -523,7 +526,21 @@ class Ideal:
             Polynomial(self.ctx, {exponent(m): Fraction(c, lc) for m, c in [(lm, lc), *tail.items()]})
             for lm, lc, tail, _ in basis
         )
-        return polys, stats, packing, basis
+        return [polys, stats, packing, basis]
+
+    def _packed(self, order: MonomialOrder, width: int = 16) -> tuple:
+        """(packing, packed basis) of the cached reduced basis, at least width wide.
+
+        Packs the basis on first use, and again, kept so, when a wider
+        packing is asked for.
+        """
+        entry = self._cache[order.signature()]
+        gb, _, packing, basis = entry
+        if packing is None or packing.width < width:
+            packing = _packing(order, len(self.ctx), _width(gb, width))
+            basis = [_element(_encode(packing, g)[0], packing) for g in gb]
+            entry[2:] = packing, basis
+        return packing, basis
 
     def gb_stats(self, order: MonomialOrder = DEGREVLEX) -> dict:
         found = self._cache.get(order.signature())
@@ -532,21 +549,15 @@ class Ideal:
     def normal_form(self, p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
         """Exact normal form against the reduced basis (canonical representative).
 
-        Reduces against the run's packed basis, repacked wider (and kept so)
+        Reduces against the packed basis, repacked wider (and kept so)
         when p or a product outgrows its fields, and divides the
         fraction-free remainder by the scalar the reduction tracked.
         """
-        gb = self.groebner_basis(order)
-        if not gb:
+        if not self.groebner_basis(order):
             return p
-        sig = order.signature()
 
         def attempt(width: int) -> Polynomial:
-            _, stats, packing, basis = self._cache[sig]
-            if packing.width != width:
-                packing = _packing(order, len(self.ctx), width)
-                basis = [_element(_encode(packing, g)[0], packing) for g in gb]
-                self._cache[sig] = gb, stats, packing, basis
+            packing, basis = self._packed(order, width)
             work, d = _encode(packing, p)
             remainder, num, den = _reduce(work, basis, packing.guard)
             scale = num * d
@@ -554,7 +565,7 @@ class Ideal:
             return Polynomial(
                 p.ctx, {exponent(m): Fraction(c * den, scale) for m, c in remainder.items()})
 
-        return _widening(_width([p], self._cache[sig][2].width), attempt)
+        return _widening(_width([p], self._packed(order)[0].width), attempt)
 
     def contains(self, p: Polynomial) -> bool:
         if p.is_zero():
@@ -600,7 +611,7 @@ def dimension_and_degree(I: Ideal) -> tuple:
     monomial ideal is measured once per ``engine_limits`` block.
     """
     I.groebner_basis()
-    _, _, packing, basis = I._cache[DEGREVLEX.signature()]
+    packing, basis = I._packed(DEGREVLEX)
     mask = packing.mask
     lms = tuple([g[0] & mask for g in basis])
     return block_memo(("hilbert numerator", packing, lms),
@@ -793,18 +804,39 @@ def eliminate(
     drop: Sequence[Variable | str],
     restrict: bool = False,
 ) -> Ideal:
-    """I cap Q[ctx minus drop], via a block elimination order."""
+    """I cap Q[ctx minus drop], via a block elimination order.
+
+    The order's second block is degrevlex on the kept variables in context
+    order, so the kept elements of the reduced block-order basis are the
+    reduced degrevlex basis of the result (Elimination Theorem; Cox,
+    Little and O'Shea, ch. 3 section 1), in context or restricted. The
+    result takes them as its basis with no further run.
+    """
     if not drop:
         return I
     positions = [I.ctx.position(v) for v in drop]
-    order = block_order(positions, len(I.ctx))
-    gb = I.groebner_basis(order)
-    names = {I.ctx.variables[p].name for p in positions}
-    keep = [g for g in gb if all(g.degree_in(n) <= 0 for n in names)]
+    gb = I.groebner_basis(block_order(positions, len(I.ctx)))
+    keep = [g for g in gb if not any(e[p] for e in g.terms for p in positions)]
     if not restrict:
-        return Ideal(I.ctx, keep)
-    small = VarContext([v for v in I.ctx.variables if v.name not in names])
-    return Ideal(small, [g.restrict(small) for g in keep])
+        return _with_reduced_basis(I.ctx, keep)
+    small = VarContext([v for i, v in enumerate(I.ctx.variables) if i not in positions])
+    return _with_reduced_basis(small, [g.restrict(small) for g in keep])
+
+
+def _with_reduced_basis(ctx: VarContext, basis: list) -> Ideal:
+    """The ideal that basis, its reduced degrevlex basis in ascending order, generates.
+
+    The basis enters the ideal's cache and the block memo as if a run had
+    made it; its packed form is built when first used.
+    """
+    J = Ideal(ctx, basis)
+    sig = DEGREVLEX.signature()
+    found = [J.generators, {}, None, None]
+    memo = _SESSION.get()[1]
+    if memo is not None:
+        found = memo.setdefault((ctx, frozenset(map(polynomial_key, J.generators)), sig), found)
+    J._cache[sig] = found
+    return J
 
 
 def radical_contains(I: Ideal, p: Polynomial) -> bool:

@@ -363,7 +363,10 @@ class Polynomial:
         """Substitute polynomials (in a common target context) for variables.
 
         Variables absent from the assignment map to their namesake generator
-        in the target context.
+        in the target context. Each term is read once into one term map: a
+        variable whose image is a monomial (a rename, a constant, 0) shifts
+        the exponent and scales the coefficient, and any other image is
+        multiplied in from its powers, each computed once.
         """
         target = None
         for p in assignment.values():
@@ -371,18 +374,46 @@ class Polynomial:
             break
         if target is None:
             return self
-        result = target.zero()
-        gens = {}
-        for v in self.ctx.variables:
-            a = assignment.get(v.name)
-            gens[v.name] = a if a is not None else target.gen(v.name)
+        dead = []     # positions whose image is 0
+        moves = []    # (position, [(target position, exponent)], coefficient)
+        spread = []   # (position, [image terms, its square, ...])
+        for i, v in enumerate(self.ctx.variables):
+            image = assignment.get(v.name)
+            if image is None:
+                moves.append((i, [(target.position(v), 1)], 1))
+                continue
+            if image.ctx != target:
+                raise ContextMismatch(f"{image.ctx!r} vs {target!r}")
+            if not image.terms:
+                dead.append(i)
+            elif len(image.terms) == 1:
+                [(e, c)] = image.terms.items()
+                moves.append((i, [(j, k) for j, k in enumerate(e) if k], c))
+            else:
+                spread.append((i, [image.terms]))
+        m = len(target)
+        out: dict = {}
         for e, c in self.terms.items():
-            term = target.const(c)
-            for v, k in zip(self.ctx.variables, e):
+            if any(e[i] for i in dead):
+                continue
+            ne = [0] * m
+            for i, shift, a in moves:
+                k = e[i]
                 if k:
-                    term = term * gens[v.name] ** k
-            result = result + term
-        return result
+                    for j, s in shift:
+                        ne[j] += s * k
+                    if a != 1:
+                        c *= a ** k
+            part = {tuple(ne): c}
+            for i, powers in spread:
+                k = e[i]
+                if k:
+                    while len(powers) < k:
+                        powers.append(_times(powers[-1], powers[0]))
+                    part = _times(part, powers[k - 1])
+            for pe, pc in part.items():
+                out[pe] = out.get(pe, 0) + pc
+        return Polynomial(target, out)
 
     def lift(self, target: VarContext) -> "Polynomial":
         """Reinterpret in a larger context containing all current variables."""
@@ -460,6 +491,16 @@ class Polynomial:
         for sign, chunk in chunks[1:]:
             out += f" {sign} {chunk}"
         return out
+
+
+def _times(a: dict, b: dict) -> dict:
+    """Product of two term maps; cancelled terms stay, as zero coefficients."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .ideal import (
     eliminate,
     prime_contains_all,
     radical_contains,
-    variety_contained_in,
 )
 from .modclass import ModClass
 from .polyring import Polynomial, Variable
@@ -348,11 +347,8 @@ def projectivize(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
     sctx = source.context()
     tctx = target.context()
     wpos = [sctx.position(v) for v in source.cotangent_vars()]
-    mapping = {}
-    for v in source.base_vars():
-        mapping[v.name] = tctx.gen(v.name)
-    for i, v in enumerate(source.cotangent_vars()):
-        mapping[v.name] = tctx.gen(f"u{i}")
+    # base variables keep their names
+    mapping = {v.name: tctx.gen(f"u{i}") for i, v in enumerate(source.cotangent_vars())}
     irr = irrelevant_ideal(target)
     degrees: dict = {}
     for k, cyc in E.degrees.items():
@@ -363,7 +359,7 @@ def projectivize(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
                     raise NonConicCycle(f"component {comp!r} is not conic: {g}")
             gens = [g.substitute(mapping) for g in comp.ideal.generators]
             ideal = Ideal(tctx, gens)
-            if variety_contained_in(ideal, irr):
+            if prime_contains_all(ideal, irr.generators):
                 continue  # pure zero-section: empty in the projectivization
             acc = acc.add_term(component_from_prime(ideal, target), m)
         if acc:
@@ -497,9 +493,9 @@ def _blowup_cone(
     s = big.gen(aux)
     for i, h in enumerate(graph_gens):
         gens.append(big.gen(f"u{i}") - s * h.lift(big))
+    # the restriction drops only the auxiliary variable, so the cone lives in ctx_b
     cone = eliminate(Ideal(big, gens), [aux], restrict=True)
-    lifted = Ideal(ctx_b, [g.lift(ctx_b) for g in cone.generators])
-    return component_from_prime(lifted, ambient_b)
+    return component_from_prime(cone, ambient_b)
 
 
 def blowup_exceptional(

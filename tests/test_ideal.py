@@ -10,7 +10,14 @@ import sympy
 from sympy.polys.rings import PolyElement
 
 from gecc_kit import ideal as ideal_module
-from gecc_kit.decompose import _certify, factor_list, minimal_primes
+from gecc_kit.decompose import (
+    _certify,
+    _eliminate_linear,
+    _linear_pivot,
+    _substitute_out_linear,
+    factor_list,
+    minimal_primes,
+)
 from gecc_kit.ideal import (
     DEFAULT_LIMITS,
     DEGREVLEX,
@@ -447,6 +454,53 @@ def test_eliminate_empty_drop():
     assert eliminate(J, []) == J
 
 
+ELIMINATIONS = [
+    # (generators, dropped, reduced basis of the result)
+    (("x-t", "y-t^2"), ["t"], ["x^2 - y"]),
+    (("x-t^2", "y-t^3", "t*x*y-x^2"), ["t"], None),
+    (("w0", "w1-1", "w2", "x+t^2", "y"), ["w0", "w1", "w2"], ["t^2 + x", "y"]),
+    (("x*t-1", "t"), ["t"], ["1"]),  # trivial
+    (("x-t", "y*t-1"), ["t"], ["x*y - 1"]),
+    (("x-t",), ["t"], []),  # zero
+]
+
+
+@pytest.mark.parametrize("restrict", [False, True], ids=["in-context", "restricted"])
+@pytest.mark.parametrize("gens,drop,expected", ELIMINATIONS)
+def test_eliminate_hands_over_its_reduced_basis(monkeypatch, restrict, gens, drop, expected):
+    budgets = spy_budgets(monkeypatch)
+    E = eliminate(I(*gens, ctx=CTX_W), drop, restrict=restrict)
+    assert len(budgets) == 1  # the block-order run only
+    basis = E.groebner_basis()
+    assert basis == E.generators
+    p = P("x^3*y + x", ctx=E.ctx)
+    form, dim = E.normal_form(p), E.dimension()
+    assert len(budgets) == 1
+    # the same basis, normal form and dimension as a fresh run outside any block
+    fresh = Ideal(E.ctx, E.generators)
+    assert fresh.groebner_basis() == basis
+    assert len(budgets) == 2
+    assert fresh.normal_form(p) == form and fresh.dimension() == dim
+    assert selfcheck_groebner(basis)
+    if expected is not None:
+        assert gens_str(E) == expected
+    names = set(E.ctx.names())
+    assert not set(drop) & names if restrict else set(drop) <= names
+
+
+def test_eliminate_enters_the_block_memo(monkeypatch):
+    budgets = spy_budgets(monkeypatch)
+    with engine_limits(EngineLimits()):
+        E = eliminate(I("x-t", "y-t^2", "t*y-x^3"), ["t"], restrict=True)
+        assert len(budgets) == 1
+        again = Ideal(E.ctx, E.generators[::-1])
+        assert again.groebner_basis() == E.groebner_basis()
+        assert again.contains(P("x^2-y", ctx=E.ctx))
+        assert len(budgets) == 1
+    assert Ideal(E.ctx, E.generators).groebner_basis() == E.generators
+    assert len(budgets) == 2
+
+
 # -- dimension
 
 
@@ -783,3 +837,47 @@ def test_certified_prime_checks():
     assert _certify(I("x", "y")) is not None
     assert _certify(I("y^2-x^3-t^2*x^2")) is not None
     assert _certify(I("x*y")) is None
+
+
+# -- linear substitution in certification
+
+CTX_XYZ_T = base_context(["x", "y", "z", "t"])
+
+
+def L(text):
+    return parse_polynomial(text, CTX_XYZ_T)
+
+
+def test_linear_pivot_is_a_variable_whose_only_term_is_linear():
+    assert _linear_pivot(L("x*y + z")) == (2, 1)
+    assert _linear_pivot(L("-3*z + x*y")) == (2, -3)
+    assert _linear_pivot(L("x*y + z*t + 2")) is None
+    # a variable of degree 2 is never a pivot, with or without a linear term
+    assert _linear_pivot(L("x^2 + x + y^2")) is None
+    assert _linear_pivot(L("x^2 + y + t^2")) == (1, 1)
+    assert _linear_pivot(L("z*x + x + y*t")) is None
+    assert _linear_pivot(L("x + y")) == (0, 1)
+
+
+def test_linear_pivot_first_by_generator_then_by_variable():
+    # the first generator's t comes before the second's x; x comes before z
+    gens, ctx, chain = _eliminate_linear([L("y^2 + t + z*x^2"), L("x + z")], CTX_XYZ_T)
+    assert [(name, str(image)) for name, image in chain] == [("t", "-x^2*z - y^2"), ("x", "-z")]
+    assert gens == [] and ctx.names() == ("y", "z")
+
+
+def test_linear_eliminations_chain():
+    # x*y - t^2*y + y - t has no pivot until x = t^2 leaves y - t
+    before = L("x*y - t^2*y + y - t")
+    assert _linear_pivot(before) is None
+    gens, ctx, chain = _eliminate_linear([L("x - t^2"), before], CTX_XYZ_T)
+    assert [(name, str(image), image.ctx.names()) for name, image in chain] == [
+        ("x", "t^2", ("y", "z", "t")), ("y", "t", ("z", "t"))]
+    assert gens == [] and ctx.names() == ("z", "t")
+
+
+def test_every_generator_eliminated_takes_the_graph_route():
+    J = _substitute_out_linear([L("x - t^2"), L("y - t^3"), L("z - x*y")], CTX_XYZ_T)
+    assert J.ctx.names() == ("t",) and not J.generators
+    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y - t^3"), L("z - x*y")])) == "graph"
+    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y^2 - t^3")])) == "hypersurface"

@@ -148,3 +148,80 @@ def test_homogeneity_detector():
     assert P("x^2+y*t").is_homogeneous_in([0, 1, 2])
     assert not P("x^2+y").is_homogeneous_in([0, 1, 2])
     assert P("x^2*y+t*y").is_homogeneous_in([1])
+
+
+# -- substitution
+
+TARGET = base_context(["a", "b", "x"])
+
+
+def expanded(p, images):
+    """Sum of c * prod image^k over p's terms, by ring operations only."""
+    out = TARGET.zero()
+    for e, c in p.terms.items():
+        term = TARGET.const(c)
+        for v, k in zip(CTX.variables, e):
+            term = term * images[v.name] ** k
+        out = out + term
+    return out
+
+
+def random_image(rng):
+    kind = rng.choice(["rename", "zero", "one", "constant", "monomial", "polynomial"])
+    if kind == "rename":
+        return TARGET.gen(rng.choice(TARGET.names()))
+    if kind == "zero":
+        return TARGET.zero()
+    if kind == "one":
+        return TARGET.one()
+    if kind == "constant":
+        return TARGET.const(Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])))
+    if kind == "monomial":
+        return parse_polynomial(rng.choice(["-2*a*b", "a^2", "1/3*b*x^2"]), TARGET)
+    image = TARGET.zero()
+    while len(image.terms) < 2:
+        image = random_poly(rng, TARGET, max_deg=2, terms=3)
+    return image
+
+
+def test_substitute_matches_the_ring_expansion():
+    rng = random.Random(5)
+    spread_cubes = 0
+    for _ in range(300):
+        p = random_poly(rng, max_deg=4, terms=5)
+        images = {v: random_image(rng) for v in ("x", "y", "t")}
+        assignment = dict(images)
+        if rng.random() < 0.3:
+            del assignment["x"]  # x maps to its namesake in the target
+            images["x"] = TARGET.gen("x")
+        got = p.substitute(assignment)
+        assert got == expanded(p, images), (p, images)
+        assert got.ctx == TARGET and all(got.terms.values())
+        spread_cubes += any(
+            len(images[v.name].terms) > 1 and e[i] >= 3
+            for e in p.terms for i, v in enumerate(CTX.variables))
+    assert spread_cubes > 20
+
+
+def test_substitute_renames_and_pins():
+    p = P("x^3*y - 2*t^2*y + 5")
+    images = {"x": TARGET.gen("b"), "y": TARGET.one(), "t": TARGET.gen("a")}
+    assert p.substitute(images) == parse_polynomial("b^3 - 2*a^2 + 5", TARGET)
+    images["y"] = TARGET.zero()
+    assert p.substitute(images) == TARGET.const(5)
+    images["x"] = parse_polynomial("a - b", TARGET)
+    images["y"] = parse_polynomial("a + b", TARGET)
+    assert p.substitute(images) == parse_polynomial("(a-b)^3*(a+b) - 2*a^2*(a+b) + 5", TARGET)
+
+
+def test_substitute_cancels_to_zero():
+    p = P("x^2 - y")
+    images = {"x": parse_polynomial("a + b", TARGET), "y": parse_polynomial("(a+b)^2", TARGET),
+              "t": TARGET.zero()}
+    assert p.substitute(images).is_zero()
+
+
+def test_substitute_rejects_a_mixed_target():
+    other = base_context(["x", "y"])
+    with pytest.raises(ContextMismatch):
+        P("x*y").substitute({"x": TARGET.gen("a"), "y": other.gen("y")})
