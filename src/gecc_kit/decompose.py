@@ -9,15 +9,12 @@ Anything else raises CertificationFailure rather than guessing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from sympy import ZZ, Symbol
-from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyRing
-
+from .factor import factor_integer
 from .ideal import (
     CertificationFailure,
     Ideal,
@@ -37,21 +34,38 @@ class PrimeWitness:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge (factorization only): ring-level factoring over ZZ, no Expr trees
+# Factorisation over Q
 #
 # The monomial content is taken out and each of its variables returned as
-# a factor; the rest, with denominators cleared, is factored as an element
-# of sympy's sparse ring over ZZ in the variables it contains. Factors are
-# sorted as sympy.factor_list sorts them, so order, signs and
+# a factor; the rest, with denominators cleared, is factored over Z by
+# ``factor.factor_integer`` in the variables it contains, taken in the
+# generator order sympy gives them. Factors are signed and sorted as
+# sympy.factor_list signs and sorts them, so order, signs and
 # multiplicities are those of factoring the polynomial as an expression.
 
+# sympy's generator order: a letter's rank, then the name, then its numeric suffix
+_LETTER_RANK = {**{c: 301 + k for k, c in enumerate("abcdefghijklmno")},
+                **{c: 216 + k for k, c in enumerate("pqrstuvw")},
+                "x": 124, "y": 125, "z": 126}
+_NAME_INDEX = re.compile(r"^(.*?)(\d*)$")
 
-@lru_cache(maxsize=None)
-def _ring(names: tuple) -> tuple:
-    """(ring over ZZ, order): the ring's generators are names[i] for i in order."""
-    gens = _sort_gens(names)
-    R = PolyRing([Symbol(n) for n in gens], ZZ)
-    return R, tuple(names.index(n) for n in gens)
+
+def _generator_key(name: str) -> tuple:
+    stem, index = _NAME_INDEX.match(name).groups()
+    return (_LETTER_RANK.get(stem, 1000), stem, int(index) if index else 0)
+
+
+def _dense(f: dict, u: int) -> list:
+    """The nested dense coefficient list of f in u + 1 variables, highest degree first."""
+    if not u:
+        return [f.get((k,), 0) for k in range(max(e[0] for e in f), -1, -1)] if f else []
+    heads: dict = {}
+    for e, c in f.items():
+        heads.setdefault(e[0], {})[e[1:]] = c
+    zero: list = []
+    for _ in range(u - 1):
+        zero = [zero]
+    return [_dense(heads[k], u - 1) if k in heads else zero for k in range(max(heads), -1, -1)]
 
 
 def _factor_key(dense: list, ngens: int, mult: int) -> tuple:
@@ -80,23 +94,21 @@ def _factor(p: Polynomial) -> list:
         if content[i]
     ]
     rest = {tuple(k - c for k, c in zip(e, content)): q for e, q in p.terms.items()}
-    present = tuple(i for i in range(n) if any(e[i] for e in rest))
+    present = [i for i in range(n) if any(e[i] for e in rest)]
     if present:
-        R, order = _ring(tuple(names[i] for i in present))
-        positions = [present[j] for j in order]
+        positions = sorted(present, key=lambda i: _generator_key(names[i]))
         denom = lcm(*(q.denominator for q in rest.values()))
-        poly = R.from_dict({
-            tuple(e[i] for i in positions): q.numerator * (denom // q.denominator)
-            for e, q in rest.items()
-        })
-        for f, mult in poly.factor_list()[1]:
+        poly = {tuple(e[i] for i in positions): q.numerator * (denom // q.denominator)
+                for e, q in rest.items()}
+        for f, mult in factor_integer(poly):
             terms = {}
             for m, c in f.items():
                 e = [0] * n
                 for i, k in zip(positions, m):
                     e[i] = k
-                terms[tuple(e)] = Fraction(int(c))
-            keyed.append((_factor_key(f.to_dense(), R.ngens, mult), Polynomial(ctx, terms), mult))
+                terms[tuple(e)] = Fraction(c)
+            keyed.append((_factor_key(_dense(f, len(positions) - 1), len(positions), mult),
+                          Polynomial(ctx, terms), mult))
     keyed.sort(key=lambda item: item[0])
     return [(q, mult) for _, q, mult in keyed]
 

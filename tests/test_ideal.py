@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.rings import PolyElement
 
+from gecc_kit import decompose as decompose_module
 from gecc_kit import ideal as ideal_module
 from gecc_kit.decompose import (
     _certify,
+    _dense,
     _eliminate_linear,
+    _generator_key,
     _linear_pivot,
     _substitute_out_linear,
     factor_list,
@@ -757,13 +759,13 @@ def test_monomial_dimension_and_degree_by_brute_force():
 
 def test_factor_list_factors_once_per_block(monkeypatch):
     factored = []
-    real = PolyElement.factor_list
+    real = decompose_module.factor_integer
 
-    def spy(self):
-        factored.append(self)
-        return real(self)
+    def spy(f):
+        factored.append(f)
+        return real(f)
 
-    monkeypatch.setattr(PolyElement, "factor_list", spy)
+    monkeypatch.setattr(decompose_module, "factor_integer", spy)
     with engine_limits(EngineLimits()):
         assert factor_list(P("y^2*(x+t^2)^2")) == factor_list(P("(t^2+x)^2*y^2"))
     assert len(factored) == 1
@@ -831,6 +833,65 @@ def test_factor_list_matches_sympy_expr_path(names):
         if p.total_degree() == 0:
             continue
         assert factor_list(p) == _expr_path_factor_list(p), str(p)
+
+
+@pytest.mark.parametrize("names", [
+    ("x", "y"), ("t", "x", "y", "w0"), ("w10", "_T", "w1", "w0", "x"),
+    ("x", "y", "t", "w0", "w1", "w2"), ("w1", "z", "w10", "_T", "y", "a"),
+])
+def test_factor_list_splits_products_as_sympy_does(names):
+    # products of 2-4 factors, some repeated or negated, times rational content
+    ctx = base_context(list(names))
+    rng = random.Random(100 + len(names))
+    split = 0
+    for _ in range(6):
+        p = ctx.const(Fraction(rng.choice([-6, -1, 1, 5]), rng.choice([1, 2, 9])))
+        for _ in range(rng.randint(2, 4)):
+            f = _random_factor(rng, ctx)
+            p = p * (f if rng.random() < 0.5 else -f) ** rng.choice([1, 1, 2])
+        if p.total_degree() == 0:
+            continue
+        expected = _expr_path_factor_list(p)
+        assert factor_list(p) == expected, str(p)
+        split += sum(m for _, m in expected) >= 2
+    assert split >= 5
+
+
+@pytest.mark.parametrize("names, text, expected", [
+    # Swinnerton-Dyer polynomials split mod every prime
+    (("x",), "x^4-10*x^2+1", ["x^4 - 10*x^2 + 1"]),
+    (("x",), "x^8-40*x^6+352*x^4-960*x^2+576", ["x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"]),
+    (("x",), "x^4+1", ["x^4 + 1"]),
+    # the leading coefficient y^2 vanishes at y = 0
+    (("x", "y"), "(x*y-1)*(x*y+2)", ["x*y - 1", "x*y + 2"]),
+    # the image at y = 0 is x^4, not square-free
+    (("x", "y"), "(x^2-y)*(x^2-2*y)", ["x^2 - 2*y", "x^2 - y"]),
+    # irreducible, though its images at y = 1 and y = 4 split
+    (("x", "y"), "x^2-y", ["x^2 - y"]),
+    (("x",), "x^2-1", ["x - 1", "x + 1"]),
+    (("x",), "x^2-4", ["x - 2", "x + 2"]),
+])
+def test_factor_list_hard_cases(names, text, expected):
+    ctx = base_context(list(names))
+    p = parse_polynomial(text, ctx)
+    assert [(str(f), m) for f, m in factor_list(p)] == [(f, 1) for f in expected]
+    assert factor_list(p) == _expr_path_factor_list(p)
+
+
+def test_generator_order_and_dense_key_are_sympys():
+    from sympy.polys.polyutils import _sort_gens
+    from sympy.polys.rings import PolyRing
+
+    names = ["x", "y", "z", "t", "a", "o", "p", "w", "w0", "w1", "w2", "w10", "x1", "x10", "x2",
+             "_T", "T", "alpha", "b12c", "u", "v"]
+    rng = random.Random(9)
+    for _ in range(30):
+        sample = rng.sample(names, rng.randint(1, 6))
+        assert sorted(sample, key=_generator_key) == list(_sort_gens(sample))
+        ring = PolyRing([sympy.Symbol(n) for n in sample], sympy.ZZ)
+        f = {tuple(rng.randint(0, 3) for _ in sample): rng.randint(-5, 5) or 1
+             for _ in range(rng.randint(1, 5))}
+        assert _dense(f, len(sample) - 1) == ring.from_dict(f).to_dense()
 
 
 def test_certified_prime_checks():

@@ -1,8 +1,8 @@
 """Every name an engine module imports is used, every top-level def and
-method is, no engine module imports ``random``, only ``decompose.py``
-imports ``sympy``, factoring loads none of sympy's tensor machinery, no
-engine function takes a ``limits`` parameter, and every engine name that
-bench/spans.py traces exists.
+method is, no engine module imports ``random`` or ``sympy``, the CLI runs
+and factors with no sympy module loaded and gives the same output where
+sympy cannot be imported at all, no engine function takes a ``limits``
+parameter, and every engine name that bench/spans.py traces exists.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -89,9 +89,9 @@ def test_scan_flags_a_random_import(tmp_path):
     assert imports_of(module, "random") == [1, 2, 7]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "decompose.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_decompose_imports_sympy(path):
+    """No engine module imports sympy, decompose.py and its factoriser included."""
     assert imports_of(path, "sympy") == []
 
 
@@ -109,10 +109,9 @@ def test_scan_flags_a_sympy_import(tmp_path):
     assert imports_of(module, "sympy") == [1, 2, 6]
 
 
-# The first Add of sympy expressions lazily imports sympy.tensor.tensor
-# and sympy.combinatorics, a cost paid again in every fresh problem
-# process; the factorization bridge works in sympy's polynomial rings and
-# builds no expressions.
+# Factoring over Q is native: importing the CLI and factoring, reducible
+# inputs included, loads no sympy module, so a fresh process pays no
+# sympy import.
 FACTOR_PROBE = """
 import sys
 import gecc_kit.cli
@@ -121,7 +120,7 @@ from gecc_kit.polyring import base_context, parse_polynomial
 ctx = base_context(["x", "y", "t", "w0"])
 for text in ["y*(y^2-x^3-t^2*x^2)", "x^2-1/4*t^2", "(x+w0)^3*(2*y-t)", "3*x^2*y-1/2*y^3"]:
     assert factor_list(parse_polynomial(text, ctx))
-print(sorted(m for m in ("sympy.tensor.tensor", "sympy.combinatorics") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
 """
 
 
@@ -130,6 +129,33 @@ def test_factoring_loads_no_sympy_tensor():
     out = subprocess.run([sys.executable, "-c", FACTOR_PROBE], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# The same commands where sympy cannot be imported: sys.modules["sympy"] =
+# None makes every import of it raise ImportError.
+NO_SYMPY_RUN = """
+import sys
+sys.modules["sympy"] = None
+from gecc_kit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args", [["gecc"], ["nearby"], ["vanishing", "--route", "both"]],
+                         ids=lambda args: " ".join(args))
+def test_cli_runs_where_sympy_cannot_be_imported(tmp_path, capsys, args):
+    from gecc_kit.cli import main
+    from test_cli import RUNNING_TXY, write_descriptor
+
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    command, *rest = args
+    assert main([command, path, *rest]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", NO_SYMPY_RUN, command, path, *rest], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == expected
 
 
 # Limits reach the Groebner kernel through one context variable in
