@@ -5,29 +5,30 @@ polynomial all have the same length, and position 0 is the most
 significant variable of the lex order that fixes signs. A univariate
 polynomial is a list of ints, lowest degree first.
 
-``factor_integer`` takes out the integer and monomial content, then picks
-a main variable x in which the rest is primitive (a coefficient that is a
-nonzero integer shows this with no GCD). A primitive polynomial of degree
-1 in x is irreducible. Otherwise the other variables are set to small
-integers that keep the degree in x and leave the image square-free; this
-certifies the polynomial square-free, and an image irreducible over Q
-certifies it irreducible. If no such point turns up, Yun's algorithm
-splits off the square-free parts first.
+``factor_integer`` takes a polynomial with no monomial content. It takes
+out the integer content, then picks a main variable x in which the rest
+is primitive (a coefficient that is a nonzero integer shows this with no
+GCD). A primitive polynomial of degree 1 in x is irreducible. Otherwise
+the other variables are set to small integers that keep the degree in x
+and leave the image square-free; this certifies the polynomial
+square-free, and an image irreducible over Q certifies it irreducible. If
+no such point turns up, Yun's algorithm splits off the square-free parts
+first.
 
 GCDs are exact: the heuristic GCD (evaluation at a large integer) is
-taken only when exact division by it checks, and primitive
-pseudo-remainder sequences run otherwise. The univariate step is
-Zassenhaus's: distinct- and equal-degree factorisation mod a small prime,
-with the degree patterns of three primes compared first to certify
-irreducibility without lifting, then linear Hensel lifting past the
-Mignotte bound and recombination by trial division (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, ch. 14-16). A reducible image is
-lifted back by multivariate Hensel lifting (Wang 1978), at a point with
-as many zero coordinates as can be found, one total degree at a time and
-modulo a prime power past a coefficient bound, with every factor given
-the polynomial's leading coefficient in x (Geddes, Czapor and Labahn,
-*Algorithms for Computer Algebra*, ch. 6); products of lifted factors are
-then tried as factors by exact division.
+taken only when exact division checks it and its cofactors are certified
+coprime, and primitive pseudo-remainder sequences run otherwise. The
+univariate step is Zassenhaus's: distinct- and equal-degree
+factorisation mod a small prime, with the degree patterns of three primes
+compared first to certify irreducibility without lifting, then linear
+Hensel lifting past the Mignotte bound and recombination by trial
+division (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch.
+14-16). A reducible image is lifted back by multivariate Hensel lifting
+(Wang 1978), at the point that gave the fewest image factors, one total
+degree at a time and modulo a prime power past a coefficient bound, with
+every factor given the polynomial's leading coefficient in x (Geddes,
+Czapor and Labahn, *Algorithms for Computer Algebra*, ch. 6); products of
+lifted factors are then tried as factors by exact division.
 
 Every factor returned is primitive over Z with a positive lex-leading
 coefficient. The evaluation points come from a fixed sequence, so the
@@ -49,7 +50,6 @@ _PATTERN_PRIMES = 3      # degree patterns compared before lifting a univariate 
 _IMAGE_POINTS = 3        # good evaluation points tried before lifting a multivariate one
 _SQUAREFREE_MISSES = 12  # points missed in a row before Yun's algorithm runs
 _POINT_ATTEMPTS = 200    # points tried for a square-free part
-_SPARSE_ATTEMPTS = 40    # sparse points tried before lifting
 _COPRIME_POINTS = 8      # points tried per variable to certify two polynomials coprime
 
 
@@ -437,23 +437,17 @@ def _derivative_in(f: dict, i: int) -> dict:
 def _gcd(f: dict, g: dict) -> dict:
     """gcd over Z, with a positive lex-leading coefficient.
 
-    Images coprime mod a prime settle the common case, gcd 1, and exact
-    division the case of one dividing the other. Otherwise the heuristic
-    GCD is taken when exact division checks it and the cofactors are
-    certified coprime; the variable-by-variable pseudo-remainder route
-    runs when it fails.
+    The heuristic GCD answers when its answer checks; the exact
+    pseudo-remainder route runs when it does not. The heuristic route is
+    there for speed alone: Yun's algorithm on a square of 4-variable
+    polynomials is over a hundred times slower on the exact route.
     """
     if not f or not g:
         return _positive(f or g)
     cf, cg = _content(f), _content(g)
     c = gcd(cf, cg)
     f, g = _scale(f, cf), _scale(g, cg)
-    if _coprime(f, g):
-        return {tuple(0 for _ in next(iter(f))): c}
-    if len(f) > len(g):
-        f, g = g, f
-    h = (_positive(f) if _divexact(g, f) is not None
-         else _heuristic_gcd(f, g) or _exact_gcd(f, g))
+    h = _heuristic_gcd(f, g) or _exact_gcd(f, g)
     return {e: c * v for e, v in h.items()}
 
 
@@ -747,11 +741,7 @@ def _lift(F: dict, i: int, images: list) -> tuple:
     F's leading coefficient lc in x_i, so their product is lc^(r-1) F. The
     lifting runs mod P one total degree at a time up to ``top``, past the
     degree of any product of at most r/2 of the true factors so scaled; in
-    the symmetric range mod P those products are exact. It stops early,
-    with ``top`` None and F's irreducible factors, once the primitive part
-    of each lifted factor divides F: they are pairwise prime with degrees
-    in x_i summing to F's, so their product is F, and each has an
-    irreducible image.
+    the symmetric range mod P those products are exact.
     """
     r = len(images)
     series = _series(F, i)
@@ -791,9 +781,6 @@ def _lift(F: dict, i: int, images: list) -> tuple:
             error[m] = _add_p(error.get(m, []), [-c for c in p], P)
         error = {m: e for m, e in error.items() if e}
         if not error:
-            found = _divisors(F, factors, i, P)
-            if found is not None:
-                return found, None, P
             continue
         for m, e in error.items():
             for g, part, u, sigma in zip(factors, graded, base, sigmas):
@@ -808,12 +795,9 @@ def _factor_lifted(F: dict, i: int, images: list) -> list:
     """Irreducible factors of F (square-free, primitive in x_i, shifted to the point).
 
     Products of at most half the lifted factors are tried in turn; each
-    one whose primitive part divides F is a factor. An exact lift needs
-    no trial: each lifted factor is a scaled irreducible factor.
+    one whose primitive part divides F is a factor.
     """
     lifted, top, P = _lift(F, i, images)
-    if top is None:
-        return lifted
     out = []
     s = 1
     while 2 * s <= len(lifted):
@@ -835,18 +819,6 @@ def _factor_lifted(F: dict, i: int, images: list) -> list:
     return out
 
 
-def _divisors(F: dict, factors: list, i: int, P: int) -> list | None:
-    """The primitive parts of the lifted factors, if each divides F."""
-    out = []
-    for g in factors:
-        h = _symmetric(g, i, P)
-        h = _divexact(h, _content_in(h, i))
-        if _divexact(F, h) is None:
-            return None
-        out.append(h)
-    return out
-
-
 def _symmetric(series: dict, i: int, P: int) -> dict:
     """The series as a polynomial over Z, each coefficient in the symmetric range mod P."""
     out = {}
@@ -864,8 +836,9 @@ def _symmetric(series: dict, i: int, P: int) -> dict:
 def factor_integer(f: dict) -> list:
     """[(factor, multiplicity)]: the irreducible factors of f over Q.
 
-    f is a nonzero dict {exponent tuple: int}. Each factor is primitive
-    over Z with a positive lex-leading coefficient; constants are dropped.
+    f is a nonzero dict {exponent tuple: int} with no monomial content:
+    no variable divides it. Each factor is primitive over Z with a
+    positive lex-leading coefficient; constants are dropped.
     """
     out: list = []
     _factor_into(_normal(f), 1, out)
@@ -874,15 +847,10 @@ def factor_integer(f: dict) -> list:
 
 def _factor_into(f: dict, mult: int, out: list) -> None:
     """Append the factors of f, integer-primitive with a positive lex-leading
-    coefficient, each with its multiplicity times ``mult``."""
-    k = len(next(iter(f)))
-    low = [min(e[j] for e in f) for j in range(k)]
-    for j, m in enumerate(low):
-        if m:
-            out.append(({tuple(int(t == j) for t in range(k)): 1}, m * mult))
-    if any(low):
-        f = {tuple([a - b for a, b in zip(e, low)]): c for e, c in f.items()}
-    present = [j for j in range(k) if any(e[j] for e in f)]
+    coefficient and no monomial content, each with its multiplicity times
+    ``mult``. A content in the other variables has no monomial content
+    either."""
+    present = [j for j in range(len(next(iter(f)))) if any(e[j] for e in f)]
     if not present:
         return
     i = min(present, key=lambda j: _main_key(f, j))
@@ -939,35 +907,6 @@ def _good_points(f: dict, i: int, wanted: int, patience: int) -> list:
     return found
 
 
-def _sparse_point(f: dict, i: int, count: int) -> tuple | None:
-    """(point, image factors) with few nonzero coordinates and at most ``count`` image factors.
-
-    The shift to a sparse point keeps the lifted series sparse. Supports
-    are tried by size; one that misses every term of the leading
-    coefficient in x_i would send it to 0 and is passed over.
-    """
-    n = max(e[i] for e in f)
-    k = len(next(iter(f)))
-    lead = [{j for j, t in enumerate(e) if t and j != i} for e in f if e[i] == n]
-    others = [j for j in range(k) if j != i]
-    tried = 0
-    for t in range(len(others) + 1):
-        for support in combinations(others, t):
-            if not any(vs <= set(support) for vs in lead):
-                continue
-            for v in (1, -1, 2)[:1 if not t else 3]:
-                point = tuple(v if j in support else 0 for j in range(k))
-                u = _image(f, i, point)
-                if u[n] and _squarefree_q(u):
-                    factors = _factor_univariate(u)
-                    if len(factors) <= count:
-                        return point, factors
-                tried += 1
-                if tried == _SPARSE_ATTEMPTS:
-                    return None
-    return None
-
-
 def _factor_squarefree(f: dict, i: int, points: list) -> list:
     """Irreducible factors of f, square-free and primitive in x_i."""
     if not points:
@@ -978,7 +917,6 @@ def _factor_squarefree(f: dict, i: int, points: list) -> list:
     if _only_in(f, i):
         zero = tuple(0 for _ in point)
         return [{zero[:i] + (t,) + zero[i + 1:]: c for t, c in enumerate(u) if c} for u in images]
-    point, images = _sparse_point(f, i, len(images)) or (point, images)
     shifted = _shift(f, point)
     return [_shift(h, point, -1) for h in _factor_lifted(shifted, i, images)]
 
