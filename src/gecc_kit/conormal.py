@@ -26,6 +26,7 @@ from .decompose import minimal_primes
 from .ideal import (
     Ideal,
     block_memo,
+    lift_ideal,
     prime_contains_all,
     radical_contains,
     saturate_element,
@@ -196,12 +197,12 @@ def _conormal_from_rows(
     None when there is none, which for [J; df] means that d(f|_S) = 0."""
     ctx = ambient_t.context()
     base_names = [v.name for v in ambient_t.base_vars()]
-    lifted = [g.lift(ctx) for g in stratum.closure_ideal.generators]
+    closure = lift_ideal(stratum.closure_ideal, ctx)
     rows = [_gradient(g, base_names, ctx) for g in stratum.closure_ideal.generators]
     rows += extra_rows
     c = (ambient_t.n + 1) - stratum.dim + len(extra_rows)
     ncols = ambient_t.n + 1
-    witness = _rank_witness(rows, c, ncols, Ideal(ctx, lifted)) if c else None
+    witness = _rank_witness(rows, c, ncols, closure) if c else None
     if c and witness is None:
         if extra_rows:
             return None
@@ -210,7 +211,7 @@ def _conormal_from_rows(
         )
     wrow = [ctx.gen(v) for v in ambient_t.cotangent_vars()]
     minors = _minors_with_last_row(rows + [wrow], c + 1, ncols)
-    full = Ideal(ctx, lifted + minors)
+    full = closure.with_extra(minors)
     if witness is not None:
         full = saturate_element(full, witness)
     comp = component_from_prime(full, ambient_t)

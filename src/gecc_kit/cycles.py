@@ -23,6 +23,7 @@ from .ideal import (
     ResourceLimitExceeded,
     dimension_and_degree,
     eliminate,
+    lift_ideal,
     monomial_dimension_and_degree,
     prime_contains_all,
     saturate_element,
@@ -573,9 +574,7 @@ def _pushforward_component(
     """(image component, mapping degree) or (None, 0) on fiber collapse."""
     dropped = _dropped_variables(source, target)
     image_ideal = eliminate(comp.ideal, dropped, restrict=True)
-    tgt_ctx = target.context()
-    image_ideal = Ideal(tgt_ctx, [g.lift(tgt_ctx) for g in image_ideal.generators])
-    image = component_from_prime(image_ideal, target)
+    image = component_from_prime(lift_ideal(image_ideal, target.context()), target)
     if image.dim < comp.dim:
         return None, 0
     return image, _mapping_degree(comp, image, source, target)

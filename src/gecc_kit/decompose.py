@@ -20,6 +20,7 @@ from .ideal import (
     Ideal,
     block_memo,
     eliminate,
+    lift_ideal,
     polynomial_key,
     saturate_element,
     standard_monomials,
@@ -346,7 +347,7 @@ def _linear_fiber_with(
     if hints is not None:
         hints.append(witness.lift(ctx))
     witness = witness.lift(ctx)
-    candidate = Ideal(ctx, [g.lift(ctx) for g in base_gb] + linear_gens)
+    candidate = lift_ideal(base_ideal, ctx).with_extra(linear_gens)
     return saturate_element(candidate, witness) == J
 
 

@@ -37,6 +37,20 @@ terms, what is built from bases or kept for reuse: the (dimension,
 degree) of each degrevlex leading-monomial ideal, conormals, polar
 lengths and factorizations.
 
+Derived ideals. A sum ``with_extra``, the auxiliary-variable ideals of
+``saturate_element`` and ``radical_contains``, and ``local_degree``'s
+I + (x_1^D, ..., x_n^D) start from the parent's reduced degrevlex basis,
+computed first when need be, followed by the new generators. A run takes
+that basis as a prefix whose own pairs are never formed, but only when
+its order ranks the monomials in the prefix's variables as degrevlex
+does (``_trusted``): plain degrevlex, or a block order that eliminates
+none of them and keeps their relative order; never lex. A reduced basis
+lifted into a context that keeps its variables' order is the
+extension's reduced basis, handed over with no run (``lift_ideal``), and
+every run's basis is memoised as a generator set of its own too. When I
+is zero-dimensional and 1 lies in I + (h), ``saturate_element`` returns
+I's reduced basis with no elimination.
+
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
 CLI sets it once around each command.
@@ -353,12 +367,16 @@ def _reduce(work: dict, basis: list, guard: int) -> tuple:
 def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list:
     """Reduced (up to scaling) Groebner basis of nonzero packed integer polys.
 
-    Returns ``_element`` tuples with leading monomials ascending. Live
-    pairs map (i, j) to the fields of the lcm of their leading monomials;
-    ``queue`` is a heap of (lcm monomial, i, j). Gebauer-Moeller pruning
-    deletes a pair from ``pairs`` only, which leaves its heap entry stale:
-    it is skipped and not counted against the budget. Raises ``_Overflow``
-    when a product outgrows the packing's fields.
+    Returns ``_element`` tuples with leading monomials ascending. A
+    leading run of gens may be ``_element`` tuples already, the prefix: a
+    Groebner basis under the packing's order, so every pair within it
+    reduces to zero and none is formed (Buchberger's criterion); only
+    pairs with a later element are. Live pairs map (i, j) to the fields of
+    the lcm of their leading monomials; ``queue`` is a heap of (lcm
+    monomial, i, j). Gebauer-Moeller pruning deletes a pair from ``pairs``
+    only, which leaves its heap entry stale: it is skipped and not counted
+    against the budget. Raises ``_Overflow`` when a product outgrows the
+    packing's fields.
     """
     G: list = []   # _element tuples
     pairs: dict = {}
@@ -401,10 +419,14 @@ def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list
         G.append(f)
 
     for g in gens:
-        f = _element(g, packing)
+        prefix = isinstance(g, tuple)
+        f = g if prefix else _element(g, packing)
         if not f[0]:
             return [f]
-        update(f)
+        if prefix:
+            G.append(f)
+        else:
+            update(f)
 
     processed = 0
     while queue:
@@ -455,15 +477,39 @@ def polynomial_key(p: Polynomial) -> frozenset:
     return frozenset([(e, c.numerator, c.denominator) for e, c in p.terms.items()])
 
 
+def _trusted(order: MonomialOrder, n: int, prefix: Sequence[Polynomial]) -> bool:
+    """The order ranks the monomials in the prefix's variables as degrevlex does.
+
+    Then a degrevlex Groebner basis is one under the order too: its
+    S-polynomials and their reductions hold no other monomials. That is
+    plain degrevlex, or a permuted degrevlex or block order that keeps
+    those variables' relative order and, for a block order, eliminates
+    none of them; never lex.
+    """
+    if not prefix or order.kind == "lex":
+        return False
+    if order.perm is None and order.kind == "degrevlex":
+        return True
+    support = {i for g in prefix for e in g.terms for i, x in enumerate(e) if x}
+    perm = order.perm if order.perm is not None else range(n)
+    if order.kind == "block" and not support.isdisjoint(perm[:order.split]):
+        return False
+    ranked = [i for i in perm if i in support]
+    return ranked == sorted(ranked)
+
+
 class Ideal:
     """Ideal of Q[ctx], generators plus a per-order reduced-basis cache.
 
     A cache miss takes the basis from the memo of the enclosing
     ``engine_limits`` block when that block already computed it for the
-    same generator set and order, and runs Buchberger otherwise.
+    same generator set and order, and runs Buchberger otherwise. The
+    first ``_prefix`` generators of a derived ideal are a degrevlex
+    Groebner basis, which a run trusts when its order ranks their
+    monomials as degrevlex does (``_trusted``).
     """
 
-    __slots__ = ("ctx", "generators", "_cache", "_hash")
+    __slots__ = ("ctx", "generators", "_prefix", "_cache", "_hash")
 
     def __init__(self, ctx: VarContext, generators: Iterable[Polynomial]):
         gens = []
@@ -474,6 +520,7 @@ class Ideal:
                 gens.append(g)
         self.ctx = ctx
         self.generators = tuple(gens)
+        self._prefix = 0
         # order signature -> [reduced basis, stats, packing, packed basis];
         # packing and packed basis are None until first used
         self._cache: dict = {}
@@ -482,7 +529,12 @@ class Ideal:
     # -- construction helpers
 
     def with_extra(self, extra: Iterable[Polynomial]) -> "Ideal":
-        return Ideal(self.ctx, self.generators + tuple(extra))
+        """This ideal plus extra, generated by this one's reduced degrevlex
+        basis, as the prefix, and then extra."""
+        basis = self.groebner_basis()
+        J = Ideal(self.ctx, basis + tuple(extra))
+        J._prefix = len(basis)
+        return J
 
     # -- Groebner bases
 
@@ -498,6 +550,8 @@ class Ideal:
             found = memo.get(key)
             if found is None:
                 found = memo[key] = self._run(order, limits.spair_budget)
+                # the basis, as a generator set, is its own reduced basis
+                memo.setdefault((self.ctx, frozenset(map(polynomial_key, found[0])), sig), found)
             else:
                 ENGINE_COUNTERS["basis_memo_hits"] += 1
         self._cache[sig] = found
@@ -507,14 +561,18 @@ class Ideal:
         """[reduced basis, stats, packing, packed basis] by one Buchberger run.
 
         The run starts at the narrowest field width that holds the
-        generators and is redone twice as wide whenever a product overflows.
+        generators and is redone twice as wide, prefix and all, whenever a
+        product overflows. The prefix enters as a Groebner basis whose own
+        pairs are never formed when ``_trusted`` holds for the order.
         """
         n = len(self.ctx)
+        k = self._prefix if _trusted(order, n, self.generators[:self._prefix]) else 0
 
         def attempt(width: int) -> tuple:
             packing = _packing(order, n, width)
             stats: dict = {}
             gens = [_encode(packing, g)[0] for g in self.generators]
+            gens[:k] = [_element(g, packing) for g in gens[:k]]
             return _buchberger(gens, packing, budget, stats), stats, packing
 
         basis, stats, packing = _widening(_width(self.generators), attempt)
@@ -787,16 +845,28 @@ def _nonzero_normal_forms(I: Ideal, polys: Iterable[Polynomial]) -> list:
 
 
 def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
-    """(I : h^infinity) via the auxiliary-variable trick (single elimination)."""
+    """(I : h^infinity) via the auxiliary-variable trick (single elimination).
+
+    A unit h leaves I: a constant h returns I itself, and when I is
+    zero-dimensional and 1 lies in I + (h) (a degrevlex run seeded with
+    I's reduced basis) the result is I's reduced basis, with no
+    elimination. Only zero-dimensional I are tested: in positive
+    dimension the engine's saturations practically never meet a unit,
+    and a unit there still takes the elimination, to the same ideal.
+    Otherwise I's reduced degrevlex basis, lifted, plus 1 - s*h is
+    eliminated under a block order on s, which trusts the lifted basis
+    as a prefix.
+    """
     if h.is_zero():
         raise ValueError("saturation by zero")
     if h.total_degree() == 0:
         return I
+    if _zero_dimensional(I) and I.with_extra([h]).is_trivial():
+        return _with_reduced_basis(I.ctx, I.groebner_basis())
     ctx2, tv = _extend_with(I.ctx, "_s")
     t = ctx2.gen(tv)
-    gens = [g.lift(ctx2) for g in I.generators]
-    gens.append(ctx2.one() - t * h.lift(ctx2))
-    return eliminate(Ideal(ctx2, gens), [tv], restrict=True)
+    rabinowitsch = lift_ideal(I, ctx2).with_extra([ctx2.one() - t * h.lift(ctx2)])
+    return eliminate(rabinowitsch, [tv], restrict=True)
 
 
 def eliminate(
@@ -823,7 +893,22 @@ def eliminate(
     return _with_reduced_basis(small, [g.restrict(small) for g in keep])
 
 
-def _with_reduced_basis(ctx: VarContext, basis: list) -> Ideal:
+def lift_ideal(I: Ideal, ctx: VarContext) -> Ideal:
+    """I's extension to Q[ctx], a context that holds all of I's variables.
+
+    Generated by I's reduced degrevlex basis, lifted. When ctx keeps the
+    relative order of I's variables, degrevlex on ctx ranks I's monomials
+    as degrevlex on I's context does, so the lifted basis is the
+    extension's reduced basis and is handed over with no run.
+    """
+    lifted = [g.lift(ctx) for g in I.groebner_basis()]
+    positions = [ctx.position(v.name) for v in I.ctx.variables]
+    if positions == sorted(positions):
+        return _with_reduced_basis(ctx, lifted)
+    return Ideal(ctx, lifted)
+
+
+def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
     """The ideal that basis, its reduced degrevlex basis in ascending order, generates.
 
     The basis enters the ideal's cache and the block memo as if a run had
@@ -851,9 +936,7 @@ def radical_contains(I: Ideal, p: Polynomial) -> bool:
         return True
     ctx2, tv = _extend_with(I.ctx, "_r")
     t = ctx2.gen(tv)
-    gens = [g.lift(ctx2) for g in I.generators]
-    gens.append(ctx2.one() - t * p.lift(ctx2))
-    return Ideal(ctx2, gens).is_trivial()
+    return lift_ideal(I, ctx2).with_extra([ctx2.one() - t * p.lift(ctx2)]).is_trivial()
 
 
 def variety_contained_in(I: Ideal, J: Ideal) -> bool:
@@ -883,10 +966,10 @@ def standard_monomials(I: Ideal) -> list | None:
     Walks the staircase of the degrevlex leading monomials; raises
     ResourceLimitExceeded past ``VECDIM_CAP`` monomials.
     """
+    if not _zero_dimensional(I):
+        return None
     n = len(I.ctx)
     lms = [g.leading(DEGREVLEX)[0] for g in I.groebner_basis()]
-    if not all(any(not any(e[:i] + e[i + 1:]) for e in lms) for i in range(n)):
-        return None  # some variable has no pure power (or 1) among the lms
     out: list = []
     stack = [(0,) * n]
     seen = set(stack)
@@ -903,6 +986,16 @@ def standard_monomials(I: Ideal) -> list | None:
                 seen.add(nm)
                 stack.append(nm)
     return sorted(out, key=DEGREVLEX.key_function(n))
+
+
+def _zero_dimensional(I: Ideal) -> bool:
+    """Q[ctx]/I is finite: every variable has a pure power (or 1) among the
+    degrevlex leading monomials, read off the packed basis."""
+    I.groebner_basis()
+    packing, basis = I._packed(DEGREVLEX)
+    values, mask = packing.values, packing.mask
+    fields = [g[0] & mask for g in basis]
+    return all(any(not m & ~(values << s) for m in fields) for s in packing.shifts)
 
 
 def local_degree(I: Ideal) -> int:
@@ -927,5 +1020,4 @@ def local_degree(I: Ideal) -> int:
     if D > VECDIM_CAP:
         raise ResourceLimitExceeded("standard monomial count exceeded cap")
     ctx = I.ctx
-    powers = tuple(ctx.gen(v) ** D for v in ctx.variables)
-    return dimension_and_degree(Ideal(ctx, I.groebner_basis() + powers))[1]
+    return dimension_and_degree(I.with_extra([ctx.gen(v) ** D for v in ctx.variables]))[1]

@@ -50,6 +50,7 @@ from .hypersurface import nearby_gecc
 from .ideal import (
     Ideal,
     eliminate,
+    lift_ideal,
     prime_contains_all,
     radical_contains,
 )
@@ -185,8 +186,7 @@ def isolating_check(
                     notes.append(f"{p!r}: improper slice at j={j}")
                     continue
                 image = eliminate(p.ideal, wvars, restrict=True)
-                image = Ideal(uctx, [g.lift(uctx) for g in image.generators])
-                K = image.with_extra([uctx.gen(z) for z in zvars[:j]])
+                K = lift_ideal(image, uctx).with_extra([uctx.gen(z) for z in zvars[:j]])
                 if K.is_trivial():
                     continue
                 if K.dimension() <= 0:
@@ -489,12 +489,10 @@ def _blowup_cone(
     ctx_b = ambient_b.context()
     aux = Variable("_s", "base", len(ctx_b))
     big = ctx_b.extend([aux])
-    gens = [g.lift(big) for g in comp.ideal.generators]
     s = big.gen(aux)
-    for i, h in enumerate(graph_gens):
-        gens.append(big.gen(f"u{i}") - s * h.lift(big))
+    graph = [big.gen(f"u{i}") - s * h.lift(big) for i, h in enumerate(graph_gens)]
     # the restriction drops only the auxiliary variable, so the cone lives in ctx_b
-    cone = eliminate(Ideal(big, gens), [aux], restrict=True)
+    cone = eliminate(lift_ideal(comp.ideal, big).with_extra(graph), [aux], restrict=True)
     return component_from_prime(cone, ambient_b)
 
 

@@ -31,6 +31,7 @@ from gecc_kit.ideal import (
     eliminate,
     engine_limits,
     intersect,
+    lift_ideal,
     local_degree,
     monomial_dimension_and_degree,
     radical_contains,
@@ -431,6 +432,196 @@ def test_saturation_idempotence():
     res1 = saturate(I("x*y", "x*t"), I("y", "t"))
     res2 = saturate(res1.ideal, I("y", "t"))
     assert res2.ideal == res1.ideal and res2.exponent == 0
+
+
+# -- derived ideals: the parent's reduced basis as a trusted prefix
+
+
+def spy_prefixes(monkeypatch) -> list:
+    """The length of the trusted prefix of every Buchberger run from now on."""
+    prefixes = []
+    real = ideal_module._buchberger
+
+    def spy(gens, packing, budget, stats):
+        prefixes.append(sum(isinstance(g, tuple) for g in gens))
+        return real(gens, packing, budget, stats)
+
+    monkeypatch.setattr(ideal_module, "_buchberger", spy)
+    return prefixes
+
+
+def random_polynomial(rng, ctx, lead=None):
+    """A few terms of degree at most 2, plus a term in lead when given."""
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        e = [0] * len(ctx)
+        for _ in range(rng.randint(0, 2)):
+            e[rng.randrange(len(ctx))] += 1
+        terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    if lead is not None:
+        e = [0] * len(ctx)
+        e[ctx.position(lead)] = 1
+        e[rng.randrange(len(ctx))] += 1
+        terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Polynomial(ctx, terms)
+
+
+def random_parents(seed, count=40):
+    """(parent ideal, extra generator) pairs in x, y, z; every parent generator holds x."""
+    rng = random.Random(seed)
+    return [(Ideal(CTX_XYZ, [random_polynomial(rng, CTX_XYZ, "x") for _ in range(2)]),
+             random_polynomial(rng, CTX_XYZ)) for _ in range(count)]
+
+
+def fresh(J):
+    """The same generators with no prefix."""
+    return Ideal(J.ctx, J.generators)
+
+
+def test_seeded_degrevlex_runs_equal_fresh_runs(monkeypatch):
+    prefixes = spy_prefixes(monkeypatch)
+    seeded = spairs = 0
+    for parent, f in random_parents(71):
+        basis = parent.groebner_basis()
+        J = parent.with_extra([f])
+        K = fresh(J)
+        assert J.generators[:len(basis)] == basis
+        assert J.groebner_basis() == K.groebner_basis()
+        assert prefixes[-2:] == [len(basis), 0]
+        seeded += J.gb_stats().get("spairs", 0)
+        spairs += K.gb_stats().get("spairs", 0)
+    assert seeded < spairs  # no pair within a parent basis is formed
+
+
+def test_seeded_runs_under_a_block_order_on_an_added_variable(monkeypatch):
+    ctx = base_context(["x", "y", "z", "s"])
+    order = block_order([3], 4)
+    s = ctx.gen("s")
+    prefixes = spy_prefixes(monkeypatch)
+    for parent, h in random_parents(72):
+        lifted = lift_ideal(parent, ctx)
+        J = lifted.with_extra([ctx.one() - s * h.lift(ctx)])
+        assert J.groebner_basis(order) == fresh(J).groebner_basis(order)
+        assert prefixes[-2:] == [len(lifted.generators), 0]
+
+
+def test_seeded_runs_after_an_order_keeping_lift(monkeypatch):
+    ctx = base_context(["a", "x", "b", "y", "z"])
+    rng = random.Random(73)
+    prefixes = spy_prefixes(monkeypatch)
+    for parent, _ in random_parents(73):
+        parent.groebner_basis()
+        runs = len(prefixes)
+        lifted = lift_ideal(parent, ctx)
+        assert len(prefixes) == runs  # handed over with no run
+        assert lifted.generators == Ideal(ctx, [g.lift(ctx) for g in parent.generators]).groebner_basis()
+        J = lifted.with_extra([random_polynomial(rng, ctx, "a")])
+        for order in (DEGREVLEX, block_order([0], 5), block_order([2, 0], 5)):
+            assert J.groebner_basis(order) == fresh(J).groebner_basis(order)
+            assert prefixes[-2] == len(lifted.generators)
+
+
+@pytest.mark.parametrize("order", [LEX, block_order([0], 3), block_order([1, 0], 3)],
+                         ids=["lex", "block-x", "block-yx"])
+def test_prefix_is_not_trusted_where_its_order_changes(monkeypatch, order):
+    prefixes = spy_prefixes(monkeypatch)
+    for parent, f in random_parents(74):
+        J = parent.with_extra([f])
+        assert J.groebner_basis(order) == fresh(J).groebner_basis(order)
+        assert selfcheck_groebner(J.groebner_basis(order), order)
+    assert set(prefixes) == {0}  # every parent basis here involves x
+
+
+def test_prefix_is_not_trusted_after_a_permuting_lift(monkeypatch):
+    ctx = base_context(["z", "x", "y"])
+    prefixes = spy_prefixes(monkeypatch)
+    for parent, f in random_parents(75):
+        parent.groebner_basis()
+        runs = len(prefixes)
+        lifted = lift_ideal(parent, ctx)
+        assert lifted.groebner_basis() == Ideal(ctx, [g.lift(ctx) for g in parent.generators]).groebner_basis()
+        assert prefixes[runs] == 0  # the lifted basis is run again, untrusted
+        J = lifted.with_extra([f.lift(ctx)])
+        assert J.groebner_basis() == fresh(J).groebner_basis()
+
+
+def spy_orders(monkeypatch) -> list:
+    """The order signature of every Groebner run from now on."""
+    orders = []
+    real = Ideal._run
+
+    def spy(self, order, budget):
+        orders.append(order.signature())
+        return real(self, order, budget)
+
+    monkeypatch.setattr(Ideal, "_run", spy)
+    return orders
+
+
+FINITE = ("x^2 - 1", "y - x", "z - 2")  # the points (1, 1, 2) and (-1, -1, 2)
+
+
+def test_unit_exit_returns_the_reduced_basis(monkeypatch):
+    finite = I(*FINITE, ctx=CTX_XYZ)
+    basis = finite.groebner_basis()
+    orders = spy_orders(monkeypatch)
+    sat = saturate_element(finite, P("x + 3*z", CTX_XYZ))
+    assert orders == [DEGREVLEX.signature()]  # 1 in I + (h); no block-order run
+    assert sat.generators == basis and sat.groebner_basis() == basis
+    res = saturate(finite, I("x + 3*z", ctx=CTX_XYZ))
+    assert res.exponent == 0 and res.ideal.generators == basis
+    # the Rabinowitsch route reaches the same ideal
+    ctx2 = base_context(["x", "y", "z", "s"])
+    rabinowitsch = Ideal(ctx2, [P(g, ctx2) for g in FINITE] + [P("1 - s*x - 3*s*z", ctx2)])
+    assert eliminate(rabinowitsch, ["s"], restrict=True).generators == basis
+
+
+def test_non_unit_on_a_finite_scheme_takes_the_elimination(monkeypatch):
+    finite = I(*FINITE, ctx=CTX_XYZ)
+    finite.groebner_basis()
+    orders = spy_orders(monkeypatch)
+    sat = saturate_element(finite, P("x - 1", CTX_XYZ))
+    assert sum(sig.startswith("block") for sig in orders) == 1
+    assert sat == I("x + 1", "y + 1", "z - 2", ctx=CTX_XYZ)
+
+
+def test_positive_dimensional_unit_takes_the_elimination(monkeypatch):
+    ctx = base_context(["x", "y"])
+    line = Ideal(ctx, [P("y", ctx)])
+    line.groebner_basis()
+    orders = spy_orders(monkeypatch)
+    sat = saturate_element(line, P("y - 1", ctx))
+    assert orders == [block_order([2], 3).signature()]
+    assert sat == line and sat.generators == line.groebner_basis()
+    assert saturate(line, Ideal(ctx, [P("y - 1", ctx)])).exponent == 0
+
+
+def test_spair_budget_binds_a_seeded_run(monkeypatch):
+    prefixes = spy_prefixes(monkeypatch)
+    parent = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
+    extra = [P("x*z - y + 1", CTX_XYZ)]
+    J = parent.with_extra(extra)
+    J.groebner_basis()
+    assert prefixes[-1] == len(parent.groebner_basis())
+    processed = J.gb_stats()["spairs"]
+    assert processed >= 1
+    with engine_limits(EngineLimits(spair_budget=processed)):
+        assert parent.with_extra(extra).groebner_basis() == J.groebner_basis()
+    with engine_limits(EngineLimits(spair_budget=processed - 1)):
+        with pytest.raises(ResourceLimitExceeded):
+            parent.with_extra(extra).groebner_basis()
+    assert prefixes[-1] == len(parent.groebner_basis())
+
+
+def test_a_run_is_memoised_under_its_own_basis(monkeypatch):
+    budgets = spy_budgets(monkeypatch)
+    with engine_limits(EngineLimits()):
+        J = I(*PRUNED_AFTER_QUEUEING, ctx=CTX_XYZ)
+        basis = J.groebner_basis()
+        assert len(budgets) == 1
+        canonical = Ideal(CTX_XYZ, basis)
+        assert canonical.groebner_basis() == basis
+        assert len(budgets) == 1
 
 
 # -- elimination

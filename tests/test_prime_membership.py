@@ -28,12 +28,16 @@ TANGENT_TRIPLE = {
     "L": "x",
 }
 
-# Groebner runs of ``vanishing --route both`` on the running surface, the
-# same under every PYTHONHASHSEED. With the radical test on components it
-# made 187, and 158 while each elimination's result ran its own degrevlex
-# basis and projectivization took the radical test; so a Rabinowitsch run
-# or a recomputed basis that comes back fails here, with no timing.
-RUNNING_VANISHING_BOTH_RUNS = 142
+# Groebner runs and S-pairs of ``vanishing --route both`` on the running
+# surface, the same under every PYTHONHASHSEED. With the radical test on
+# components it made 187 runs, 158 while each elimination's result ran its
+# own degrevlex basis and projectivization took the radical test, and 142
+# runs with 1762 S-pairs while derived ideals started from raw generators
+# and lifted bases were confirmed by a run; so a Rabinowitsch run, a
+# recomputed basis or a re-formed pair of a parent basis that comes back
+# fails here, with no timing.
+RUNNING_VANISHING_BOTH_RUNS = 136
+RUNNING_VANISHING_BOTH_SPAIRS = 1383
 
 
 @pytest.fixture
@@ -78,3 +82,4 @@ def test_running_surface_two_routes_run_count(tmp_path, capsys):
     assert main(["vanishing", path, "--route", "both", "--json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["engine"]["groebner_runs"] <= RUNNING_VANISHING_BOTH_RUNS
+    assert report["engine"]["spairs"] <= RUNNING_VANISHING_BOTH_SPAIRS
