@@ -57,7 +57,7 @@ from .ideal import (
     engine_limits,
 )
 from .modclass import ModClass
-from .polyring import ParseError, Polynomial, parse_polynomial
+from .polyring import ParseError, Polynomial, VarContext, parse_polynomial
 from .vanishing import (
     ImproperStep,
     InconsistencyError,
@@ -72,10 +72,11 @@ EXIT_RESOURCE = 3
 
 
 class DescriptorError(ValueError):
-    """The descriptor does not fit its schema; names the offending JSON path."""
+    """The descriptor does not fit its schema; names the offending JSON path,
+    or the option (``--f``, ``--L``) that stands in for a key."""
 
-    def __init__(self, path: str, message: str):
-        super().__init__(f"descriptor {path}: {message}")
+    def __init__(self, path: str, message: str, source: str = "descriptor"):
+        super().__init__(f"{source} {path}: {message}")
 
 
 _DIAGNOSTIC_ERRORS = (
@@ -89,7 +90,6 @@ _DIAGNOSTIC_ERRORS = (
     StratificationError,
     FConstantOnStratum,
     RankAnomaly,
-    ParseError,
 )
 _RESOURCE_ERRORS = (CertificationFailure, ResourceLimitExceeded, NotZeroDimensional)
 
@@ -255,20 +255,31 @@ def validate_branches(data) -> None:
         _member(b, path, "eta", _is_nat, "a nonnegative integer", 0)
 
 
+def _parse_at(text: str, ctx: VarContext, path: str, source: str = "descriptor") -> Polynomial:
+    """parse_polynomial, with a parse error located at path."""
+    try:
+        return parse_polynomial(text, ctx)
+    except ParseError as exc:
+        raise DescriptorError(path, str(exc), source) from None
+
+
 def descriptor_from_json(data: Mapping) -> ProblemDescriptor:
     validate_descriptor(data)
     amb_data = data["ambient"]
     ambient = AmbientSpace("U", amb_data["n"], tuple(amb_data["coords"]))
     ctx = ambient.context()
     strata = []
-    for s in data.get("strata", []):
-        ideal = Ideal(ctx, [parse_polynomial(t, ctx) for t in s["ideal"]])
+    for i, s in enumerate(data.get("strata", [])):
+        gens = [_parse_at(t, ctx, f"$.strata[{i}].ideal[{j}]") for j, t in enumerate(s["ideal"])]
         strata.append(
-            Stratum(s["name"], ideal, s["dim"], _parse_morse(s.get("morse", {})))
+            Stratum(s["name"], Ideal(ctx, gens), s["dim"], _parse_morse(s.get("morse", {})))
         )
-    SC = StratifiedComplex(ambient, strata, data.get("label", "F"))
-    f = parse_polynomial(data["f"], ctx) if data.get("f") else None
-    L = parse_polynomial(data["L"], ctx) if data.get("L") else None
+    try:
+        SC = StratifiedComplex(ambient, strata, data.get("label", "F"))
+    except StratificationError as exc:
+        raise DescriptorError(f"$.strata[{exc.index}].{exc.key}", str(exc)) from None
+    f = _parse_at(data["f"], ctx, "$.f") if data.get("f") else None
+    L = _parse_at(data["L"], ctx, "$.L") if data.get("L") else None
     return ProblemDescriptor(ambient, SC, f, L, data.get("seed", 12345), dict(data))
 
 
@@ -336,21 +347,12 @@ def cmd_shriek(desc: ProblemDescriptor, args) -> tuple:
 
 
 def cmd_vanishing(desc: ProblemDescriptor, args) -> tuple:
-    onthefly = getattr(args, "experimental_onthefly", False)
-    rep = vanishing_pipeline(
-        desc.complex, desc.f, route=args.route, require_isolating=not onthefly
-    )
+    rep = vanishing_pipeline(desc.complex, desc.f, route=args.route)
     report = rep.to_json()
     lines = [f"isolating coordinates: {rep.isolating['per_j']} (s = {rep.isolating['s']})"]
     if not rep.isolating["pass"]:
-        if not onthefly:
-            lines.append("isolating check FAILED for this coordinate order")
-            return EXIT_DIAGNOSTIC, report, lines
-        report["certified"] = False
-        lines.append(
-            "isolating check FAILED; proceeding on per-step properness only "
-            "(experimental, result not certified)"
-        )
+        lines.append("isolating check FAILED for this coordinate order")
+        return EXIT_DIAGNOSTIC, report, lines
     if rep.trace is not None:
         for k, steps in sorted(rep.trace.by_degree.items()):
             for step in steps:
@@ -480,13 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--f", dest="f_override", default=None, help="override f")
     parser.add_argument("--L", dest="l_override", default=None, help="override L")
     parser.add_argument("--spair-budget", type=_nonnegative_int, default=None)
-    parser.add_argument(
-        "--experimental-onthefly",
-        action="store_true",
-        help="run the vanishing iteration even when the isolating check "
-        "fails, relying on per-step properness; result is recorded as "
-        "uncertified",
-    )
     return parser
 
 
@@ -527,12 +522,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                     desc.seed = args.seed
                 ctx = desc.ambient.context()
                 if args.f_override:
-                    desc.f = parse_polynomial(args.f_override, ctx)
+                    desc.f = _parse_at(args.f_override, ctx, "--f", "option")
                 if args.l_override:
-                    desc.L = parse_polynomial(args.l_override, ctx)
-                for key in _NEEDS.get(args.command, ()):
+                    desc.L = _parse_at(args.l_override, ctx, "--L", "option")
+                needs = _NEEDS.get(args.command, ())
+                for key in needs:
                     if getattr(desc, key) is None:
                         raise DescriptorError(f"$.{key}", f"missing; {args.command} needs {key}")
+                if "f" in needs and desc.f.constant_term() != 0:
+                    # the germ is at the origin; the Pi/Delta route reads only df
+                    path, source = ("--f", "option") if args.f_override else ("$.f", "descriptor")
+                    raise DescriptorError(
+                        path, f"f = {desc.f} does not vanish at the origin", source)
                 code, report, transcript = _COMMANDS[args.command](desc, args)
                 report["seed"] = desc.seed
                 report["engine"] = engine_counters()

@@ -28,7 +28,6 @@ from .ideal import (
     block_memo,
     lift_ideal,
     prime_contains_all,
-    radical_contains,
     saturate_element,
 )
 from .polyring import Polynomial, VarContext
@@ -43,12 +42,25 @@ class FConstantOnStratum(RuntimeError):
 
 
 class StratificationError(ValueError):
-    """Stratified-complex descriptor violates a structural invariant."""
+    """Stratified-complex descriptor violates a structural invariant.
+
+    ``index`` is the offending stratum's position and ``key`` the field at
+    fault (``ideal`` or ``dim``), when one stratum is at fault.
+    """
+
+    def __init__(self, message: str, index: int | None = None, key: str | None = None):
+        super().__init__(message)
+        self.index = index
+        self.key = key
 
 
 @dataclass
 class Stratum:
-    """Closure ideal (prime, in the base space), dimension, Morse table."""
+    """Closure ideal, dimension, Morse table.
+
+    The closure must be prime. A ``StratifiedComplex`` certifies it when
+    it is built; a stratum built on its own is taken on trust.
+    """
 
     name: str
     closure_ideal: Ideal
@@ -79,18 +91,33 @@ class StratifiedComplex:
         self._validate()
 
     def _validate(self) -> None:
-        seen = []
-        for s in self.strata:
-            if s.closure_ideal.ctx != self.ambient.context():
-                raise StratificationError(f"stratum {s.name}: wrong context")
-            d = s.closure_ideal.dimension()
+        """Each closure lives in the base space, has its declared dimension,
+        is a certified prime (its one minimal prime is itself) and is not
+        another stratum's closure."""
+        for i, s in enumerate(self.strata):
+            closure = s.closure_ideal
+            if closure.ctx != self.ambient.context():
+                raise StratificationError(f"stratum {s.name}: wrong context", i, "ideal")
+            d = closure.dimension()
             if d != s.dim:
                 raise StratificationError(
-                    f"stratum {s.name}: declared dim {s.dim}, computed {d}"
+                    f"stratum {s.name}: declared dim {s.dim}, computed {d}", i, "dim"
                 )
-            if any(s.closure_ideal == t for t in seen):
-                raise StratificationError(f"duplicate stratum closure {s.name}")
-            seen.append(s.closure_ideal)
+            primes = [w.ideal for w in minimal_primes(closure)]
+            if primes != [closure]:
+                found = ", ".join(
+                    "[" + ", ".join(map(str, P.groebner_basis())) + "]" for P in primes
+                )
+                raise StratificationError(
+                    f"stratum {s.name}: closure is not a prime ideal; "
+                    f"its minimal primes are {found}",
+                    i, "ideal",
+                )
+            for t in self.strata[:i]:
+                if t.closure_ideal == closure:
+                    raise StratificationError(
+                        f"stratum {s.name}: same closure as stratum {t.name}", i, "ideal"
+                    )
 
     def visible_strata(self) -> list:
         return [s for s in self.strata if s.visible()]
@@ -106,7 +133,7 @@ class StratifiedComplex:
 
     def check_vf_union_of_strata(self, ft: Polynomial) -> bool:
         """V(f) meets X in a union of strata closures."""
-        inside = [s for s in self.strata if radical_contains(s.closure_ideal, ft)]
+        inside = [s for s in self.strata if prime_contains_all(s.closure_ideal, [ft])]
         for s in self.strata:
             if s in inside:
                 continue

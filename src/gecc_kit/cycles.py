@@ -133,8 +133,9 @@ class Component:
       variables renamed to the tags;
     - ``hypersurface.classical_polar_cycle``: the zero ideal.
     So V(ideal) lies in V(J) exactly when J lies in the ideal, which
-    ``prime_contains_all`` tests by normal forms; only ideals with no such
-    certificate take ``radical_contains``.
+    ``prime_contains_all`` tests by normal forms. The engine's other
+    membership questions are about stratum closures, certified prime when
+    their ``StratifiedComplex`` is built, and take the same test.
     """
 
     ideal: Ideal

@@ -45,7 +45,6 @@ from .ideal import (
     block_memo,
     local_degree,
     prime_contains_all,
-    radical_contains,
 )
 from .modclass import ModClass
 from .polyring import Polynomial
@@ -473,7 +472,7 @@ def shriek_support(
         comps: list = []
         for s in SC.visible_strata():
             if s.morse.get(k) and not s.morse[k].is_zero():
-                if not radical_contains(s.closure_ideal, ft):
+                if not prime_contains_all(s.closure_ideal, [ft]):
                     comp = conormal_variety(s, ambient_t)
                     if comp not in comps:
                         comps.append(comp)
@@ -590,7 +589,7 @@ def analyze_curve_branches(
         if s.dim != 1:
             continue
         mult = local_degree(s.closure_ideal.with_extra([lt]))
-        in_vf = radical_contains(s.closure_ideal, ft)
+        in_vf = prime_contains_all(s.closure_ideal, [ft])
         eta = 0
         if not in_vf:
             eta = local_degree(s.closure_ideal.with_extra([ft]))

@@ -46,10 +46,17 @@ its order ranks the monomials in the prefix's variables as degrevlex
 does (``_trusted``): plain degrevlex, or a block order that eliminates
 none of them and keeps their relative order; never lex. A reduced basis
 lifted into a context that keeps its variables' order is the
-extension's reduced basis, handed over with no run (``lift_ideal``), and
-every run's basis is memoised as a generator set of its own too. When I
-is zero-dimensional and 1 lies in I + (h), ``saturate_element`` returns
-I's reduced basis with no elimination.
+extension's reduced basis, handed over with no run (``lift_ideal``), as
+is a reduced basis whose variables are renamed in place
+(``renamed_ideal``), and every run's basis is memoised as a generator
+set of its own too. When I is zero-dimensional and 1 lies in I + (h),
+``saturate_element`` returns I's reduced basis with no elimination.
+
+Membership. Every ideal the engine asks about is a certified prime (a
+component, a minimal-prime witness, a stratum closure), its own radical,
+so V(P) lies in V(J) exactly when J's generators reduce to 0 mod P
+(``prime_contains_all``). ``radical_contains``, the auxiliary-variable
+test for any ideal, has no engine caller: it is the tests' reference.
 
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
@@ -908,6 +915,16 @@ def lift_ideal(I: Ideal, ctx: VarContext) -> Ideal:
     return Ideal(ctx, lifted)
 
 
+def renamed_ideal(I: Ideal, ctx: VarContext) -> Ideal:
+    """I with its variables renamed, position by position, to ctx's.
+
+    Every exponent stays in place, so degrevlex ranks the renamed monomials
+    as it ranked I's, and I's reduced basis, renamed, is the result's. It is
+    handed over with no run.
+    """
+    return _with_reduced_basis(ctx, [Polynomial(ctx, g.terms) for g in I.groebner_basis()])
+
+
 def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
     """The ideal that basis, its reduced degrevlex basis in ascending order, generates.
 
@@ -927,10 +944,10 @@ def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
 def radical_contains(I: Ideal, p: Polynomial) -> bool:
     """p in sqrt(I), by the auxiliary-variable membership test.
 
-    For ideals with no primality certificate: stratum closures, prime only
-    by the descriptor's word, and ideals not known to be prime. A
-    certified prime P is its own radical, so ``prime_contains_all``
-    answers by normal forms mod P, with no further Groebner run.
+    For any ideal, prime or not; no engine path calls it. The engine asks
+    only about certified primes, each its own radical, and
+    ``prime_contains_all`` answers those by normal forms with no further
+    Groebner run. The tests check those answers against this one.
     """
     if p.is_zero() or I.contains(p):
         return True
@@ -953,9 +970,11 @@ def prime_contains_all(P: Ideal, polys: Iterable[Polynomial]) -> bool:
 
     A prime is its own radical, so vanishing on V(P) is membership in P
     (Cox, Little and O'Shea, ch. 4 section 2): a normal form against the
-    basis P already has. The ideals that qualify are a ``Component``'s and
-    a ``minimal_primes`` witness's; any other ideal takes
-    ``radical_contains``, which also finds x in sqrt((x^2)).
+    basis P already has. The ideals that qualify are a ``Component``'s, a
+    ``minimal_primes`` witness's and a stratum closure of a
+    ``StratifiedComplex``, which certifies each when it is built. For an
+    ideal that is not prime the answer can be wrong: x is not in (x^2),
+    though it vanishes on V(x^2); ``radical_contains`` answers that.
     """
     return all(P.contains(p) for p in polys)
 

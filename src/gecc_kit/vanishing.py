@@ -52,7 +52,7 @@ from .ideal import (
     eliminate,
     lift_ideal,
     prime_contains_all,
-    radical_contains,
+    renamed_ideal,
 )
 from .modclass import ModClass
 from .polyring import Polynomial, Variable
@@ -110,7 +110,7 @@ def microsupport_phi_bound(
     lower: dict = {}
     upper: dict = {}
     for s in SC.visible_strata():
-        if not radical_contains(s.closure_ideal, ft):
+        if not prime_contains_all(s.closure_ideal, [ft]):
             continue
         comp = conormal_variety(s, ambient_t)
         for k, m in s.morse_items():
@@ -347,8 +347,6 @@ def projectivize(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
     sctx = source.context()
     tctx = target.context()
     wpos = [sctx.position(v) for v in source.cotangent_vars()]
-    # base variables keep their names
-    mapping = {v.name: tctx.gen(f"u{i}") for i, v in enumerate(source.cotangent_vars())}
     irr = irrelevant_ideal(target)
     degrees: dict = {}
     for k, cyc in E.degrees.items():
@@ -357,8 +355,7 @@ def projectivize(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
             for g in comp.ideal.groebner_basis():
                 if not g.is_homogeneous_in(wpos):
                     raise NonConicCycle(f"component {comp!r} is not conic: {g}")
-            gens = [g.substitute(mapping) for g in comp.ideal.generators]
-            ideal = Ideal(tctx, gens)
+            ideal = renamed_ideal(comp.ideal, tctx)  # w_i -> u_i, base names kept
             if prime_contains_all(ideal, irr.generators):
                 continue  # pure zero-section: empty in the projectivization
             acc = acc.add_term(component_from_prime(ideal, target), m)
@@ -624,21 +621,17 @@ def vanishing_pipeline(
     SC: StratifiedComplex,
     ft: Polynomial,
     route: str = "pidelta",
-    require_isolating: bool = True,
 ) -> VanishingReport:
-    """Full germ-at-the-origin vanishing-cycle computation.
-
-    When ``require_isolating`` is off, the iteration runs on per-step
-    properness alone; that mode records success but does not certify it.
-    """
+    """Full germ-at-the-origin vanishing-cycle computation; nothing past the
+    bounds when the isolating check fails."""
     gecc_F = gecc_assemble(SC)
     bound = microsupport_phi_bound(SC, ft)
     iso = isolating_check(SC, ft, bound.upper_components())
+    if not iso["pass"]:
+        return VanishingReport(SC, ft, bound, iso, None, None, None, None, None, None)
     trace = lambdas = gecc_phi = cc_phi = None
     blowup = None
     agreement = None
-    if not iso["pass"] and require_isolating:
-        return VanishingReport(SC, ft, bound, iso, None, None, None, None, None, None)
     if route in ("pidelta", "both"):
         trace = pi_delta(gecc_F, ft)
         lambdas = lambda_cycles(trace)

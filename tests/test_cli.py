@@ -26,6 +26,17 @@ RUNNING_TXY = {
 
 RUNNING_XYT = dict(RUNNING_TXY, ambient={"n": 2, "coords": ["x", "y", "t"]})
 
+# the parabola y = x^2 and the origin, in the isolating order (y, x)
+PARABOLA = {
+    "ambient": {"n": 1, "coords": ["y", "x"]},
+    "strata": [
+        {"name": "b0", "ideal": ["y-x^2"], "dim": 1, "morse": {"0": {"rank": 1}}},
+        {"name": "origin", "ideal": ["x", "y"], "dim": 0, "morse": {"0": {"rank": 1}}},
+    ],
+    "f": "x",
+    "L": "x+y",
+}
+
 ORACLE_CURVE = {
     "branches": [
         {"name": "cusp", "mult": 2, "in_vf": False, "eta": 3},
@@ -95,19 +106,6 @@ def test_vanishing_bad_coordinates_exit_2(tmp_path, capsys):
     path = write_descriptor(tmp_path, RUNNING_XYT)
     code, out = run_cli(capsys, "vanishing", path)
     assert code == EXIT_DIAGNOSTIC
-
-
-def test_vanishing_experimental_onthefly(tmp_path, capsys):
-    # bad ordering: the uncertified mode still trips per-step properness
-    path = write_descriptor(tmp_path, RUNNING_XYT)
-    code = main(["vanishing", path, "--experimental-onthefly"])
-    captured = capsys.readouterr()
-    assert code == EXIT_DIAGNOSTIC
-    assert "step" in captured.err
-    # good ordering: the flag changes nothing
-    path2 = write_descriptor(tmp_path, RUNNING_TXY, "good.json")
-    code2, out2 = run_cli(capsys, "vanishing", path2, "--experimental-onthefly")
-    assert code2 == EXIT_OK
 
 
 def test_check_command_passes(tmp_path, capsys):
@@ -341,6 +339,17 @@ _BAD_VALUES = [
     # a repeated name: tables are looked up by name, so one would be dropped
     ("cc", CC_TABLES, ("strata", 1, "name"), "S2", "$.strata[1].name"),
     ("oracle-curve", ORACLE_CURVE, ("branches", 1, "name"), "cusp", "$.branches[1].name"),
+    # polynomial text that does not parse in the declared coordinates
+    ("gecc", PARABOLA, ("strata", 0, "ideal", 0), "y-z", "$.strata[0].ideal[0]"),
+    ("vanishing", PARABOLA, ("f",), "x+", "$.f"),
+    ("polar", PARABOLA, ("L",), "x+z", "$.L"),
+    # closures: the declared dimension, a certified prime, no repeats
+    ("gecc", PARABOLA, ("strata", 0, "dim"), 2, "$.strata[0].dim"),
+    ("gecc", PARABOLA, ("strata", 0, "ideal"), ["y*(y-x^2)"], "$.strata[0].ideal"),
+    ("gecc", PARABOLA, ("strata", 0, "ideal"), ["y^2"], "$.strata[0].ideal"),
+    ("gecc", RUNNING_TXY, ("strata", 1, "ideal"), ["y"], "$.strata[1].ideal"),
+    # the germ is at the origin: f must vanish there
+    ("vanishing", PARABOLA, ("f",), "x+1", "$.f"),
 ]
 _CASES = [
     (command, base, keys, spoil, where)
@@ -399,6 +408,49 @@ def test_missing_function_is_located(tmp_path, capsys, command, key, extra, expe
     if expected == EXIT_DIAGNOSTIC:
         assert f"descriptor $.{key}: missing" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("closure, primes", [
+    ("y*(y-x^2)", "its minimal primes are [x^2 - y], [y]"),
+    ("y^2", "its minimal primes are [y]"),
+], ids=["reducible", "not-radical"])
+def test_closure_that_is_not_prime_lists_its_minimal_primes(tmp_path, capsys, closure, primes):
+    data = json.loads(json.dumps(PARABOLA))
+    data["strata"][0]["ideal"] = [closure]
+    code = main(["gecc", write_descriptor(tmp_path, data)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIAGNOSTIC, err
+    assert "descriptor $.strata[0].ideal: stratum b0: closure is not a prime ideal" in err
+    assert primes in err
+    assert "Traceback" not in err
+
+
+# (subcommand, override, message): an override that cannot be used names
+# the option, and f must vanish at the origin wherever it comes from
+_BAD_OPTIONS = [
+    ("vanishing", ["--f", "3"], "option --f: f = 3 does not vanish at the origin"),
+    ("vanishing", ["--route", "both", "--f", "x+1"],
+     "option --f: f = x + 1 does not vanish at the origin"),
+    ("check", ["--f", "x+q"], "option --f: unknown variable 'q'"),
+    ("polar", ["--L", "x+q"], "option --L: unknown variable 'q'"),
+]
+
+
+@pytest.mark.parametrize("command, extra, message", _BAD_OPTIONS,
+                         ids=[f"{c}:{' '.join(e)}" for c, e, _ in _BAD_OPTIONS])
+def test_unusable_override_names_the_option(tmp_path, capsys, command, extra, message):
+    code = main([command, write_descriptor(tmp_path, PARABOLA), *extra])
+    err = capsys.readouterr().err
+    assert code == EXIT_DIAGNOSTIC, err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_f_off_the_origin_is_refused_only_where_f_is_read(tmp_path, capsys):
+    path = write_descriptor(tmp_path, dict(PARABOLA, f="x+1"))
+    assert main(["gecc", path]) == EXIT_OK
+    assert main(["vanishing", path, "--f", "x"]) == EXIT_OK
+    assert main(["conormal", path]) == EXIT_DIAGNOSTIC
 
 
 def test_oracle_curve_command(tmp_path, capsys):

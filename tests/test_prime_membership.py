@@ -1,11 +1,14 @@
 """Membership in a certified prime is a normal form.
 
-A component's ideal and a minimal-prime witness are prime, and a prime is
-its own radical, so the engine asks whether V(P) lies in V(J) by normal
-forms mod P (``prime_contains_all``). Ideals with no primality
-certificate keep the auxiliary-variable radical test."""
+A component's ideal, a minimal-prime witness and a stratum closure (which
+``StratifiedComplex`` certifies when it is built) are prime, and a prime
+is its own radical, so the engine asks whether V(P) lies in V(J) by
+normal forms mod P (``prime_contains_all``). The auxiliary-variable
+radical test (``radical_contains``) has no engine caller; it is the
+reference these tests check every such answer against."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -31,13 +34,15 @@ TANGENT_TRIPLE = {
 # Groebner runs and S-pairs of ``vanishing --route both`` on the running
 # surface, the same under every PYTHONHASHSEED. With the radical test on
 # components it made 187 runs, 158 while each elimination's result ran its
-# own degrevlex basis and projectivization took the radical test, and 142
-# runs with 1762 S-pairs while derived ideals started from raw generators
-# and lifted bases were confirmed by a run; so a Rabinowitsch run, a
-# recomputed basis or a re-formed pair of a parent basis that comes back
-# fails here, with no timing.
-RUNNING_VANISHING_BOTH_RUNS = 136
-RUNNING_VANISHING_BOTH_SPAIRS = 1383
+# own degrevlex basis and projectivization took the radical test, 142 runs
+# with 1762 S-pairs while derived ideals started from raw generators and
+# lifted bases were confirmed by a run, and 136 runs with 1383 S-pairs
+# while stratum closures took the radical test and projectivization ran
+# each renamed basis; so a Rabinowitsch run, a recomputed basis or a
+# re-formed pair of a parent basis that comes back fails here, with no
+# timing.
+RUNNING_VANISHING_BOTH_RUNS = 132
+RUNNING_VANISHING_BOTH_SPAIRS = 1379
 
 
 @pytest.fixture
@@ -83,3 +88,9 @@ def test_running_surface_two_routes_run_count(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["engine"]["groebner_runs"] <= RUNNING_VANISHING_BOTH_RUNS
     assert report["engine"]["spairs"] <= RUNNING_VANISHING_BOTH_SPAIRS
+
+
+def test_only_the_ideal_module_names_the_radical_test():
+    package = pathlib.Path(vanishing.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "radical_contains" in p.read_text())
+    assert naming == ["ideal.py"]
