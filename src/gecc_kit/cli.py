@@ -57,7 +57,7 @@ from .ideal import (
     engine_limits,
 )
 from .modclass import ModClass
-from .polyring import ParseError, Polynomial, VarContext, parse_polynomial
+from .polyring import ParseError, Polynomial, VarContext, base_context, parse_polynomial
 from .vanishing import (
     ImproperStep,
     InconsistencyError,
@@ -194,6 +194,7 @@ def validate_descriptor(data) -> None:
             "$.ambient.coords", f"has {len(coords)} names, but n = {n} needs {n + 1}")
     if len(set(coords)) != len(coords):
         raise DescriptorError("$.ambient.coords", "names are not distinct")
+    _validate_coords(coords, n)
     strata = _member(data, "$", "strata", lambda v: isinstance(v, list), "a list", [])
     names: set = set()
     for i, s in enumerate(strata):
@@ -235,6 +236,28 @@ def validate_descriptor(data) -> None:
             if t not in complexes:
                 raise DescriptorError(f"{path}.terms[{j}]", f"names no complex: {json.dumps(t)}")
         _member(check, path, "name", lambda v: isinstance(v, str), "a string", None)
+
+
+def _validate_coords(coords: list, n: int) -> None:
+    """Each coordinate name is free, and the parser reads it back as that coordinate.
+
+    The cotangent coordinates w0..wn and the tags u0..un share the
+    coordinates' context, so their names are taken.
+    """
+    reserved = {f"{stem}{k}" for stem in "wu" for k in range(n + 1)}
+    ctx = base_context(coords)
+    for i, name in enumerate(coords):
+        path = f"$.ambient.coords[{i}]"
+        if name in reserved:
+            raise DescriptorError(
+                path, f"{json.dumps(name)} is reserved for the cotangent and tag coordinates "
+                f"w0..w{n}, u0..u{n}")
+        try:
+            reads_back = parse_polynomial(name, ctx) == ctx.gen(name)
+        except ParseError:
+            reads_back = False
+        if not reads_back:
+            raise DescriptorError(path, f"{json.dumps(name)} does not read back as a coordinate name")
 
 
 def validate_branches(data) -> None:

@@ -1,10 +1,14 @@
-"""Minimal primes with conservative certification.
+"""Minimal primes with conservative certification, and factor lists over Q.
 
-Splitting uses generator factorization and zero-divisor saturations;
-an ideal is only reported prime when one of the certification routes
-succeeds (graph/triangular substitution, irreducible hypersurface,
-zero-dimensional field, or prime base with a saturated linear fiber).
-Anything else raises CertificationFailure rather than guessing.
+``minimal_primes`` examines each ideal in one pass of ``_certify``: the
+variables that occur only as c*x are substituted out once, and each
+route is tried once on what is left (every generator substituted: a
+graph; one irreducible generator: a hypersurface; a zero-dimensional
+field, by a primitive element's minimal polynomial; a prime base with a
+saturated linear fiber). An ideal no route certifies is split at the
+factors of a basis element, or at a zero-divisor candidate its
+certification handed over. Anything else raises CertificationFailure
+rather than guessing.
 """
 
 from __future__ import annotations
@@ -16,16 +20,19 @@ from math import lcm
 
 from .factor import factor_integer
 from .ideal import (
+    VECDIM_CAP,
     CertificationFailure,
     Ideal,
+    ResourceLimitExceeded,
     block_memo,
+    dimension_and_degree,
     eliminate,
+    extend_context,
     lift_ideal,
     polynomial_key,
     saturate_element,
-    standard_monomials,
 )
-from .polyring import Polynomial, VarContext, Variable, block_order
+from .polyring import Polynomial, VarContext, block_order
 
 
 @dataclass(frozen=True)
@@ -114,11 +121,6 @@ def _factor(p: Polynomial) -> list:
     return [(q, mult) for _, q, mult in keyed]
 
 
-def is_irreducible(p: Polynomial) -> bool:
-    fs = factor_list(p)
-    return len(fs) == 1 and fs[0][1] == 1
-
-
 # ---------------------------------------------------------------------------
 # Certification routes
 
@@ -168,93 +170,39 @@ def _eliminate_linear(gens: list, ctx: VarContext) -> tuple:
         ctx = small
 
 
-def _substitute_out_linear(gens: list, ctx: VarContext) -> Ideal:
-    """Eliminate variables occurring linearly with constant coefficient.
+def _try_point_field(J: Ideal, D: int) -> tuple:
+    """(certified, splitter): is Q[ctx]/J, of finite dimension D, a field?
 
-    Returns the ideal in a possibly smaller context; quotient rings are
-    isomorphic, so primality transfers.
+    The field test of Gianni, Trager and Zacharias (1988): the quotient is
+    a field exactly when a primitive element theta, one whose minimal
+    polynomial m has degree D, has an irreducible m. m generates
+    (J + (T - theta)) cap Q[T] (Cox, Little and O'Shea, ch. 3), one
+    elimination per candidate theta, its degree read against the Hilbert
+    count D. A reducible m of full degree gives its first factor at
+    theta, a zero divisor, as the splitter.
     """
-    gens, ctx, _ = _eliminate_linear(gens, ctx)
-    return Ideal(ctx, gens)
-
-
-def _try_point_field(J: Ideal) -> tuple:
-    """(certified, splitter): field check via a primitive element.
-
-    A reducible minimal polynomial of full degree yields a zero divisor
-    that is handed back as a splitting hint.
-    """
-    basis = standard_monomials(J)
-    if not basis:
-        return False, None
-    d = len(basis)
-    if d == 1:
+    if D > VECDIM_CAP:
+        raise ResourceLimitExceeded("standard monomial count exceeded cap")
+    if D == 1:
         return True, None
-    index = {m: i for i, m in enumerate(basis)}
     ctx = J.ctx
-
-    def as_vector(p: Polynomial) -> list:
-        r = J.normal_form(p)
-        v = [Fraction(0)] * d
-        for e, c in r.terms.items():
-            if e not in index:
-                return None
-            v[index[e]] = c
-        return v
-
+    big, tv = extend_context(ctx, "_T")
+    lifted = lift_ideal(J, big)
     candidate_weights = [
         tuple(1 if i == j else 0 for i in range(len(ctx))) for j in range(len(ctx))
     ] + [tuple(range(1, len(ctx) + 1)), tuple((i + 1) ** 2 for i in range(len(ctx)))]
     for weights in candidate_weights:
-        theta = ctx.zero()
-        for w, v in zip(weights, ctx.variables):
-            if w:
-                theta = theta + ctx.gen(v) * w
-        rows = []
-        power = ctx.one()
-        for k in range(d + 1):
-            vec = as_vector(power)
-            if vec is None:
-                break
-            rows.append(vec)
-            power = power * theta
-        if len(rows) != d + 1:
-            continue
-        dep = _first_dependency(rows)
-        if dep is None:
-            continue
-        degree = len(dep) - 1
-        if degree < d:
+        theta = sum((ctx.gen(v) * w for w, v in zip(weights, ctx.variables) if w), ctx.zero())
+        elim = eliminate(lifted.with_extra([big.gen(tv) - theta.lift(big)]),
+                         list(ctx.variables), restrict=True)
+        (minpoly,) = elim.groebner_basis()
+        if minpoly.total_degree() < D:
             continue  # theta not primitive; try another
-        tctx = VarContext([Variable("_T", "base", 0)])
-        minpoly = Polynomial(tctx, {(k,): dep[k] for k in range(len(dep)) if dep[k]})
-        if is_irreducible(minpoly):
+        fs = factor_list(minpoly)
+        if len(fs) == 1 and fs[0][1] == 1:
             return True, None
-        f0, _ = factor_list(minpoly)[0]
-        splitter = f0.substitute({"_T": theta})
-        return False, splitter
+        return False, fs[0][0].substitute({tv.name: theta})
     return False, None
-
-
-def _first_dependency(rows: list) -> list | None:
-    """Coefficients c_0..c_k with sum c_i rows[i] = 0, first nontrivial prefix."""
-    n = len(rows[0])
-    # Gaussian elimination tracking combinations
-    reduced: list = []  # (vector, combo)
-    for k, row in enumerate(rows):
-        vec = list(row)
-        combo = [Fraction(0)] * len(rows)
-        combo[k] = Fraction(1)
-        for rvec, rcombo in reduced:
-            pivot = next((i for i, x in enumerate(rvec) if x), None)
-            if pivot is not None and vec[pivot]:
-                f = vec[pivot] / rvec[pivot]
-                vec = [a - f * b for a, b in zip(vec, rvec)]
-                combo = [a - f * b for a, b in zip(combo, rcombo)]
-        if not any(vec):
-            return combo[: k + 1]
-        reduced.append((vec, combo))
-    return None
 
 
 _FIBER_KINDS = (("cotangent",), ("projective-tag",), ("cotangent", "projective-tag"))
@@ -268,10 +216,13 @@ def _jointly_linear(g: Polynomial, positions: list) -> bool:
     return True
 
 
-def _try_linear_fiber(J: Ideal, _depth: int = 0, hints: list | None = None) -> bool:
-    """Prime base + affinely linear fiber, saturated at a pivot product."""
-    if _depth > 3:
-        return False
+def _try_linear_fiber(J: Ideal, depth: int, hints: list) -> bool:
+    """Prime base + affinely linear fiber, saturated at a pivot product.
+
+    Each failed attempt leaves its zero-divisor candidates in hints: the
+    base's basis when the base is not certified, else the residuals and
+    the pivot product.
+    """
     ctx = J.ctx
     gens = list(J.groebner_basis())
     fibersets = [
@@ -289,15 +240,12 @@ def _try_linear_fiber(J: Ideal, _depth: int = 0, hints: list | None = None) -> b
         if not fiber or fiber in seen:
             continue
         seen.add(fiber)
-        if _linear_fiber_with(J, gens, fiber, _depth, hints):
+        if _linear_fiber_with(J, gens, fiber, depth, hints):
             return True
     return False
 
 
-def _linear_fiber_with(
-    J: Ideal, gens: list, fiber: tuple, depth: int,
-    hints: list | None = None,
-) -> bool:
+def _linear_fiber_with(J: Ideal, gens: list, fiber: tuple, depth: int, hints: list) -> bool:
     ctx = J.ctx
     positions = [ctx.position(v) for v in fiber]
 
@@ -314,11 +262,8 @@ def _linear_fiber_with(
     elim_gb = J.groebner_basis(block_order(positions, len(ctx)))
     linear_gens += linear([g for g in elim_gb if g not in gens])
     base_ctx = base_ideal.ctx
-    base_gb = base_ideal.groebner_basis()
-    route = _certify(base_ideal, depth + 1)
-    if route is None:
-        if hints is not None:
-            hints.extend(g.lift(ctx) for g in base_gb)
+    if _certify(base_ideal, [], depth + 1) is None:
+        hints.extend(g.lift(ctx) for g in base_ideal.groebner_basis())
         return False
 
     # rows: coefficients of each fiber variable plus the fiber-free part
@@ -336,17 +281,15 @@ def _linear_fiber_with(
     pivots, residuals = _row_reduce_mod(rows, len(fiber), base_ideal)
     if residuals:
         # residuals lie in the contraction, so this cannot happen; bail out
-        if hints is not None:
-            hints.extend(r.lift(ctx) for r in residuals)
+        hints.extend(r.lift(ctx) for r in residuals)
         return False
     if not pivots:
         return False
     witness = base_ctx.one()
     for p in pivots:
         witness = witness * p
-    if hints is not None:
-        hints.append(witness.lift(ctx))
     witness = witness.lift(ctx)
+    hints.append(witness)
     candidate = lift_ideal(base_ideal, ctx).with_extra(linear_gens)
     return saturate_element(candidate, witness) == J
 
@@ -385,27 +328,45 @@ def _row_reduce_mod(rows: list, ncols: int, base: Ideal) -> tuple:
     return pivots, residuals
 
 
-def _certify(I: Ideal, _depth: int = 0) -> str | None:
-    """Return a route name when I is certified prime, else None."""
+def _certify(I: Ideal, hints: list, _depth: int = 0) -> str | None:
+    """A route name when I is certified prime, else None: one pass over I.
+
+    Variables that occur only as c*x are substituted out once, which
+    keeps the quotient ring, and each route is tried once on what is
+    left. When every route fails, the zero-divisor candidates the routes
+    met go into hints, lifted to I's context: the point field's splitter,
+    a failed fiber's, and the factors of every element of the substituted
+    basis (those hide behind the substitution; I's own basis elements are
+    the factor split's).
+    """
     gb = I.groebner_basis()
     if not gb:
         return "zero-ideal"
     if I.is_trivial():
         return None
-    J = _substitute_out_linear(list(gb), I.ctx)
-    jgb = J.groebner_basis()
-    if not jgb:
+    gens, ctx, chain = _eliminate_linear(list(gb), I.ctx)
+    if not gens:
         return "graph"
-    if J.is_trivial():
-        return None
+    J = Ideal(ctx, gens) if chain else I
+    jgb = J.groebner_basis()
+    found: list = []
     if len(jgb) == 1:
-        return "hypersurface" if is_irreducible(jgb[0]) else None
-    if J.dimension() == 0:
-        ok, _ = _try_point_field(J)
-        if ok:
-            return "point"
-    if _depth <= 3 and _try_linear_fiber(J, _depth):
-        return "linear-fiber"
+        fs = factor_list(jgb[0])
+        if len(fs) == 1 and fs[0][1] == 1:
+            return "hypersurface"
+    else:
+        dim, D = dimension_and_degree(J)
+        if dim == 0:
+            ok, splitter = _try_point_field(J, D)
+            if ok:
+                return "point"
+            if splitter is not None:
+                found.append(splitter)
+        if _depth <= 3 and _try_linear_fiber(J, _depth, found):
+            return "linear-fiber"
+    if chain:
+        found += [f for g in jgb for f, _ in factor_list(g)]
+    hints.extend(h.lift(I.ctx) for h in found)
     return None
 
 
@@ -435,42 +396,43 @@ def rational_point(I: Ideal, rng) -> dict | None:
 # Decomposition
 
 
-def _splitter_candidates(J: Ideal) -> list:
-    seen = []
-
-    def push(p: Polynomial) -> None:
-        if p.total_degree() > 0 and all(p != h for h in seen):
-            seen.append(p)
-
+def _factor_split(J: Ideal) -> list:
+    """The ideals J splits into at the factors of its first reducible basis element."""
     for g in J.groebner_basis():
-        for f, _ in factor_list(g):
-            push(f)
-    # factors hiding behind linear eliminations lift back unchanged
-    image = _substitute_out_linear(list(J.groebner_basis()), J.ctx)
-    if image.ctx != J.ctx:
-        for g in image.groebner_basis():
-            for f, _ in factor_list(g):
-                push(f.lift(J.ctx))
-        # residuals of a failed linear-fiber elimination are zero divisors
-        hints: list = []
-        _try_linear_fiber(image, 0, hints)
-        for h in hints:
-            for f, _ in factor_list(h):
-                push(f.lift(J.ctx))
-    else:
-        hints = []
-        _try_linear_fiber(J, 0, hints)
-        for h in hints:
-            for f, _ in factor_list(h):
-                push(f)
-    for v in J.ctx.variables:
-        push(J.ctx.gen(v))
-    seen.sort(key=lambda p: (p.total_degree(), len(p.terms), str(p)))
-    return seen
+        fs = factor_list(g)
+        if len(fs) >= 2:
+            return [J.with_extra([f]) for f, _ in fs]
+        if len(fs) == 1 and fs[0][1] >= 2 and not J.contains(fs[0][0]):
+            return [J.with_extra([fs[0][0]])]
+    return []
+
+
+def _candidate_split(J: Ideal, hints: list) -> list:
+    """J : h^infinity and J + (h) at the first candidate h that splits J.
+
+    The candidates are the factors of the hints and the variables, by
+    degree, then number of terms, then text.
+    """
+    candidates = {f for h in hints for f, _ in factor_list(h)}
+    candidates.update(J.ctx.gen(v) for v in J.ctx.variables)
+    for h in sorted(candidates, key=lambda p: (p.total_degree(), len(p.terms), str(p))):
+        if J.contains(h):
+            continue
+        K = saturate_element(J, h)
+        if K.is_trivial():
+            return [J.with_extra([h])]
+        if K != J:
+            return [K, J.with_extra([h])]
+    return []
 
 
 def minimal_primes(I: Ideal) -> list:
-    """Certified minimal primes of I; raises CertificationFailure if stuck."""
+    """Certified minimal primes of I; raises CertificationFailure if stuck.
+
+    Each ideal is certified, or split at a factor of a basis element, or
+    at a candidate from its certification's hints, or, last, certified by
+    a fiber linear over its own base.
+    """
     if I.is_trivial():
         return []
     queue = [I]
@@ -483,58 +445,21 @@ def minimal_primes(I: Ideal) -> list:
         J = queue.pop()
         if J.is_trivial():
             continue
-        route = _certify(J)
-        if route is not None:
-            primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), route))
-            continue
-
-        gb = J.groebner_basis()
-        action = False
-        for g in gb:
-            fs = factor_list(g)
-            distinct = [f for f, _ in fs]
-            if len(distinct) >= 2:
-                for f, _ in fs:
-                    queue.append(J.with_extra([f]))
-                action = True
-                break
-            if len(fs) == 1 and fs[0][1] >= 2 and not J.contains(fs[0][0]):
-                queue.append(J.with_extra([fs[0][0]]))
-                action = True
-                break
-        if action:
-            continue
-
-        if J.dimension() == 0:
-            _, splitter = _try_point_field(J)
-            if splitter is not None and not J.contains(splitter):
-                queue.append(J.with_extra([splitter]))
-                queue.append(saturate_element(J, splitter))
+        hints: list = []
+        route = _certify(J, hints)
+        if route is None:
+            split = _factor_split(J) or _candidate_split(J, hints)
+            if split:
+                queue += split
                 continue
-
-        for h in _splitter_candidates(J):
-            if J.contains(h):
-                continue
-            K = saturate_element(J, h)
-            if K.is_trivial():
-                queue.append(J.with_extra([h]))
-                action = True
-                break
-            if K != J:
-                queue.append(K)
-                queue.append(J.with_extra([h]))
-                action = True
-                break
-        if action:
-            continue
-        # the linear substitution in _certify can hide a fiber that is
-        # linear over J's own base
-        if _try_linear_fiber(J):
-            primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), "linear-fiber"))
-            continue
-        raise CertificationFailure(
-            f"cannot certify or split ideal with basis {[str(g) for g in gb]}"
-        )
+            # the linear substitution in _certify can hide a fiber that is
+            # linear over J's own base
+            if not _try_linear_fiber(J, 0, []):
+                raise CertificationFailure(
+                    f"cannot certify or split ideal with basis {[str(g) for g in J.groebner_basis()]}"
+                )
+            route = "linear-fiber"
+        primes.append(PrimeWitness(Ideal(J.ctx, J.groebner_basis()), route))
 
     return _minimalize(primes)
 

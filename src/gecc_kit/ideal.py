@@ -794,7 +794,13 @@ def selfcheck_groebner(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLE
     return _widening(_width(gb), attempt)
 
 
-def _extend_with(ctx: VarContext, name: str) -> tuple:
+def extend_context(ctx: VarContext, name: str) -> tuple:
+    """(ctx plus one auxiliary base variable, that variable).
+
+    The variable is named name, or name1, name2, ... when a variable of
+    ctx already has the name. Every auxiliary variable the engine
+    eliminates comes from here.
+    """
     fresh = name
     names = set(ctx.names())
     i = 0
@@ -809,7 +815,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the scaling-variable trick."""
     if I.ctx != J.ctx:
         raise ContextMismatch("intersection requires a common context")
-    ctx2, tv = _extend_with(I.ctx, "_t")
+    ctx2, tv = extend_context(I.ctx, "_t")
     t = ctx2.gen(tv)
     gens = [g.lift(ctx2) * t for g in I.generators]
     gens += [g.lift(ctx2) * (ctx2.one() - t) for g in J.generators]
@@ -870,7 +876,7 @@ def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
         return I
     if _zero_dimensional(I) and I.with_extra([h]).is_trivial():
         return _with_reduced_basis(I.ctx, I.groebner_basis())
-    ctx2, tv = _extend_with(I.ctx, "_s")
+    ctx2, tv = extend_context(I.ctx, "_s")
     t = ctx2.gen(tv)
     rabinowitsch = lift_ideal(I, ctx2).with_extra([ctx2.one() - t * h.lift(ctx2)])
     return eliminate(rabinowitsch, [tv], restrict=True)
@@ -951,7 +957,7 @@ def radical_contains(I: Ideal, p: Polynomial) -> bool:
     """
     if p.is_zero() or I.contains(p):
         return True
-    ctx2, tv = _extend_with(I.ctx, "_r")
+    ctx2, tv = extend_context(I.ctx, "_r")
     t = ctx2.gen(tv)
     return lift_ideal(I, ctx2).with_extra([ctx2.one() - t * p.lift(ctx2)]).is_trivial()
 
@@ -983,7 +989,9 @@ def standard_monomials(I: Ideal) -> list | None:
     """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order.
 
     Walks the staircase of the degrevlex leading monomials; raises
-    ResourceLimitExceeded past ``VECDIM_CAP`` monomials.
+    ResourceLimitExceeded past ``VECDIM_CAP`` monomials. No engine
+    function calls it: it is the tests' reference for the count that
+    ``dimension_and_degree`` reads from the Hilbert numerator.
     """
     if not _zero_dimensional(I):
         return None

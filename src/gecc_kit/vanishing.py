@@ -50,12 +50,13 @@ from .hypersurface import nearby_gecc
 from .ideal import (
     Ideal,
     eliminate,
+    extend_context,
     lift_ideal,
     prime_contains_all,
     renamed_ideal,
 )
 from .modclass import ModClass
-from .polyring import Polynomial, Variable
+from .polyring import Polynomial
 
 
 class InconsistencyError(RuntimeError):
@@ -484,8 +485,7 @@ def _blowup_cone(
 ) -> Component:
     """Closure of the graph cone of the center equations over the component."""
     ctx_b = ambient_b.context()
-    aux = Variable("_s", "base", len(ctx_b))
-    big = ctx_b.extend([aux])
+    big, aux = extend_context(ctx_b, "_s")
     s = big.gen(aux)
     graph = [big.gen(f"u{i}") - s * h.lift(big) for i, h in enumerate(graph_gens)]
     # the restriction drops only the auxiliary variable, so the cone lives in ctx_b

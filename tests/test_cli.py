@@ -1,6 +1,7 @@
 """Batch front door: descriptor parsing, reports, exit codes, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -150,6 +151,26 @@ def test_spair_budget_binds_every_run(tmp_path, capsys, monkeypatch, args):
     assert code == EXIT_RESOURCE, err
     assert "certification/resource failure" in err
     assert "Traceback" not in err
+
+
+def test_coordinate_named_like_an_auxiliary_variable(tmp_path, capsys):
+    # the blow-up cone's auxiliary variable takes a fresh name, so a
+    # coordinate called _s leaves the two-route check as it is on y
+    renamed = json.loads(re.sub(r"\by\b", "_s", json.dumps(PARABOLA)))
+    assert renamed["ambient"]["coords"] == ["_s", "x"]
+    reports = []
+    for data, name in ((PARABOLA, "y.json"), (renamed, "s.json")):
+        path = write_descriptor(tmp_path, data, name)
+        code, out = run_cli(capsys, "vanishing", path, "--route", "both", "--json")
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+    plain, auxiliary = reports
+    assert auxiliary["two_route_agreement"] is True
+
+    def cycle(report, rename=lambda g: g):  # generators are listed sorted by text
+        return sorted((sorted(map(rename, c["ideal"])), c["multiplicity"]) for c in report["cc_phi"])
+
+    assert cycle(auxiliary) == cycle(plain, lambda g: re.sub(r"\by\b", "_s", g))
 
 
 def test_installed_script_end_to_end(tmp_path):
@@ -350,6 +371,12 @@ _BAD_VALUES = [
     ("gecc", RUNNING_TXY, ("strata", 1, "ideal"), ["y"], "$.strata[1].ideal"),
     # the germ is at the origin: f must vanish there
     ("vanishing", PARABOLA, ("f",), "x+1", "$.f"),
+    # coordinate names: the cotangent and tag names are taken, and the
+    # parser must read each name back as its coordinate
+    ("gecc", PARABOLA, ("ambient", "coords"), ["w0", "x"], "$.ambient.coords[0]"),
+    ("gecc", PARABOLA, ("ambient", "coords"), ["y", "u1"], "$.ambient.coords[1]"),
+    ("gecc", PARABOLA, ("ambient", "coords"), ["x y", "2"], "$.ambient.coords[0]"),
+    ("gecc", PARABOLA, ("ambient", "coords"), ["y", "2"], "$.ambient.coords[1]"),
 ]
 _CASES = [
     (command, base, keys, spoil, where)

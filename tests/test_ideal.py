@@ -2,21 +2,22 @@
 dimension, radical membership, decomposition, local degree."""
 
 import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from gecc_kit import decompose as decompose_module
 from gecc_kit import ideal as ideal_module
+from gecc_kit.cli import EXIT_OK, main
 from gecc_kit.decompose import (
     _certify,
     _dense,
     _eliminate_linear,
     _generator_key,
     _linear_pivot,
-    _substitute_out_linear,
     factor_list,
     minimal_primes,
 )
@@ -796,6 +797,13 @@ def test_minimal_primes_point_field_splits():
     assert {tuple(gens_str(w.ideal)) for w in ps} == {("x + y", "y^2 - 2"), ("x - y", "y^2 - 2")}
 
 
+def test_minimal_primes_refuses_past_the_monomial_cap():
+    # Q[x, y]/(x^500, y^500) has 250000 standard monomials, past VECDIM_CAP
+    ctx = base_context(["x", "y"])
+    with pytest.raises(ResourceLimitExceeded):
+        minimal_primes(I("x^500", "y^500", ctx=ctx))
+
+
 def test_minimal_primes_intersection_property():
     rng = random.Random(10)
     J = I("x^2*(x+t^2)", "y")
@@ -973,6 +981,7 @@ def test_factor_list_cache_round_trip():
 
 def _expr_path_factor_list(p):
     """sympy.factor_list on the polynomial as an Expr, read back through Poly.terms()."""
+    sympy = pytest.importorskip("sympy")
     syms = [sympy.Symbol(n) for n in p.ctx.names()]
     expr = sympy.Add(*(
         sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(syms, e)))
@@ -1070,6 +1079,7 @@ def test_factor_list_hard_cases(names, text, expected):
 
 
 def test_generator_order_and_dense_key_are_sympys():
+    sympy = pytest.importorskip("sympy")
     from sympy.polys.polyutils import _sort_gens
     from sympy.polys.rings import PolyRing
 
@@ -1086,9 +1096,9 @@ def test_generator_order_and_dense_key_are_sympys():
 
 
 def test_certified_prime_checks():
-    assert _certify(I("x", "y")) is not None
-    assert _certify(I("y^2-x^3-t^2*x^2")) is not None
-    assert _certify(I("x*y")) is None
+    assert _certify(I("x", "y"), []) is not None
+    assert _certify(I("y^2-x^3-t^2*x^2"), []) is not None
+    assert _certify(I("x*y"), []) is None
 
 
 # -- linear substitution in certification
@@ -1129,7 +1139,81 @@ def test_linear_eliminations_chain():
 
 
 def test_every_generator_eliminated_takes_the_graph_route():
-    J = _substitute_out_linear([L("x - t^2"), L("y - t^3"), L("z - x*y")], CTX_XYZ_T)
-    assert J.ctx.names() == ("t",) and not J.generators
-    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y - t^3"), L("z - x*y")])) == "graph"
-    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y^2 - t^3")])) == "hypersurface"
+    gens, ctx, _ = _eliminate_linear([L("x - t^2"), L("y - t^3"), L("z - x*y")], CTX_XYZ_T)
+    assert ctx.names() == ("t",) and not gens
+    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y - t^3"), L("z - x*y")]), []) == "graph"
+    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y^2 - t^3")]), []) == "hypersurface"
+
+
+def test_certification_hands_over_the_factors_behind_a_substitution():
+    hints = []
+    assert _certify(Ideal(CTX_XYZ_T, [L("x - t^2"), L("y^2 - t^2")]), hints) is None
+    assert sorted(str(h) for h in hints) == ["y + t", "y - t"]
+    assert all(h.ctx == CTX_XYZ_T for h in hints)
+
+
+def test_minimal_primes_split_behind_a_substitution_of_several_generators():
+    # x substitutes out and leaves (y^2 - z^2, t^2 - 2): two generators of
+    # dimension 1, no route, every basis element of I irreducible. The
+    # split is at the factors of the substituted basis, lifted back.
+    ps = minimal_primes(Ideal(CTX_XYZ_T, [L("x - z^2"), L("x - y^2"), L("t^2 - 2")]))
+    assert {tuple(gens_str(w.ideal)) for w in ps} == {
+        ("t^2 - 2", "y - z", "z^2 - x"), ("t^2 - 2", "y + z", "z^2 - x")}
+
+
+def test_each_ideal_takes_one_certification_pass(tmp_path, capsys, monkeypatch):
+    # nearby cycles of x^2 + y^3 split a conormal ideal at a candidate from
+    # its certification's hints. Each certification substitutes at most
+    # once, nothing else substitutes, and no certification runs Buchberger
+    # on an empty generator set.
+    frames, per_pass = [], []
+    calls = {"outside": 0, "splits": 0, "empty runs": 0}
+    real_certify = decompose_module._certify
+    real_eliminate = decompose_module._eliminate_linear
+    real_split = decompose_module._candidate_split
+    real_run = Ideal._run
+
+    def certify(*args, **kwargs):
+        frames.append(0)
+        try:
+            return real_certify(*args, **kwargs)
+        finally:
+            per_pass.append(frames.pop())
+
+    def eliminate(gens, ctx):
+        if frames:
+            frames[-1] += 1
+        else:
+            calls["outside"] += 1
+        return real_eliminate(gens, ctx)
+
+    def split(J, hints):
+        found = real_split(J, hints)
+        calls["splits"] += bool(found)
+        return found
+
+    def run(self, order, budget):
+        calls["empty runs"] += bool(frames) and not self.generators
+        return real_run(self, order, budget)
+
+    monkeypatch.setattr(decompose_module, "_certify", certify)
+    monkeypatch.setattr(decompose_module, "_eliminate_linear", eliminate)
+    monkeypatch.setattr(decompose_module, "_candidate_split", split)
+    monkeypatch.setattr(Ideal, "_run", run)
+    germ = {"ambient": {"n": 1, "coords": ["x", "y"]},
+            "strata": [{"name": "U", "ideal": [], "dim": 2, "morse": {"0": {"rank": 1}}}],
+            "f": "x^2+y^3", "L": "x"}
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(germ))
+    assert main(["nearby", str(path), "--json"]) == EXIT_OK, capsys.readouterr().err
+    assert calls["outside"] == 0
+    assert max(per_pass) == 1
+    assert calls["empty runs"] == 0
+    assert calls["splits"]
+
+
+def test_only_the_ideal_module_names_standard_monomials():
+    # the staircase walk is the tests' reference for the Hilbert count
+    package = pathlib.Path(ideal_module.__file__).parent
+    naming = sorted(p.name for p in package.glob("*.py") if "standard_monomials" in p.read_text())
+    assert naming == ["ideal.py"]
