@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("descriptor", help="problem descriptor JSON file")
     parser.add_argument("--degree", type=int, default=None, help="focus degree k")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--route", choices=["pidelta", "blowup", "both"], default="pidelta")
+    parser.add_argument("--route", choices=["pidelta", "both"], default="pidelta")
     parser.add_argument("--seed", type=int, default=None,
                         help="no effect on results; kept so reports still carry a seed")
     parser.add_argument("--f", dest="f_override", default=None, help="override f")

@@ -1,11 +1,16 @@
 """Enriched and graded, enriched cycles with module coefficients.
 
 Components are certified prime ideals in one of four ambient spaces;
-coefficients are ModClass values. Intersection with hypersurfaces takes
-each multiplicity exactly, as a degree ratio after saturating away the
+coefficients are ModClass values. The operations are linear: each acts on
+one component at a time and carries its coefficient along, so each is a
+per-component rule applied by ``map``, to an enriched cycle or degree by
+degree to a graded one. Intersection with a hypersurface takes each
+multiplicity exactly, as a degree ratio after saturating away the
 sibling components. Pushforward uses elimination plus a mapping degree
-read exactly, as a ratio of field degrees over an independent set of
-the image. Nothing here is sampled.
+read exactly, as a ratio of field degrees over an independent set of the
+image. A component's intersection with a divisor and its pushforward are
+computed once per ``engine_limits`` block (``block_memo``), whichever
+cycle, degree or call meets them. Nothing here is sampled.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .ideal import (
     CertificationFailure,
     Ideal,
     ResourceLimitExceeded,
+    block_memo,
     dimension_and_degree,
     eliminate,
     lift_ideal,
@@ -248,6 +254,33 @@ class EnrichedCycle:
             self.ambient, {c: mc.tensor(q, m) for c, m in self.terms.items()}
         )
 
+    def components(self) -> list:
+        return list(self.terms)
+
+    def map(self, rule, target: AmbientSpace) -> "EnrichedCycle":
+        """The linear extension of rule, which sends a component to
+        [(piece, mult)]: each term (m)[C] becomes the sum of
+        (m (x) Z^mult)[piece] over rule(C), a cycle in target."""
+        out: dict = {}
+        for comp, m in self.terms.items():
+            for piece, mult in rule(comp):
+                out[piece] = mc.direct_sum(
+                    out.get(piece, ModClass.zero()), mc.tensor(m, ModClass.free(mult))
+                )
+        return EnrichedCycle(target, out)
+
+    def to_json(self, degree: int) -> list:
+        return [
+            {
+                "degree": degree,
+                "ideal": sorted(comp.gen_strings()),
+                "ambient": comp.ambient.kind,
+                "dim": comp.dim,
+                "coefficient": m.to_json(),
+            }
+            for comp, m in self._sorted()
+        ]
+
 
 class GradedEnrichedCycle:
     """Finitely many degrees, each an enriched cycle in a common ambient."""
@@ -297,20 +330,22 @@ class GradedEnrichedCycle:
             self.ambient, {k - j: cyc for k, cyc in self.degrees.items()}
         )
 
+    def components(self) -> list:
+        """The components of every degree, each once, in first-seen order."""
+        return list(dict.fromkeys(c for cyc in self.degrees.values() for c in cyc.terms))
+
+    def map(self, rule, target: AmbientSpace) -> "GradedEnrichedCycle":
+        """``EnrichedCycle.map`` degree by degree."""
+        return GradedEnrichedCycle(
+            target, {k: cyc.map(rule, target) for k, cyc in self.degrees.items()}
+        )
+
     def to_json(self) -> list:
-        rows = []
-        for k in sorted(self.degrees):
-            for comp, m in self.degrees[k]._sorted():
-                rows.append(
-                    {
-                        "degree": k,
-                        "ideal": sorted(comp.gen_strings()),
-                        "ambient": comp.ambient.kind,
-                        "dim": comp.dim,
-                        "coefficient": m.to_json(),
-                    }
-                )
-        return rows
+        return [row for k in sorted(self.degrees) for row in self.degrees[k].to_json(k)]
+
+
+# what the linear operations below take and return: either kind of cycle
+Cycle = EnrichedCycle | GradedEnrichedCycle
 
 
 class OrdinaryCycle:
@@ -388,47 +423,27 @@ def to_ordinary(E: GradedEnrichedCycle) -> OrdinaryCycle:
     return OrdinaryCycle(E.ambient, terms)
 
 
-def gap_remove(E: GradedEnrichedCycle, J: Ideal) -> tuple:
-    """Split terms by containment of the component in V(J); inside first."""
-    inside: dict = {}
-    outside: dict = {}
-    for k, cyc in E.degrees.items():
-        ins: dict = {}
-        outs: dict = {}
-        for comp, m in cyc.terms.items():
-            if prime_contains_all(comp.ideal, J.generators):
-                ins[comp] = m
-            else:
-                outs[comp] = m
-        if ins:
-            inside[k] = EnrichedCycle(E.ambient, ins)
-        if outs:
-            outside[k] = EnrichedCycle(E.ambient, outs)
+def gap_remove(E: Cycle, J: Ideal) -> tuple:
+    """Split an enriched or graded cycle by containment of each component
+    in V(J), one membership test per component; inside first."""
+    inside = {c for c in E.components() if prime_contains_all(c.ideal, J.generators)}
     return (
-        GradedEnrichedCycle(E.ambient, inside),
-        GradedEnrichedCycle(E.ambient, outside),
+        E.map(lambda c: [(c, 1)] if c in inside else [], E.ambient),
+        E.map(lambda c: [] if c in inside else [(c, 1)], E.ambient),
     )
 
 
-def germ_part(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
+def germ_part(E: Cycle) -> Cycle:
     """Components whose fiber over the origin is nonempty.
 
     For base-space cycles this keeps components through the origin; for
     cotangent or tag ambients it keeps those meeting the fiber over it.
     """
-    ambient = E.ambient
-    ctx = ambient.context()
-    pins = [ctx.gen(v) for v in ambient.base_vars()]
-    out: dict = {}
-    for k, cyc in E.degrees.items():
-        keep = {
-            comp: m
-            for comp, m in cyc.terms.items()
-            if not comp.ideal.with_extra(pins).is_trivial()
-        }
-        if keep:
-            out[k] = EnrichedCycle(ambient, keep)
-    return GradedEnrichedCycle(ambient, out)
+    ctx = E.ambient.context()
+    pins = [ctx.gen(v) for v in E.ambient.base_vars()]
+    return E.map(
+        lambda c: [] if c.ideal.with_extra(pins).is_trivial() else [(c, 1)], E.ambient
+    )
 
 
 def _chart_restrict(I: Ideal, ambient: AmbientSpace, chart: int) -> Ideal:
@@ -494,34 +509,19 @@ def intersection_multiplicity(
     return degree // piece_degree
 
 
-def divisor_intersect(
-    E: GradedEnrichedCycle,
-    g: Polynomial,
-) -> GradedEnrichedCycle:
+def divisor_intersect(E: Cycle, g: Polynomial) -> Cycle:
     """Proper intersection with the hypersurface V(g), per Fulton lengths."""
-    ambient = E.ambient
-    ctx = ambient.context()
+    ctx = E.ambient.context()
     if g.ctx != ctx:
         g = g.lift(ctx)
-    out: dict = {}
-    cache: dict = {}
-    for k, cyc in E.degrees.items():
-        acc = EnrichedCycle(ambient)
-        for comp, m in cyc.terms.items():
-            if comp not in cache:
-                cache[comp] = _intersect_component(comp, g, ambient)
-            for piece, mult in cache[comp]:
-                acc = acc.add_term(piece, mc.tensor(m, ModClass.free(mult)))
-        if acc:
-            out[k] = acc
-    return GradedEnrichedCycle(ambient, out)
+    return E.map(
+        lambda comp: block_memo(("intersection", comp, g), lambda: _intersect_component(comp, g)),
+        E.ambient,
+    )
 
 
-def _intersect_component(
-    comp: Component,
-    g: Polynomial,
-    ambient: AmbientSpace,
-) -> list:
+def _intersect_component(comp: Component, g: Polynomial) -> list:
+    """[(piece, length)] of comp . V(g), in the component's ambient."""
     if prime_contains_all(comp.ideal, [g]):
         raise ImproperIntersection(
             f"component {comp!r} is contained in the divisor V({g})"
@@ -529,26 +529,20 @@ def _intersect_component(
     J = comp.ideal.with_extra([g])
     if J.is_trivial():
         return []
-    pieces = decompose_components(J, ambient)
-    if not pieces:
-        return []
+    pieces = decompose_components(J, comp.ambient)
     expected = comp.dim - 1
     for p in pieces:
         if p.dim != expected:
             raise ImproperIntersection(
                 f"component {p!r} of the intersection has dimension {p.dim}, expected {expected}"
             )
-    out = []
-    for p in pieces:
-        others = [q for q in pieces if q is not p]
-        out.append((p, intersection_multiplicity(J, p, others)))
-    return out
+    return [
+        (p, intersection_multiplicity(J, p, [q for q in pieces if q is not p]))
+        for p in pieces
+    ]
 
 
-def ci_intersect(
-    E: GradedEnrichedCycle,
-    gs: Sequence[Polynomial],
-) -> GradedEnrichedCycle:
+def ci_intersect(E: Cycle, gs: Sequence[Polynomial]) -> Cycle:
     """Left fold of divisor intersections (complete-intersection second factor)."""
     current = E
     for i, g in enumerate(gs):
@@ -561,32 +555,18 @@ def ci_intersect(
     return current
 
 
-def _dropped_variables(source: AmbientSpace, target: AmbientSpace) -> list:
-    src = source.context()
-    tgt_names = set(target.context().names())
-    return [v for v in src.variables if v.name not in tgt_names]
-
-
-def _pushforward_component(
-    comp: Component,
-    source: AmbientSpace,
-    target: AmbientSpace,
-) -> tuple:
-    """(image component, mapping degree) or (None, 0) on fiber collapse."""
-    dropped = _dropped_variables(source, target)
+def _pushforward_component(comp: Component, target: AmbientSpace) -> list:
+    """[(image, mapping degree)], or [] when the fibers are positive-dimensional."""
+    kept = set(target.context().names())
+    dropped = [v for v in comp.ambient.context().variables if v.name not in kept]
     image_ideal = eliminate(comp.ideal, dropped, restrict=True)
     image = component_from_prime(lift_ideal(image_ideal, target.context()), target)
     if image.dim < comp.dim:
-        return None, 0
-    return image, _mapping_degree(comp, image, source, target)
+        return []
+    return [(image, _mapping_degree(comp, image))]
 
 
-def _mapping_degree(
-    comp: Component,
-    image: Component,
-    source: AmbientSpace,
-    target: AmbientSpace,
-) -> int:
+def _mapping_degree(comp: Component, image: Component) -> int:
     """Field degree [K(P):K(Q)] of the source component P over its image Q.
 
     In a tag ambient both are read in the chart of P's first tag (Q too
@@ -598,11 +578,11 @@ def _mapping_degree(
     first (Becker-Weispfenning, ch. 6).
     """
     P, Q = comp.ideal, image.ideal
-    if source.is_projective():
+    if comp.ambient.is_projective():
         chart = first_chart(comp)
-        P = _chart_restrict(P, source, chart)
-        if target.is_projective():
-            Q = _chart_restrict(Q, target, chart)
+        P = _chart_restrict(P, comp.ambient, chart)
+        if image.ambient.is_projective():
+            Q = _chart_restrict(Q, image.ambient, chart)
     supports = [
         {v.name for v, x in zip(Q.ctx.variables, g.leading(DEGREVLEX)[0]) if x}
         for g in Q.groebner_basis()
@@ -634,41 +614,30 @@ def _field_degree(I: Ideal, free: set) -> int | None:
     return count
 
 
-def proper_pushforward(
-    E: GradedEnrichedCycle,
-    target: AmbientSpace,
-) -> GradedEnrichedCycle:
+def proper_pushforward(E: Cycle, target: AmbientSpace) -> Cycle:
     """Coefficient-preserving pushforward; restricted to generically 1-1 maps."""
     return _pushforward(E, target, injective=True)
 
 
-def pushforward_with_degree(
-    E: GradedEnrichedCycle,
-    target: AmbientSpace,
-) -> GradedEnrichedCycle:
+def pushforward_with_degree(E: Cycle, target: AmbientSpace) -> Cycle:
     """Degree-weighted pushforward; components with positive-dimensional
     fibers push to zero (used by the blow-up cross-check)."""
     return _pushforward(E, target, injective=False)
 
 
-def _pushforward(E: GradedEnrichedCycle, target: AmbientSpace, injective: bool) -> GradedEnrichedCycle:
-    """Push each component once (memoised), weighting its class by the
-    mapping degree; with ``injective``, a degree other than 1 raises."""
-    out: dict = {}
-    cache: dict = {}
-    for k, cyc in E.degrees.items():
-        acc = EnrichedCycle(target)
-        for comp, m in cyc.terms.items():
-            if comp not in cache:
-                cache[comp] = _pushforward_component(comp, E.ambient, target)
-            image, deg = cache[comp]
-            if injective and (image is None or deg != 1):
-                raise GenericInjectivityFailure(
-                    f"projection is not generically one-to-one on {comp!r} "
-                    f"(degree {deg if image else 'infinite'})"
-                )
-            if image is not None:
-                acc = acc.add_term(image, mc.tensor(m, ModClass.free(deg)))
-        if acc:
-            out[k] = acc
-    return GradedEnrichedCycle(target, out)
+def _pushforward(E: Cycle, target: AmbientSpace, injective: bool) -> Cycle:
+    """Push each component, weighting its class by the mapping degree;
+    with ``injective``, a degree other than 1 raises."""
+
+    def rule(comp: Component) -> list:
+        pushed = block_memo(
+            ("pushforward", comp, target), lambda: _pushforward_component(comp, target)
+        )
+        if injective and [deg for _, deg in pushed] != [1]:
+            raise GenericInjectivityFailure(
+                f"projection is not generically one-to-one on {comp!r} "
+                f"(degree {pushed[0][1] if pushed else 'infinite'})"
+            )
+        return pushed
+
+    return E.map(rule, target)

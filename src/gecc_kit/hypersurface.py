@@ -129,15 +129,16 @@ def polar_curve(
             rel = relative_conormal(s, ft, ambient_t)
         except FConstantOnStratum:
             continue
-        cyc = GradedEnrichedCycle.single(0, EnrichedCycle(ambient_t, {rel: ModClass.free(1)}))
-        inter = ci_intersect(cyc, list(graph.generators))
+        inter = ci_intersect(
+            EnrichedCycle(ambient_t, {rel: ModClass.free(1)}), list(graph.generators)
+        )
         if not inter:
             per_stratum[s.name] = []
             diagnostics["strata"][s.name] = "empty"
             continue
         image = proper_pushforward(inter, ambient_u)
         pieces = []
-        for comp, m in image.degree(0).terms.items():
+        for comp, m in image.terms.items():
             if comp.dim != 1:
                 raise PolarNotCurve(
                     f"polar piece {comp!r} from stratum {s.name} has dimension {comp.dim}"
@@ -203,16 +204,10 @@ def classical_polar_cycle(
             if c:
                 cut = cut + partials[name] * c
         cuts.append(cut)
-    ambient_cycle = GradedEnrichedCycle.single(
-        0,
-        EnrichedCycle(
-            ambient_u,
-            {component_from_prime(Ideal(ctx, []), ambient_u): ModClass.free(1)},
-        ),
-    )
-    inter = ci_intersect(ambient_cycle, cuts)
+    whole = component_from_prime(Ideal(ctx, []), ambient_u)
+    inter = ci_intersect(EnrichedCycle(ambient_u, {whole: ModClass.free(1)}), cuts)
     pieces = []
-    for comp, m in inter.degree(0).terms.items():
+    for comp, m in inter.terms.items():
         if prime_contains_all(comp.ideal, sigma.generators):
             continue  # contained in the critical locus: gap-removed
         pieces.append((comp, m.rank))

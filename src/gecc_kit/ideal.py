@@ -35,7 +35,9 @@ what a run would. The memo is dropped when the block ends; outside any
 block there is none. ``block_memo`` keeps in the same memo, on the same
 terms, what is built from bases or kept for reuse: the (dimension,
 degree) of each degrevlex leading-monomial ideal, conormals, polar
-lengths and factorizations.
+lengths, factorizations, and each cycle component's intersections with
+divisors and pushforwards. The zero ideal is its own reduced basis,
+taken with no run.
 
 Derived ideals. A sum ``with_extra``, the auxiliary-variable ideals of
 ``saturate_element`` and ``radical_contains``, and ``local_degree``'s
@@ -131,7 +133,8 @@ def block_memo(key: tuple, build):
     """build(), made once per ``engine_limits`` block and kept there under key.
 
     Objects built from Groebner runs (conormals, polar lengths, the
-    dimension and degree of a leading-monomial ideal) and factorizations
+    dimension and degree of a leading-monomial ideal, a component's
+    intersections and pushforwards) and factorizations
     live in the block's memo beside its reduced bases and follow the same
     rule: a nested block builds them again under its own budget, and
     outside any block nothing is kept. Keys start with a string, which no
@@ -570,8 +573,12 @@ class Ideal:
         The run starts at the narrowest field width that holds the
         generators and is redone twice as wide, prefix and all, whenever a
         product overflows. The prefix enters as a Groebner basis whose own
-        pairs are never formed when ``_trusted`` holds for the order.
+        pairs are never formed when ``_trusted`` holds for the order. The
+        zero ideal is its own reduced basis and takes no run; ``_packed``
+        packs it when first used.
         """
+        if not self.generators:
+            return [(), {}, None, None]
         n = len(self.ctx)
         k = self._prefix if _trusted(order, n, self.generators[:self._prefix]) else 0
 

@@ -20,6 +20,7 @@ from . import modclass as mc
 from .cycles import (
     AmbientSpace,
     Component,
+    Cycle,
     EnrichedCycle,
     GradedEnrichedCycle,
     OrdinaryCycle,
@@ -94,7 +95,6 @@ class MicrosupportBound:
         """Dimension of the base projection of the upper bound."""
         best = -1
         for comp in self.upper_components():
-            ambient = comp.ambient
             dropped = [v for v in comp.ideal.ctx.variables if v.kind == "cotangent"]
             image = eliminate(comp.ideal, dropped, restrict=True)
             best = max(best, image.dimension())
@@ -246,26 +246,19 @@ def pi_delta(
     ambient = gecc_F.ambient
     if ambient.kind != TSTAR_KIND:
         raise ValueError("pi_delta expects a cycle in the cotangent space")
-    ctx = ambient.context()
     graph = im_d(ft, ambient)
     graph_gens = list(graph.generators)
     by_degree: dict = {}
     for k in sorted(gecc_F.degrees):
         # components disjoint from the graph never contribute to any Delta
-        pi_current = EnrichedCycle(
-            ambient,
-            {
-                comp: m
-                for comp, m in gecc_F.degree(k).terms.items()
-                if not comp.ideal.with_extra(graph_gens).is_trivial()
-            },
+        pi_current = gecc_F.degree(k).map(
+            lambda c: [] if c.ideal.with_extra(graph_gens).is_trivial() else [(c, 1)], ambient
         )
         steps = []
         for j in range(ambient.n, -1, -1):
             divisor = graph_gens[j]
-            cyc = GradedEnrichedCycle.single(0, pi_current)
             try:
-                total = divisor_intersect(cyc, divisor).degree(0)
+                total = divisor_intersect(pi_current, divisor)
             except Exception as exc:
                 raise ImproperStep(f"degree {k}, step j={j}: {exc}") from exc
             delta_terms: dict = {}
@@ -322,9 +315,7 @@ def lambda_cycles(
         for step in steps:
             if not step.delta:
                 continue
-            image = proper_pushforward(
-                GradedEnrichedCycle.single(0, step.delta), ambient_u
-            ).degree(0)
+            image = proper_pushforward(step.delta, ambient_u)
             for comp in image.terms:
                 if comp.dim != step.j:
                     raise InconsistencyError(
@@ -339,30 +330,26 @@ def lambda_cycles(
 # Projectivization and characteristic polar cycles
 
 
-def projectivize(E: GradedEnrichedCycle) -> GradedEnrichedCycle:
+def projectivize(E: Cycle) -> Cycle:
     """Reinterpret a conic cotangent cycle inside U x P^n (tags as rays)."""
     source = E.ambient
     if source.kind != TSTAR_KIND:
         raise ValueError("projectivize expects a cotangent-space cycle")
     target = source.with_kind(U_P_KIND)
-    sctx = source.context()
     tctx = target.context()
-    wpos = [sctx.position(v) for v in source.cotangent_vars()]
+    wpos = [source.context().position(v) for v in source.cotangent_vars()]
     irr = irrelevant_ideal(target)
-    degrees: dict = {}
-    for k, cyc in E.degrees.items():
-        acc = EnrichedCycle(target)
-        for comp, m in cyc.terms.items():
-            for g in comp.ideal.groebner_basis():
-                if not g.is_homogeneous_in(wpos):
-                    raise NonConicCycle(f"component {comp!r} is not conic: {g}")
-            ideal = renamed_ideal(comp.ideal, tctx)  # w_i -> u_i, base names kept
-            if prime_contains_all(ideal, irr.generators):
-                continue  # pure zero-section: empty in the projectivization
-            acc = acc.add_term(component_from_prime(ideal, target), m)
-        if acc:
-            degrees[k] = acc
-    return GradedEnrichedCycle(target, degrees)
+
+    def rule(comp: Component) -> list:
+        for g in comp.ideal.groebner_basis():
+            if not g.is_homogeneous_in(wpos):
+                raise NonConicCycle(f"component {comp!r} is not conic: {g}")
+        ideal = renamed_ideal(comp.ideal, tctx)  # w_i -> u_i, base names kept
+        if prime_contains_all(ideal, irr.generators):
+            return []  # pure zero-section: empty in the projectivization
+        return [(component_from_prime(ideal, target), 1)]
+
+    return E.map(rule, target)
 
 
 def char_polar_cycles(
@@ -370,30 +357,22 @@ def char_polar_cycles(
     js: Sequence[int],
 ) -> CharPolarCycles:
     """Slice the projectivized cycle by tag planes and push to the base."""
-    ambient_p = geccP.ambient
-    if ambient_p.kind != U_P_KIND:
+    if geccP.ambient.kind != U_P_KIND:
         raise ValueError("char_polar_cycles expects a projectivized cycle")
-    ambient_u = ambient_p.with_kind(U_KIND)
-    ctx = ambient_p.context()
-    n = ambient_p.n
     out: dict = {}
     for j in js:
-        cuts = [ctx.gen(f"u{i}") for i in range(n, j, -1)]
         for k in sorted(geccP.degrees):
-            sliced = ci_intersect(
-                GradedEnrichedCycle.single(0, geccP.degree(k)), cuts
-            )
-            if not sliced:
-                continue
-            image = pushforward_with_degree(sliced, ambient_u).degree(0)
+            image = _polar_slice(geccP.degree(k), j)
             if image:
                 out[(k, j)] = image
-    return CharPolarCycles(ambient_u, out)
+    return CharPolarCycles(geccP.ambient.with_kind(U_KIND), out)
 
 
 def _polar_slice(P: EnrichedCycle, j: int) -> EnrichedCycle:
     """eta_*(P . U x P^j x {0}): a projectivized cycle sliced at level j, in U."""
-    return char_polar_cycles(GradedEnrichedCycle.single(0, P), [j]).get(0, j)
+    ctx = P.ambient.context()
+    cuts = [ctx.gen(f"u{i}") for i in range(P.ambient.n, j, -1)]
+    return pushforward_with_degree(ci_intersect(P, cuts), P.ambient.with_kind(U_KIND))
 
 
 def reconstruct_gecc(
@@ -436,11 +415,7 @@ def reconstruct_gecc(
                     )
                 stratum = Stratum("_rec", W.ideal, W.dim, {0: ModClass.free(1)})
                 conormal = conormal_variety(stratum, ambient_t)
-                P = projectivize(
-                    GradedEnrichedCycle.single(
-                        0, EnrichedCycle(ambient_t, {conormal: ModClass.free(1)})
-                    ),
-                ).degree(0)
+                P = projectivize(EnrichedCycle(ambient_t, {conormal: ModClass.free(1)}))
                 c = _polar_slice(P, j).terms.get(W)
                 if c is None:
                     raise InconsistencyError(
@@ -462,7 +437,7 @@ def reconstruct_gecc(
 class BlowupComponentResult:
     source: Component
     status: str  # "blown-up" | "disjoint" | "inside-center"
-    exceptional: EnrichedCycle | None = None
+    exceptional: list | None = None  # [(piece, multiplicity)] when blown up
 
 
 @dataclass
@@ -507,26 +482,13 @@ def blowup_exceptional(
     ctx_b = ambient_b.context()
     graph = im_d(ft, ambient_t)
     graph_gens = [g.lift(ctx_b) for g in graph.generators]
-    per_component: list = []
-    cache: dict = {}
-    degrees: dict = {}
-    for k, cyc in gecc_F.degrees.items():
-        acc = EnrichedCycle(ambient_b)
-        for comp, m in cyc.terms.items():
-            if comp not in cache:
-                cache[comp] = _exceptional_of_component(
-                    comp, graph, graph_gens, ambient_b
-                )
-                per_component.append(cache[comp])
-            result = cache[comp]
-            if result.exceptional is not None:
-                for piece, mult in result.exceptional:
-                    acc = acc.add_term(piece, mc.tensor(m, ModClass.free(mult)))
-        if acc:
-            degrees[k] = acc
-    exceptional = GradedEnrichedCycle(ambient_b, degrees)
-    push = pushforward_with_degree(exceptional, ambient_p) if exceptional else GradedEnrichedCycle.zero(ambient_p)
-    return BlowupResult(per_component, exceptional, push)
+    results = {
+        comp: _exceptional_of_component(comp, graph, graph_gens, ambient_b)
+        for comp in gecc_F.components()
+    }
+    exceptional = gecc_F.map(lambda c: results[c].exceptional or [], ambient_b)
+    push = pushforward_with_degree(exceptional, ambient_p)
+    return BlowupResult(list(results.values()), exceptional, push)
 
 
 def _exceptional_of_component(
@@ -535,7 +497,6 @@ def _exceptional_of_component(
     graph_gens: list,
     ambient_b: AmbientSpace,
 ):
-    ctx_t = comp.ideal.ctx
     if prime_contains_all(comp.ideal, graph.generators):
         return BlowupComponentResult(comp, "inside-center", None)
     meet = comp.ideal.with_extra(graph.generators)
@@ -599,9 +560,9 @@ class VanishingReport:
                     {
                         "j": step.j,
                         "divisor": str(step.divisor),
-                        "pi": GradedEnrichedCycle.single(0, step.pi).to_json(),
-                        "delta": GradedEnrichedCycle.single(0, step.delta).to_json(),
-                        "discarded": GradedEnrichedCycle.single(0, step.discarded).to_json(),
+                        "pi": step.pi.to_json(0),
+                        "delta": step.delta.to_json(0),
+                        "discarded": step.discarded.to_json(0),
                     }
                     for step in steps
                 ]
@@ -609,7 +570,7 @@ class VanishingReport:
             }
         if self.lambdas is not None:
             data["lambda"] = {
-                f"{k},{j}": GradedEnrichedCycle.single(0, cyc).to_json()
+                f"{k},{j}": cyc.to_json(0)
                 for (k, j), cyc in sorted(self.lambdas.cycles.items())
             }
         if self.agreement is not None:
@@ -622,26 +583,23 @@ def vanishing_pipeline(
     ft: Polynomial,
     route: str = "pidelta",
 ) -> VanishingReport:
-    """Full germ-at-the-origin vanishing-cycle computation; nothing past the
-    bounds when the isolating check fails."""
+    """Full germ-at-the-origin vanishing-cycle computation by the Pi/Delta
+    route; ``both`` adds the blow-up and checks that the two agree. Nothing
+    past the bounds when the isolating check fails."""
+    if route not in ("pidelta", "both"):
+        raise ValueError(f"unknown route {route!r}; expected pidelta or both")
     gecc_F = gecc_assemble(SC)
     bound = microsupport_phi_bound(SC, ft)
     iso = isolating_check(SC, ft, bound.upper_components())
     if not iso["pass"]:
-        return VanishingReport(SC, ft, bound, iso, None, None, None, None, None, None)
-    trace = lambdas = gecc_phi = cc_phi = None
-    blowup = None
-    agreement = None
-    if route in ("pidelta", "both"):
-        trace = pi_delta(gecc_F, ft)
-        lambdas = lambda_cycles(trace)
-        gecc_phi = reconstruct_gecc(lambdas)
-        cc_phi = to_ordinary(gecc_phi)
-    if route in ("blowup", "both"):
+        return VanishingReport(SC, ft, bound, iso, None, None, None, None)
+    trace = pi_delta(gecc_F, ft)
+    lambdas = lambda_cycles(trace)
+    gecc_phi = reconstruct_gecc(lambdas)
+    blowup = agreement = None
+    if route == "both":
         blowup = blowup_exceptional(gecc_F, ft)
-    if route == "both" and gecc_phi is not None and blowup is not None:
-        projected = projectivize(gecc_phi)
-        agreement = blowup.vanishing_part(ft) == projected
+        agreement = blowup.vanishing_part(ft) == projectivize(gecc_phi)
     return VanishingReport(
-        SC, ft, bound, iso, trace, lambdas, gecc_phi, cc_phi, blowup, agreement
+        SC, ft, bound, iso, trace, lambdas, gecc_phi, to_ordinary(gecc_phi), blowup, agreement
     )

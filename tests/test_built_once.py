@@ -1,12 +1,15 @@
 """One construction per command: within one CLI command no conormal is
-built twice, no (stratum, f) rank witness is computed twice and no polar
-length is measured twice. Objects kept for reuse live in the memo of the
-``engine_limits`` block that built them, so a nested block with a tighter
-budget builds them again and hits its budget."""
+built twice, no (stratum, f) rank witness is computed twice, no polar
+length is measured twice, and no cycle component is intersected with the
+same divisor or pushed to the same target twice. Objects kept for reuse
+live in the memo of the ``engine_limits`` block that built them, so a
+nested block with a tighter budget builds them again and hits its
+budget."""
 
 import pytest
 
 from gecc_kit import conormal as conormal_module
+from gecc_kit import cycles as cycles_module
 from gecc_kit import hypersurface as hypersurface_module
 from gecc_kit.cli import EXIT_OK, main
 from gecc_kit.conormal import conormal_variety
@@ -36,11 +39,13 @@ def _rows_key(rows):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Each construction of the three objects, keyed by what determines it."""
+    """Each construction of the five objects, keyed by what determines it."""
     seen = []
     from_rows = conormal_module._conormal_from_rows
     witness = conormal_module._rank_witness
     local_degree = hypersurface_module.local_degree
+    intersect = cycles_module._intersect_component
+    pushforward = cycles_module._pushforward_component
 
     def spy_from_rows(stratum, extra_rows, ambient_t):
         seen.append(("conormal", ambient_t, stratum.closure_ideal.groebner_basis(),
@@ -55,9 +60,19 @@ def builds(monkeypatch):
         seen.append(("local_degree", I.ctx, I.groebner_basis()))
         return local_degree(I)
 
+    def spy_intersect(comp, g):
+        seen.append(("intersection", comp, g))
+        return intersect(comp, g)
+
+    def spy_pushforward(comp, target):
+        seen.append(("pushforward", comp, target))
+        return pushforward(comp, target)
+
     monkeypatch.setattr(conormal_module, "_conormal_from_rows", spy_from_rows)
     monkeypatch.setattr(conormal_module, "_rank_witness", spy_witness)
     monkeypatch.setattr(hypersurface_module, "local_degree", spy_local_degree)
+    monkeypatch.setattr(cycles_module, "_intersect_component", spy_intersect)
+    monkeypatch.setattr(cycles_module, "_pushforward_component", spy_pushforward)
     return seen
 
 
@@ -70,7 +85,7 @@ def test_each_object_built_once_per_command(tmp_path, capsys, builds, germ, args
     kinds = {key[0] for key in builds}
     assert "conormal" in kinds
     if command != "gecc":
-        assert "rank witness" in kinds
+        assert {"rank witness", "intersection", "pushforward"} <= kinds
     repeated = [key[0] for i, key in enumerate(builds) if key in builds[:i]]
     assert repeated == []
 

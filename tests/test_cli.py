@@ -279,6 +279,15 @@ def test_negative_spair_budget_is_refused(tmp_path, capsys):
     assert main(["gecc", path, "--spair-budget", "0"]) == EXIT_RESOURCE
 
 
+def test_route_blowup_is_refused(tmp_path, capsys):
+    # the blow-up runs only beside the Pi/Delta route, as the check of `both`
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    with pytest.raises(SystemExit) as exc:
+        main(["vanishing", path, "--route", "blowup"])
+    assert exc.value.code == EXIT_DIAGNOSTIC
+    assert "--route" in capsys.readouterr().err
+
+
 def _without_ambient(data):
     del data["ambient"]
 

@@ -23,9 +23,11 @@ from gecc_kit.cycles import (
     scalar_multiply,
     to_ordinary,
 )
-from gecc_kit.ideal import CertificationFailure, Ideal
+from gecc_kit import cycles as cycles_module
+from gecc_kit.ideal import CertificationFailure, EngineLimits, Ideal, engine_limits
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import base_context, parse_polynomial
+from gecc_kit.vanishing import projectivize
 
 AMB_T = AmbientSpace("TstarU", 2, ("x", "y", "t"))
 AMB_U = AmbientSpace("U", 2, ("x", "y", "t"))
@@ -207,6 +209,54 @@ def test_proper_pushforward_rejects_degree_two():
             GradedEnrichedCycle.single(0, EnrichedCycle(amb1, {c: Z(1)})),
             AmbientSpace("U", 0, ("x",)),
         )
+
+
+def conormal_in_two_degrees():
+    """The conormal of the t-axis: Z in degree 0, Z + Z/2 in degree 1."""
+    N = comp("x", "y", "w2")
+    return N, GradedEnrichedCycle(AMB_T, {
+        0: EnrichedCycle(AMB_T, {N: Z(1)}),
+        1: EnrichedCycle(AMB_T, {N: ModClass(1, (2,))}),
+    })
+
+
+def test_operations_act_degree_by_degree():
+    N, G = conormal_in_two_degrees()
+    doubled = divisor_intersect(G, P("w1^2"))  # length 2 along V(x, y, w2, w1)
+    assert doubled.degree(1).terms == {comp("x", "y", "w2", "w1"): ModClass(2, (2, 2))}
+    graph = ci_intersect(G, [P("w0"), P("w1-1")])  # one-to-one onto the t-axis
+    for H, op in [
+        (G, lambda E: divisor_intersect(E, P("w1^2"))),
+        (graph, lambda E: proper_pushforward(E, AMB_U)),
+        (G, projectivize),
+    ]:
+        assert op(H)
+        for k in (0, 1):
+            assert op(H).degree(k) == op(H.degree(k))
+
+
+def test_a_component_is_intersected_and_pushed_once_per_block(monkeypatch):
+    N, G = conormal_in_two_degrees()
+    calls = []
+
+    def spy_on(name):
+        real = getattr(cycles_module, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cycles_module, name, spy)
+
+    spy_on("_intersect_component")
+    spy_on("_pushforward_component")
+    with engine_limits(EngineLimits()):
+        graph = ci_intersect(G, [P("w0"), P("w1-1")])
+        assert ci_intersect(G.degree(1), [P("w0"), P("w1-1")]) == graph.degree(1)
+        image = proper_pushforward(graph, AMB_U)
+        assert proper_pushforward(graph.degree(0), AMB_U) == image.degree(0)
+    assert calls == ["_intersect_component"] * 2 + ["_pushforward_component"]
+    assert image.degree(1).terms == {comp("x", "y", amb=AMB_U): ModClass(1, (2,))}
 
 
 # Mapping degrees of projections, including tag ambients. The values agree

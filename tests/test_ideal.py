@@ -673,7 +673,7 @@ def test_eliminate_hands_over_its_reduced_basis(monkeypatch, restrict, gens, dro
     # the same basis, normal form and dimension as a fresh run outside any block
     fresh = Ideal(E.ctx, E.generators)
     assert fresh.groebner_basis() == basis
-    assert len(budgets) == 2
+    assert len(budgets) == (2 if basis else 1)  # the zero ideal takes no run
     assert fresh.normal_form(p) == form and fresh.dimension() == dim
     assert selfcheck_groebner(basis)
     if expected is not None:

@@ -14,6 +14,7 @@ from math import prod
 
 import pytest
 
+from gecc_kit import ideal as ideal_module
 from gecc_kit.cli import EXIT_OK, main
 
 
@@ -35,8 +36,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("coords, L, f, mu, ideal", CASES, ids=[c[2] + "@" + "".join(c[0]) for c in CASES])
-def test_vanishing_cycle_is_the_milnor_number(tmp_path, capsys, coords, L, f, mu, ideal):
+def write_germ(tmp_path, coords, L, f):
+    """A smooth ambient space as one stratum, whose closure is the zero ideal."""
     descriptor = {
         "ambient": {"n": len(coords) - 1, "coords": list(coords)},
         "strata": [{"name": "U", "ideal": [], "dim": len(coords), "morse": {"0": {"rank": 1}}}],
@@ -45,7 +46,27 @@ def test_vanishing_cycle_is_the_milnor_number(tmp_path, capsys, coords, L, f, mu
     }
     path = tmp_path / "germ.json"
     path.write_text(json.dumps(descriptor))
-    assert main(["vanishing", str(path), "--route", "both", "--json"]) == EXIT_OK
+    return str(path)
+
+
+@pytest.mark.parametrize("coords, L, f, mu, ideal", CASES, ids=[c[2] + "@" + "".join(c[0]) for c in CASES])
+def test_vanishing_cycle_is_the_milnor_number(tmp_path, capsys, coords, L, f, mu, ideal):
+    path = write_germ(tmp_path, coords, L, f)
+    assert main(["vanishing", path, "--route", "both", "--json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["two_route_agreement"] is True
     assert report["cc_phi"] == [{"ideal": ideal, "multiplicity": mu}]
+
+
+def test_zero_ideal_takes_no_groebner_run(tmp_path, capsys, monkeypatch):
+    # the zero ideal is its own reduced basis
+    runs = []  # the number of generators of each Buchberger run
+    real = ideal_module._buchberger
+
+    def spy(gens, keys, budget, stats):
+        runs.append(len(gens))
+        return real(gens, keys, budget, stats)
+
+    monkeypatch.setattr(ideal_module, "_buchberger", spy)
+    assert main(["nearby", write_germ(tmp_path, ("x", "y"), "x", "x^2+y^3"), "--json"]) == EXIT_OK
+    assert runs and 0 not in runs

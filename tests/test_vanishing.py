@@ -314,6 +314,12 @@ def test_two_route_agreement(sc_txy):
     }
 
 
+@pytest.mark.parametrize("route", ["blowup", "foo"])
+def test_pipeline_refuses_an_unknown_route(sc_txy, route):
+    with pytest.raises(ValueError, match="route"):
+        vanishing_pipeline(sc_txy, P("x", sc_txy), route=route)
+
+
 def test_pipeline_report_json(sc_txy):
     rep = vanishing_pipeline(sc_txy, P("x", sc_txy))
     data = rep.to_json()
