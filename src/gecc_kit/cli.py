@@ -8,7 +8,6 @@ as deterministic JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass
@@ -72,8 +71,9 @@ EXIT_RESOURCE = 3
 
 
 class DescriptorError(ValueError):
-    """The descriptor does not fit its schema; names the offending JSON path,
-    or the option (``--f``, ``--L``) that stands in for a key."""
+    """The descriptor does not fit its schema, or the command line is not
+    one ``_read_argv`` accepts; names the offending JSON path, or the
+    option or positional argument."""
 
     def __init__(self, path: str, message: str, source: str = "descriptor"):
         super().__init__(f"{source} {path}: {message}")
@@ -477,37 +477,6 @@ def cmd_oracle_curve(desc_data: Mapping, args) -> tuple:
     return EXIT_OK, report, lines
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gecc-kit",
-        description="exact graded enriched characteristic cycle engine",
-    )
-    parser.add_argument("command", choices=[
-        "gecc", "conormal", "polar", "nearby", "shriek", "vanishing", "cc",
-        "check", "oracle-curve",
-    ])
-    parser.add_argument("descriptor", help="problem descriptor JSON file")
-    parser.add_argument("--degree", type=int, default=None, help="focus degree k")
-    parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--route", choices=["pidelta", "both"], default="pidelta")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="no effect on results; kept so reports still carry a seed")
-    parser.add_argument("--f", dest="f_override", default=None, help="override f")
-    parser.add_argument("--L", dest="l_override", default=None, help="override L")
-    parser.add_argument("--spair-budget", type=_nonnegative_int, default=None)
-    return parser
-
-
 _COMMANDS = {
     "gecc": cmd_gecc,
     "conormal": cmd_conormal,
@@ -529,11 +498,133 @@ _NEEDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    limits = EngineLimits() if args.spair_budget is None else EngineLimits(args.spair_budget)
+_USAGE = """\
+usage: gecc-kit COMMAND DESCRIPTOR [options]
+
+exact graded enriched characteristic cycle engine
+
+COMMAND     gecc, conormal, polar, nearby, shriek, vanishing, cc, check or oracle-curve
+DESCRIPTOR  problem descriptor JSON file
+
+options, each value as --opt value or --opt=value, names in full:
+  --json                 emit the JSON report
+  --degree K             vanishing: also print gecc^K of the vanishing cycles
+  --route pidelta|both   vanishing: the Pi/Delta route alone (default), or checked
+                         against the blow-up
+  --seed N               no effect on results; kept so reports still carry a seed
+  --f TEXT               override f
+  --L TEXT               override L
+  --spair-budget N       S-pairs allowed in each Groebner run, N >= 0
+  -h, --help             print this help"""
+
+
+@dataclass
+class Options:
+    """A command line, as read by ``_read_argv``."""
+
+    command: str
+    descriptor: str
+    json: bool = False
+    degree: int | None = None
+    route: str = "pidelta"
+    seed: int | None = None
+    f_override: str | None = None
+    l_override: str | None = None
+    spair_budget: int | None = None
+
+
+def _integer(text: str) -> int:
     try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _route(text: str) -> str:
+    if text not in ("pidelta", "both"):
+        raise ValueError(f"expected pidelta or both, got {text!r}")
+    return text
+
+
+# option -> (Options field, reader of its value); a flag has no reader
+_OPTIONS = {
+    "--json": ("json", None),
+    "--degree": ("degree", _integer),
+    "--route": ("route", _route),
+    "--seed": ("seed", _integer),
+    "--f": ("f_override", str),
+    "--L": ("l_override", str),
+    "--spair-budget": ("spair_budget", _budget),
+}
+_COMMAND_NAMES = (*_COMMANDS, "oracle-curve")
+
+
+def _read_argv(argv: Sequence[str]) -> Options | None:
+    """The options of a command line, or None when it asks for help.
+
+    The two positionals may stand anywhere among the options, and a
+    value follows its option as the next argument or after ``=``; ``--``
+    ends the options. A refusal is a DescriptorError naming the option
+    or positional.
+    """
+    values: dict = {}
+    positionals: list = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            positionals += args
+        elif not arg.startswith("-"):
+            positionals.append(arg)
+        elif arg in ("-h", "--help"):
+            return None
+        else:
+            name, has_value, text = arg.partition("=")
+            if name not in _OPTIONS:
+                raise DescriptorError(name, "unknown option (give option names in full)", "option")
+            field, reader = _OPTIONS[name]
+            if reader is None:
+                if has_value:
+                    raise DescriptorError(name, "takes no value", "option")
+                values[field] = True
+                continue
+            if not has_value:
+                text = next(args, None)
+                if text is None:
+                    raise DescriptorError(name, "expected a value", "option")
+            try:
+                values[field] = reader(text)
+            except ValueError as exc:
+                raise DescriptorError(name, str(exc), "option") from None
+    if not positionals:
+        raise DescriptorError("command", "missing (see --help)", "option")
+    if positionals[0] not in _COMMAND_NAMES:
+        raise DescriptorError("command", f"expected one of {', '.join(_COMMAND_NAMES)}, "
+                              f"got {positionals[0]!r}", "option")
+    if len(positionals) == 1:
+        raise DescriptorError("descriptor", "missing (see --help)", "option")
+    if len(positionals) > 2:
+        raise DescriptorError("descriptor", f"unexpected further argument {positionals[2]!r}",
+                              "option")
+    return Options(*positionals, **values)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_USAGE)
+            return EXIT_OK
+        limits = EngineLimits() if args.spair_budget is None else EngineLimits(args.spair_budget)
         with engine_limits(limits):
             if args.command == "oracle-curve":
                 code, report, transcript = cmd_oracle_curve(_read_json(args.descriptor), args)

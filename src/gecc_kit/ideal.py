@@ -487,6 +487,12 @@ def polynomial_key(p: Polynomial) -> frozenset:
     return frozenset([(e, c.numerator, c.denominator) for e, c in p.terms.items()])
 
 
+def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
+    """p divided by its leading coefficient under order."""
+    lc = p.leading(order)[1]
+    return Polynomial(p.ctx, {e: c / lc for e, c in p.terms.items()})
+
+
 def _trusted(order: MonomialOrder, n: int, prefix: Sequence[Polynomial]) -> bool:
     """The order ranks the monomials in the prefix's variables as degrevlex does.
 
@@ -574,11 +580,12 @@ class Ideal:
         generators and is redone twice as wide, prefix and all, whenever a
         product overflows. The prefix enters as a Groebner basis whose own
         pairs are never formed when ``_trusted`` holds for the order. The
-        zero ideal is its own reduced basis and takes no run; ``_packed``
-        packs it when first used.
+        zero ideal's reduced basis is empty, and a principal ideal's is its
+        generator made monic; neither takes a run, and ``_packed`` packs the
+        basis when first used.
         """
-        if not self.generators:
-            return [(), {}, None, None]
+        if len(self.generators) < 2:
+            return [tuple(_monic(g, order) for g in self.generators), {}, None, None]
         n = len(self.ctx)
         k = self._prefix if _trusted(order, n, self.generators[:self._prefix]) else 0
 

@@ -2,9 +2,11 @@
 
 import json
 import re
+import sys
 
 import pytest
 
+from gecc_kit import cli as cli_module
 from gecc_kit import ideal as ideal_module
 from gecc_kit.cli import EXIT_DIAGNOSTIC, EXIT_OK, EXIT_RESOURCE, descriptor_from_json, main
 
@@ -271,9 +273,7 @@ def test_unreadable_descriptor_exit_2(tmp_path, capsys, command, kind, reason):
 
 def test_negative_spair_budget_is_refused(tmp_path, capsys):
     path = write_descriptor(tmp_path, RUNNING_TXY)
-    with pytest.raises(SystemExit) as exc:
-        main(["gecc", path, "--spair-budget", "-3"])
-    assert exc.value.code == EXIT_DIAGNOSTIC
+    assert main(["gecc", path, "--spair-budget", "-3"]) == EXIT_DIAGNOSTIC
     assert "--spair-budget" in capsys.readouterr().err
     # zero is a legal budget: the first S-pair exceeds it
     assert main(["gecc", path, "--spair-budget", "0"]) == EXIT_RESOURCE
@@ -282,10 +282,76 @@ def test_negative_spair_budget_is_refused(tmp_path, capsys):
 def test_route_blowup_is_refused(tmp_path, capsys):
     # the blow-up runs only beside the Pi/Delta route, as the check of `both`
     path = write_descriptor(tmp_path, RUNNING_TXY)
-    with pytest.raises(SystemExit) as exc:
-        main(["vanishing", path, "--route", "blowup"])
-    assert exc.value.code == EXIT_DIAGNOSTIC
+    assert main(["vanishing", path, "--route", "blowup"]) == EXIT_DIAGNOSTIC
     assert "--route" in capsys.readouterr().err
+
+
+# (arguments after the descriptor, or the whole command line when the
+# first item is None; what the refusal names): each goes out through the
+# diagnostic path, exit 2, naming the option
+_BAD_ARGV = [
+    (["--degree", "x"], "option --degree: expected an integer, got 'x'"),
+    (["--seed", "1.5"], "option --seed: expected an integer, got '1.5'"),
+    (["--route", "nope"], "option --route: expected pidelta or both, got 'nope'"),
+    (["--spair-budget", "-3"], "option --spair-budget: expected a nonnegative integer, got '-3'"),
+    (["--f"], "option --f: expected a value"),
+    (["--nope"], "option --nope: unknown option"),
+    (["--spair", "5"], "option --spair: unknown option"),  # no abbreviations
+    (["--json=yes"], "option --json: takes no value"),
+    (["extra.json"], "option descriptor: unexpected further argument 'extra.json'"),
+    ([None, "frob", "problem.json"], "option command: expected one of gecc, conormal"),
+    ([None, "gecc"], "option descriptor: missing"),
+    ([None], "option command: missing"),
+]
+
+
+@pytest.mark.parametrize("extra, message", _BAD_ARGV,
+                         ids=[" ".join(map(str, e)) for e, _ in _BAD_ARGV])
+def test_bad_argv_is_refused_naming_the_option(tmp_path, capsys, extra, message):
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    argv = extra[1:] if extra[:1] == [None] else ["gecc", path, *extra]
+    assert main(argv) == EXIT_DIAGNOSTIC
+    captured = capsys.readouterr()
+    assert f"diagnostic failure: {message}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_accepted_argv_forms_give_the_same_report(tmp_path, capsys):
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    canonical = ["vanishing", path, "--seed", "3", "--route", "both", "--json"]
+    assert main(canonical) == EXIT_OK
+    expected = capsys.readouterr()
+    for argv in (
+        ["vanishing", path, "--seed=3", "--route=both", "--json"],
+        ["--json", "--seed", "3", "--route", "both", "vanishing", path],  # options first
+        ["vanishing", "--seed", "3", path, "--route=both", "--json"],  # between the positionals
+        ["--json", "--route", "both", "--seed", "3", "--", "vanishing", path],
+    ):
+        assert main(argv) == EXIT_OK, argv
+        assert capsys.readouterr() == expected, argv
+
+
+def test_value_may_start_with_a_dash(tmp_path, capsys):
+    path = write_descriptor(tmp_path, PARABOLA)
+    assert main(["vanishing", path, "--f", "-x"]) == EXIT_OK
+    assert main(["vanishing", path, "--f=-x"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command_and_option(capsys, flag):
+    assert main(["gecc", flag]) == EXIT_OK
+    out = capsys.readouterr().out
+    names = [*cli_module._COMMAND_NAMES, *cli_module._OPTIONS, "-h", "--help"]
+    assert [name for name in names if name not in out] == []
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    assert main(["nearby", path, "--json"]) == EXIT_OK
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["gecc-kit", "nearby", path, "--json"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr() == expected
 
 
 def _without_ambient(data):

@@ -664,16 +664,17 @@ ELIMINATIONS = [
 def test_eliminate_hands_over_its_reduced_basis(monkeypatch, restrict, gens, drop, expected):
     budgets = spy_budgets(monkeypatch)
     E = eliminate(I(*gens, ctx=CTX_W), drop, restrict=restrict)
-    assert len(budgets) == 1  # the block-order run only
+    runs = int(len(gens) > 1)  # the block-order run only; a principal ideal takes none
+    assert len(budgets) == runs
     basis = E.groebner_basis()
     assert basis == E.generators
     p = P("x^3*y + x", ctx=E.ctx)
     form, dim = E.normal_form(p), E.dimension()
-    assert len(budgets) == 1
+    assert len(budgets) == runs
     # the same basis, normal form and dimension as a fresh run outside any block
     fresh = Ideal(E.ctx, E.generators)
     assert fresh.groebner_basis() == basis
-    assert len(budgets) == (2 if basis else 1)  # the zero ideal takes no run
+    assert len(budgets) == runs + (len(basis) > 1)  # the zero and principal ideals take none
     assert fresh.normal_form(p) == form and fresh.dimension() == dim
     assert selfcheck_groebner(basis)
     if expected is not None:
@@ -682,11 +683,31 @@ def test_eliminate_hands_over_its_reduced_basis(monkeypatch, restrict, gens, dro
     assert not set(drop) & names if restrict else set(drop) <= names
 
 
+@pytest.mark.parametrize("order", [DEGREVLEX, block_order([2], 3), LEX],
+                         ids=["degrevlex", "block", "lex"])
+@pytest.mark.parametrize("g", ["2*t - 3*x^2*y + 1/2", "-y^3 + 5*x*t", "7/3*x"])
+def test_principal_ideal_takes_no_run(monkeypatch, order, g):
+    # a principal ideal's reduced basis is its generator made monic under the order
+    budgets = spy_budgets(monkeypatch)
+    f, p = P(g), P("x^2*y^2*t")
+    principal = Ideal(CTX, [f])
+    basis = principal.groebner_basis(order)
+    assert budgets == []
+    assert len(basis) == 1 and basis[0].leading(order) == (f.leading(order)[0], 1)
+    # the same basis and normal form as a run on a redundant generator set
+    run = Ideal(CTX, [f, f * P("x+y")])
+    assert basis == run.groebner_basis(order)
+    assert len(budgets) == 1
+    assert principal.normal_form(p, order) == run.normal_form(p, order)
+
+
 def test_eliminate_enters_the_block_memo(monkeypatch):
     budgets = spy_budgets(monkeypatch)
     with engine_limits(EngineLimits()):
-        E = eliminate(I("x-t", "y-t^2", "t*y-x^3"), ["t"], restrict=True)
-        assert len(budgets) == 1
+        # the twisted cubic: a result of more than one generator, which a fresh ideal
+        # outside the block runs again
+        E = eliminate(I("x-t", "y-t^2", "w0-t^3", ctx=CTX_W), ["t"], restrict=True)
+        assert len(E.generators) > 1 and len(budgets) == 1
         again = Ideal(E.ctx, E.generators[::-1])
         assert again.groebner_basis() == E.groebner_basis()
         assert again.contains(P("x^2-y", ctx=E.ctx))

@@ -1,5 +1,6 @@
 """Every name an engine module imports is used, every top-level def and
-method is, no engine module imports ``random`` or ``sympy``, the CLI runs
+method is, no engine module imports ``random``, ``sympy`` or ``argparse``,
+a CLI call loads no argparse, gettext or locale, the CLI runs
 and factors with no sympy module loaded and gives the same output where
 sympy cannot be imported at all, no engine function takes a ``limits``
 parameter, and every engine name that bench/spans.py traces exists.
@@ -107,6 +108,31 @@ def test_scan_flags_a_sympy_import(tmp_path):
         "    return sp, os, PolyRing\n"
     )
     assert imports_of(module, "sympy") == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_engine_does_not_import_argparse(path):
+    assert imports_of(path, "argparse") == []  # cli.py reads argv with its own table
+
+
+# A CLI call reads its argv with no argparse, so a fresh process pays
+# neither its import nor the gettext and locale lookups of its first parse.
+CLI_PROBE = """
+import sys
+from gecc_kit.cli import main
+code = main(["gecc", sys.argv[1], "--json"])
+print(code, sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+"""
+
+
+def test_cli_call_loads_no_argparse(tmp_path):
+    from test_cli import RUNNING_TXY, write_descriptor
+
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", CLI_PROBE, path], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 # Factoring over Q is native: importing the CLI and factoring, reducible
