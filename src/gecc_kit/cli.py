@@ -320,7 +320,7 @@ def _cycle_lines(label: str, cyc: GradedEnrichedCycle) -> list:
         lines.append("  0")
     for k in sorted(cyc.degrees):
         for comp, m in cyc.degrees[k]._sorted():
-            lines.append(f"  deg {k}: ({m}) [{', '.join(comp.gen_strings())}]")
+            lines.append(f"  deg {k}: ({m}) [{', '.join(comp.gens)}]")
     return lines
 
 

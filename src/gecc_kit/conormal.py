@@ -105,9 +105,9 @@ class StratifiedComplex:
                 )
             primes = [w.ideal for w in minimal_primes(closure)]
             if primes != [closure]:
-                found = ", ".join(
-                    "[" + ", ".join(map(str, P.groebner_basis())) + "]" for P in primes
-                )
+                comps = sorted((component_from_prime(P, self.ambient) for P in primes),
+                               key=lambda c: c.key)
+                found = ", ".join(f"[{', '.join(c.gens)}]" for c in comps)
                 raise StratificationError(
                     f"stratum {s.name}: closure is not a prime ideal; "
                     f"its minimal primes are {found}",
@@ -193,16 +193,22 @@ def _minors_with_last_row(rows: list, size: int, ncols: int) -> list:
 
 
 def _rank_witness(rows: list, size: int, ncols: int, modulus: Ideal) -> Polynomial | None:
-    """A size x size minor of the given rows nonzero mod the ideal, or None."""
+    """A size x size minor of the given rows nonzero mod the ideal, or None.
+
+    A nonzero constant minor when there is one, since saturating at a unit
+    takes no Groebner run; else the first minor nonzero mod the ideal.
+    """
+    minors = []
     for rsel in itertools.combinations(range(len(rows)), size):
         for csel in itertools.combinations(range(ncols), size):
             matrix = [[rows[i][j] for j in csel] for i in rsel]
             d = _det(matrix)
             if d.is_zero():
                 continue
-            if not modulus.contains(d):
+            if d.total_degree() == 0:
                 return d
-    return None
+            minors.append(d)
+    return next((d for d in minors if not modulus.contains(d)), None)
 
 
 def _conormal(stratum: Stratum, extra_rows: list, ambient_t: AmbientSpace) -> Component | None:

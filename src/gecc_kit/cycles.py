@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import modclass as mc
@@ -157,11 +158,17 @@ class Component:
         return self.ambient == other.ambient and self.ideal == other.ideal
 
     def __repr__(self):
-        gens = ", ".join(str(g) for g in self.ideal.generators)
-        return f"V({gens})"
+        return f"V({', '.join(self.gens)})"
 
-    def gen_strings(self) -> list:
-        return [str(g) for g in self.ideal.generators]
+    @cached_property
+    def gens(self) -> tuple:
+        """The generators as text, in the reduced basis's order."""
+        return tuple(map(str, self.ideal.generators))
+
+    @cached_property
+    def key(self) -> tuple:
+        """The generators as text, sorted: the order of every listing of components."""
+        return tuple(sorted(self.gens))
 
 
 def geometric_dimension(I: Ideal, ambient: AmbientSpace) -> int:
@@ -185,14 +192,15 @@ def irrelevant_ideal(ambient: AmbientSpace) -> Ideal | None:
 
 
 def decompose_components(I: Ideal, ambient: AmbientSpace) -> list:
-    """Certified minimal primes as components, dropping the irrelevant locus."""
+    """Certified minimal primes as components, dropping the irrelevant locus,
+    in the order of their keys."""
     out = []
     irr = irrelevant_ideal(ambient)
     for w in minimal_primes(I):
         if irr is not None and prime_contains_all(w.ideal, irr.generators):
             continue
         out.append(component_from_prime(w.ideal, ambient))
-    return out
+    return sorted(out, key=lambda c: c.key)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +239,7 @@ class EnrichedCycle:
         return " + ".join(f"({m})[{c!r}]" for c, m in self._sorted())
 
     def _sorted(self):
-        return sorted(self.terms.items(), key=lambda t: sorted(t[0].gen_strings()))
+        return sorted(self.terms.items(), key=lambda t: t[0].key)
 
     def support(self) -> list:
         return [c for c, _ in self._sorted()]
@@ -273,7 +281,7 @@ class EnrichedCycle:
         return [
             {
                 "degree": degree,
-                "ideal": sorted(comp.gen_strings()),
+                "ideal": list(comp.key),
                 "ambient": comp.ambient.kind,
                 "dim": comp.dim,
                 "coefficient": m.to_json(),
@@ -370,8 +378,10 @@ class OrdinaryCycle:
     def __repr__(self):
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: sorted(t[0].gen_strings()))
-        return " + ".join(f"{v}[{c!r}]" for c, v in items)
+        return " + ".join(f"{v}[{c!r}]" for c, v in self._sorted())
+
+    def _sorted(self):
+        return sorted(self.terms.items(), key=lambda t: t[0].key)
 
     def plus(self, other: "OrdinaryCycle") -> "OrdinaryCycle":
         terms = dict(self.terms)
@@ -389,10 +399,7 @@ class OrdinaryCycle:
         return OrdinaryCycle(self.ambient, {c: a * v for c, v in self.terms.items()})
 
     def to_json(self) -> list:
-        items = sorted(self.terms.items(), key=lambda t: sorted(t[0].gen_strings()))
-        return [
-            {"ideal": sorted(c.gen_strings()), "multiplicity": v} for c, v in items
-        ]
+        return [{"ideal": list(c.key), "multiplicity": v} for c, v in self._sorted()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ rather than guessing.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -45,40 +44,11 @@ class PrimeWitness:
 # Factorisation over Q
 #
 # The monomial content is taken out and each of its variables returned as
-# a factor; the rest, with denominators cleared, is factored over Z by
-# ``factor.factor_integer`` in the variables it contains, taken in the
-# generator order sympy gives them. Factors are signed and sorted as
-# sympy.factor_list signs and sorts them, so order, signs and
-# multiplicities are those of factoring the polynomial as an expression.
-
-# sympy's generator order: a letter's rank, then the name, then its numeric suffix
-_LETTER_RANK = {**{c: 301 + k for k, c in enumerate("abcdefghijklmno")},
-                **{c: 216 + k for k, c in enumerate("pqrstuvw")},
-                "x": 124, "y": 125, "z": 126}
-_NAME_INDEX = re.compile(r"^(.*?)(\d*)$")
-
-
-def _generator_key(name: str) -> tuple:
-    stem, index = _NAME_INDEX.match(name).groups()
-    return (_LETTER_RANK.get(stem, 1000), stem, int(index) if index else 0)
-
-
-def _dense(f: dict, u: int) -> list:
-    """The nested dense coefficient list of f in u + 1 variables, highest degree first."""
-    if not u:
-        return [f.get((k,), 0) for k in range(max(e[0] for e in f), -1, -1)] if f else []
-    heads: dict = {}
-    for e, c in f.items():
-        heads.setdefault(e[0], {})[e[1:]] = c
-    zero: list = []
-    for _ in range(u - 1):
-        zero = [zero]
-    return [_dense(heads[k], u - 1) if k in heads else zero for k in range(max(heads), -1, -1)]
-
-
-def _factor_key(dense: list, ngens: int, mult: int) -> tuple:
-    # sympy's _sorted_factors key, less the domain: every factor is over ZZ
-    return (len(dense), ngens, mult, dense)
+# a factor, in context order. The rest, with denominators cleared, is
+# factored over Z by ``factor.factor_integer`` in context order, and its
+# factors follow as that function returns them: each primitive over Z with
+# a positive lex-leading coefficient. Reports and messages do not depend
+# on this order; they list components by ``cycles.Component.key``.
 
 
 def factor_list(p: Polynomial) -> list:
@@ -92,33 +62,15 @@ def factor_list(p: Polynomial) -> list:
 
 
 def _factor(p: Polynomial) -> list:
-    ctx, n = p.ctx, len(p.ctx)
-    names = ctx.names()
-    content = [min(e[i] for e in p.terms) for i in range(n)]
-    # monomial variables in name order: their keys tie, and the sort is stable
-    keyed = [
-        (_factor_key([1, 0], 1, content[i]), ctx.gen(names[i]), content[i])
-        for i in sorted(range(n), key=names.__getitem__)
-        if content[i]
-    ]
+    ctx = p.ctx
+    content = [min(e[i] for e in p.terms) for i in range(len(ctx))]
+    out = [(ctx.gen(v), k) for v, k in zip(ctx.variables, content) if k]
     rest = {tuple(k - c for k, c in zip(e, content)): q for e, q in p.terms.items()}
-    present = [i for i in range(n) if any(e[i] for e in rest)]
-    if present:
-        positions = sorted(present, key=lambda i: _generator_key(names[i]))
-        denom = lcm(*(q.denominator for q in rest.values()))
-        poly = {tuple(e[i] for i in positions): q.numerator * (denom // q.denominator)
-                for e, q in rest.items()}
-        for f, mult in factor_integer(poly):
-            terms = {}
-            for m, c in f.items():
-                e = [0] * n
-                for i, k in zip(positions, m):
-                    e[i] = k
-                terms[tuple(e)] = Fraction(c)
-            keyed.append((_factor_key(_dense(f, len(positions) - 1), len(positions), mult),
-                          Polynomial(ctx, terms), mult))
-    keyed.sort(key=lambda item: item[0])
-    return [(q, mult) for _, q, mult in keyed]
+    denom = lcm(*(q.denominator for q in rest.values()))
+    for f, mult in factor_integer({e: q.numerator * (denom // q.denominator)
+                                   for e, q in rest.items()}):
+        out.append((Polynomial(ctx, {e: Fraction(c) for e, c in f.items()}), mult))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class PolarReport:
             "polar": self.polar.to_json(),
             "per_stratum": {
                 name: [
-                    {"ideal": sorted(c.gen_strings()), "multiplicity": m}
+                    {"ideal": list(c.key), "multiplicity": m}
                     for c, m in pieces
                 ]
                 for name, pieces in sorted(self.per_stratum.items())
@@ -144,7 +144,7 @@ def polar_curve(
                     f"polar piece {comp!r} from stratum {s.name} has dimension {comp.dim}"
                 )
             pieces.append((comp, m.rank))
-        pieces.sort(key=lambda t: sorted(t[0].gen_strings()))
+        pieces.sort(key=lambda t: t[0].key)
         per_stratum[s.name] = pieces
         diagnostics["strata"][s.name] = f"{len(pieces)} component(s)"
         for k, morse in s.morse_items():
@@ -211,7 +211,7 @@ def classical_polar_cycle(
         if prime_contains_all(comp.ideal, sigma.generators):
             continue  # contained in the critical locus: gap-removed
         pieces.append((comp, m.rank))
-    pieces.sort(key=lambda t: sorted(t[0].gen_strings()))
+    pieces.sort(key=lambda t: t[0].key)
     return pieces
 
 

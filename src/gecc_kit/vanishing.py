@@ -23,6 +23,7 @@ from .cycles import (
     Cycle,
     EnrichedCycle,
     GradedEnrichedCycle,
+    ImproperIntersection,
     OrdinaryCycle,
     TSTAR_KIND,
     TSTAR_P_KIND,
@@ -259,7 +260,7 @@ def pi_delta(
             divisor = graph_gens[j]
             try:
                 total = divisor_intersect(pi_current, divisor)
-            except Exception as exc:
+            except ImproperIntersection as exc:
                 raise ImproperStep(f"degree {k}, step j={j}: {exc}") from exc
             delta_terms: dict = {}
             pi_terms: dict = {}
@@ -408,7 +409,7 @@ def reconstruct_gecc(
                     M.pop(comp, None)
                 else:
                     M[comp] = rest
-            for W, coeff in sorted(M.items(), key=lambda t: sorted(t[0].gen_strings())):
+            for W, coeff in sorted(M.items(), key=lambda t: t[0].key):
                 if W.dim != j:
                     raise InconsistencyError(
                         f"leftover cycle {W!r} has dim {W.dim} at induction step {j}"

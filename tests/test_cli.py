@@ -8,7 +8,10 @@ import pytest
 
 from gecc_kit import cli as cli_module
 from gecc_kit import ideal as ideal_module
+from gecc_kit import vanishing as vanishing_module
 from gecc_kit.cli import EXIT_DIAGNOSTIC, EXIT_OK, EXIT_RESOURCE, descriptor_from_json, main
+from gecc_kit.cycles import ImproperIntersection
+from gecc_kit.ideal import CertificationFailure, ResourceLimitExceeded
 
 RUNNING_TXY = {
     "ambient": {"n": 2, "coords": ["t", "x", "y"]},
@@ -152,6 +155,30 @@ def test_spair_budget_binds_every_run(tmp_path, capsys, monkeypatch, args):
     err = capsys.readouterr().err
     assert code == EXIT_RESOURCE, err
     assert "certification/resource failure" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error, expected, message", [
+    (ResourceLimitExceeded("S-pair budget 5 exceeded"), EXIT_RESOURCE,
+     "certification/resource failure: S-pair budget 5 exceeded"),
+    (CertificationFailure("cannot certify"), EXIT_RESOURCE,
+     "certification/resource failure: cannot certify"),
+    (ImproperIntersection("component inside the divisor"), EXIT_DIAGNOSTIC,
+     "diagnostic failure: degree 0, step j=2: component inside the divisor"),
+], ids=["resource", "certification", "improper"])
+def test_pi_delta_step_failure_keeps_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                   error, expected, message):
+    # only an improper intersection makes a Pi/Delta step improper (exit 2);
+    # a resource or certification failure inside a step leaves with exit 3
+    def fail(cycle, divisor):
+        raise error
+
+    monkeypatch.setattr(vanishing_module, "divisor_intersect", fail)
+    path = write_descriptor(tmp_path, RUNNING_TXY)
+    code = main(["vanishing", path, "--route", "pidelta"])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,9 +15,7 @@ from gecc_kit import ideal as ideal_module
 from gecc_kit.cli import EXIT_OK, main
 from gecc_kit.decompose import (
     _certify,
-    _dense,
     _eliminate_linear,
-    _generator_key,
     _linear_pivot,
     factor_list,
     minimal_primes,
@@ -1017,6 +1016,12 @@ def _expr_path_factor_list(p):
     return out
 
 
+def _up_to_sign_and_order(factors):
+    """A factor list as sorted (text, multiplicity) pairs, each factor taken
+    with whichever sign gives the smaller text."""
+    return sorted((min(str(f), str(-f)), m) for f, m in factors)
+
+
 def _random_factor(rng, ctx):
     gens = [ctx.gen(v) for v in ctx.variables]
     shape = rng.choice(["linear", "univariate", "general"])
@@ -1053,7 +1058,8 @@ def test_factor_list_matches_sympy_expr_path(names):
             p = p * f**rng.choice([1, 1, 1, 2])
         if p.total_degree() == 0:
             continue
-        assert factor_list(p) == _expr_path_factor_list(p), str(p)
+        assert _up_to_sign_and_order(factor_list(p)) == \
+            _up_to_sign_and_order(_expr_path_factor_list(p)), str(p)
 
 
 @pytest.mark.parametrize("names", [
@@ -1073,7 +1079,7 @@ def test_factor_list_splits_products_as_sympy_does(names):
         if p.total_degree() == 0:
             continue
         expected = _expr_path_factor_list(p)
-        assert factor_list(p) == expected, str(p)
+        assert _up_to_sign_and_order(factor_list(p)) == _up_to_sign_and_order(expected), str(p)
         split += sum(m for _, m in expected) >= 2
     assert split >= 5
 
@@ -1095,25 +1101,31 @@ def test_factor_list_splits_products_as_sympy_does(names):
 def test_factor_list_hard_cases(names, text, expected):
     ctx = base_context(list(names))
     p = parse_polynomial(text, ctx)
-    assert [(str(f), m) for f, m in factor_list(p)] == [(f, 1) for f in expected]
-    assert factor_list(p) == _expr_path_factor_list(p)
+    expected = [(parse_polynomial(f, ctx), 1) for f in expected]
+    assert _up_to_sign_and_order(factor_list(p)) == _up_to_sign_and_order(expected)
+    assert _up_to_sign_and_order(factor_list(p)) == \
+        _up_to_sign_and_order(_expr_path_factor_list(p))
 
 
-def test_generator_order_and_dense_key_are_sympys():
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.polyutils import _sort_gens
-    from sympy.polys.rings import PolyRing
-
-    names = ["x", "y", "z", "t", "a", "o", "p", "w", "w0", "w1", "w2", "w10", "x1", "x10", "x2",
-             "_T", "T", "alpha", "b12c", "u", "v"]
-    rng = random.Random(9)
-    for _ in range(30):
-        sample = rng.sample(names, rng.randint(1, 6))
-        assert sorted(sample, key=_generator_key) == list(_sort_gens(sample))
-        ring = PolyRing([sympy.Symbol(n) for n in sample], sympy.ZZ)
-        f = {tuple(rng.randint(0, 3) for _ in sample): rng.randint(-5, 5) or 1
-             for _ in range(rng.randint(1, 5))}
-        assert _dense(f, len(sample) - 1) == ring.from_dict(f).to_dense()
+def test_factor_list_order_and_signs():
+    # the monomial content's variables first, in context order, then
+    # factor_integer's factors in its order, each primitive over Z with a
+    # positive lex-leading coefficient in context order
+    ctx = base_context(["y", "x", "t"])
+    p = parse_polynomial("-3/2*x*y^2*(t - x)*(2*x^2 - y)^2*(y + t)*(x*t + 1)", ctx)
+    fs = factor_list(p)
+    assert [(str(f), m) for f, m in fs] == [
+        ("y", 2), ("x", 1), ("x - t", 1), ("x*t + 1", 1), ("y + t", 1), ("-2*x^2 + y", 2),
+    ]
+    for f, _ in fs:
+        assert f.terms[max(f.terms)] > 0
+        assert all(c.denominator == 1 for c in f.terms.values())
+        assert gcd(*(c.numerator for c in f.terms.values())) == 1
+    product = ctx.one()
+    for f, m in fs:
+        product = product * f**m
+    # -3/2 * (t - x) = 3/2 * (x - t): the unit left over is 3/2
+    assert product * Fraction(3, 2) == p
 
 
 def test_certified_prime_checks():
