@@ -56,7 +56,14 @@ from .ideal import (
     engine_limits,
 )
 from .modclass import ModClass
-from .polyring import ParseError, Polynomial, VarContext, base_context, parse_polynomial
+from .polyring import (
+    ExponentTooLarge,
+    ParseError,
+    Polynomial,
+    VarContext,
+    base_context,
+    parse_polynomial,
+)
 from .vanishing import (
     ImproperStep,
     InconsistencyError,
@@ -279,9 +286,16 @@ def validate_branches(data) -> None:
 
 
 def _parse_at(text: str, ctx: VarContext, path: str, source: str = "descriptor") -> Polynomial:
-    """parse_polynomial, with a parse error located at path."""
+    """parse_polynomial, with a parse error located at path.
+
+    An exponent or a power above ``EXPONENT_CAP``, which is also the most
+    standard monomials the engine counts, is a resource failure, refused
+    before it is computed.
+    """
     try:
         return parse_polynomial(text, ctx)
+    except ExponentTooLarge as exc:
+        raise ResourceLimitExceeded(f"{source} {path}: {exc}") from None
     except ParseError as exc:
         raise DescriptorError(path, str(exc), source) from None
 

@@ -28,10 +28,9 @@ from .ideal import (
     eliminate,
     extend_context,
     lift_ideal,
-    polynomial_key,
     saturate_element,
 )
-from .polyring import Polynomial, VarContext, block_order
+from .polyring import Polynomial, VarContext, block_order, quotient
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ def factor_list(p: Polynomial) -> list:
     """
     if p.is_zero() or p.total_degree() == 0:
         return []
-    return block_memo(("factor", p.ctx, polynomial_key(p)), lambda: _factor(p))
+    return block_memo(("factor", p.ctx, p), lambda: _factor(p))
 
 
 def _factor(p: Polynomial) -> list:
@@ -69,7 +68,7 @@ def _factor(p: Polynomial) -> list:
     denom = lcm(*(q.denominator for q in rest.values()))
     for f, mult in factor_integer({e: q.numerator * (denom // q.denominator)
                                    for e, q in rest.items()}):
-        out.append((Polynomial(ctx, {e: Fraction(c) for e, c in f.items()}), mult))
+        out.append((Polynomial(ctx, f), mult))
     return out
 
 
@@ -113,7 +112,7 @@ def _eliminate_linear(gens: list, ctx: VarContext) -> tuple:
         i, c = pivot
         small = VarContext(ctx.variables[:i] + ctx.variables[i + 1:])
         # x = -(g - c x)/c
-        image = Polynomial(small, {e[:i] + e[i + 1:]: -q / c
+        image = Polynomial(small, {e[:i] + e[i + 1:]: quotient(-q, c)
                                    for e, q in g.terms.items() if e[i] == 0})
         name = ctx.variables[i].name
         gens = [h.substitute({name: image}) for h in gens if h is not g]

@@ -19,17 +19,21 @@ Buchberger, normal forms and the self-check: the front is a heap of the
 pending monomials, each popped term is reduced by the first basis element
 whose leading monomial divides it, and the fraction-free remainder comes
 with the scalar it carries, so ``normal_form`` returns the exact
-remainder. The pair queue is a heap of (lcm, i, j); pruning deletes a
-pair from the live map only, and its stale heap entry is skipped without
-counting against the S-pair budget.
+remainder. A polynomial with only int coefficients enters with no common
+denominator (``_encode``), and what leaves the kernel is a Polynomial
+made from its clean term map with no second pass, an int where a
+coefficient is integral and a Fraction otherwise. The pair queue is a
+heap of (lcm, i, j); pruning deletes a pair from the live map only, and
+its stale heap entry is skipped without counting against the S-pair
+budget.
 
 Two caches. Each Ideal keeps its reduced basis, the run's stats and its
 packed basis per monomial order; a basis that ``eliminate`` hands over
 without a run is packed when first used. Inside an ``engine_limits``
 block, a memo also keys them by (context, generator set, order), so a
 second Ideal with the same generators, in any order or repeated, takes
-the basis without a run; a generator enters the key as its (exponent,
-numerator, denominator) triples, so no Fraction is hashed. A reduced
+the basis without a run; a generator enters the key as itself, hashed
+once per polynomial. A reduced
 basis is unique for its ideal and order, so a memo hit returns exactly
 what a run would. The memo is dropped when the block ends; outside any
 block there is none. ``block_memo`` keeps in the same memo, on the same
@@ -72,7 +76,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
@@ -80,6 +83,7 @@ from typing import Iterable, Sequence
 
 from .polyring import (
     DEGREVLEX,
+    EXPONENT_CAP,
     ContextMismatch,
     MonomialOrder,
     Polynomial,
@@ -87,6 +91,7 @@ from .polyring import (
     Variable,
     block_order,
     exp_divides,
+    quotient,
 )
 
 
@@ -112,7 +117,7 @@ DEFAULT_LIMITS = EngineLimits()
 _SESSION: ContextVar[tuple] = ContextVar("engine_session", default=(DEFAULT_LIMITS, None))
 
 SATURATION_CAP = 32  # largest exponent ``saturate`` reports
-VECDIM_CAP = 200_000  # standard monomials counted or enumerated
+VECDIM_CAP = EXPONENT_CAP  # standard monomials counted or enumerated
 
 
 @contextmanager
@@ -243,10 +248,14 @@ def _widening(width: int, attempt):
 
 
 def _encode(packing: _Packing, p: Polynomial) -> tuple:
-    """(integer terms keyed by monomial, d): p times its common denominator d."""
+    """(integer terms keyed by monomial, d): p times its common denominator d.
+
+    An int coefficient has denominator 1 and adds nothing to d.
+    """
     d = 1
     for c in p.terms.values():
-        d = math.lcm(d, c.denominator)
+        if type(c) is not int:
+            d = math.lcm(d, c.denominator)
     weights = packing.weights
     return {sum(map(mul, e, weights)): c.numerator * (d // c.denominator)
             for e, c in p.terms.items()}, d
@@ -482,15 +491,10 @@ def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list
 # Ideals
 
 
-def polynomial_key(p: Polynomial) -> frozenset:
-    """Equal exactly when the polynomials are, with no Fraction hashed."""
-    return frozenset([(e, c.numerator, c.denominator) for e, c in p.terms.items()])
-
-
 def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     """p divided by its leading coefficient under order."""
     lc = p.leading(order)[1]
-    return Polynomial(p.ctx, {e: c / lc for e, c in p.terms.items()})
+    return Polynomial.from_clean(p.ctx, {e: quotient(c, lc) for e, c in p.terms.items()})
 
 
 def _trusted(order: MonomialOrder, n: int, prefix: Sequence[Polynomial]) -> bool:
@@ -562,12 +566,12 @@ class Ideal:
         if memo is None:
             found = self._run(order, limits.spair_budget)
         else:
-            key = (self.ctx, frozenset(map(polynomial_key, self.generators)), sig)
+            key = (self.ctx, frozenset(self.generators), sig)
             found = memo.get(key)
             if found is None:
                 found = memo[key] = self._run(order, limits.spair_budget)
                 # the basis, as a generator set, is its own reduced basis
-                memo.setdefault((self.ctx, frozenset(map(polynomial_key, found[0])), sig), found)
+                memo.setdefault((self.ctx, frozenset(found[0]), sig), found)
             else:
                 ENGINE_COUNTERS["basis_memo_hits"] += 1
         self._cache[sig] = found
@@ -602,7 +606,8 @@ class Ideal:
         # monic, in ascending order of leading monomials as returned
         exponent = packing.exponent
         polys = tuple(
-            Polynomial(self.ctx, {exponent(m): Fraction(c, lc) for m, c in [(lm, lc), *tail.items()]})
+            Polynomial.from_clean(
+                self.ctx, {exponent(m): quotient(c, lc) for m, c in [(lm, lc), *tail.items()]})
             for lm, lc, tail, _ in basis
         )
         return [polys, stats, packing, basis]
@@ -641,8 +646,8 @@ class Ideal:
             remainder, num, den = _reduce(work, basis, packing.guard)
             scale = num * d
             exponent = packing.exponent
-            return Polynomial(
-                p.ctx, {exponent(m): Fraction(c * den, scale) for m, c in remainder.items()})
+            return Polynomial.from_clean(
+                p.ctx, {exponent(m): quotient(c * den, scale) for m, c in remainder.items()})
 
         return _widening(_width([p], self._packed(order)[0].width), attempt)
 
@@ -942,7 +947,8 @@ def renamed_ideal(I: Ideal, ctx: VarContext) -> Ideal:
     as it ranked I's, and I's reduced basis, renamed, is the result's. It is
     handed over with no run.
     """
-    return _with_reduced_basis(ctx, [Polynomial(ctx, g.terms) for g in I.groebner_basis()])
+    basis = [Polynomial.from_clean(ctx, g.terms) for g in I.groebner_basis()]
+    return _with_reduced_basis(ctx, basis)
 
 
 def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
@@ -956,7 +962,7 @@ def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
     found = [J.generators, {}, None, None]
     memo = _SESSION.get()[1]
     if memo is not None:
-        found = memo.setdefault((ctx, frozenset(map(polynomial_key, J.generators)), sig), found)
+        found = memo.setdefault((ctx, frozenset(J.generators), sig), found)
     J._cache[sig] = found
     return J
 

@@ -3,12 +3,18 @@
 Polynomials are immutable term maps over an explicit variable context.
 Three ambient-space flavours of variables occur (base coordinates,
 cotangent coordinates, projective tags) and are never mixed in a slot.
+
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only
+when it is not; a float is refused. Equal polynomials therefore have
+equal term maps, and the integer coefficients most polynomials carry
+cost no Fraction construction, normalisation or hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from functools import lru_cache
 from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
@@ -18,6 +24,10 @@ COTANGENT = "cotangent"
 PROJECTIVE = "projective-tag"
 
 Exponent = tuple  # tuple[int, ...]
+
+# largest exponent, degree in one variable and term count of a power that
+# ``parse_polynomial`` accepts; ``ideal.VECDIM_CAP`` is the same number
+EXPONENT_CAP = 200_000
 
 
 class ContextMismatch(ValueError):
@@ -31,6 +41,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
+
+
+class ExponentTooLarge(ParseError):
+    """Polynomial source text holds an exponent or a power above ``EXPONENT_CAP``."""
 
 
 @dataclass(frozen=True, order=True)
@@ -79,7 +93,7 @@ class VarContext:
     def gen(self, var: Variable | str) -> "Polynomial":
         i = self.position(var)
         exp = tuple(1 if j == i else 0 for j in range(len(self)))
-        return Polynomial(self, {exp: Fraction(1)})
+        return Polynomial.from_clean(self, {exp: 1})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -88,10 +102,10 @@ class VarContext:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * len(self): c})
+        return Polynomial.from_clean(self, {(0,) * len(self): c})
 
     def extend(self, extra: Sequence[Variable]) -> "VarContext":
         return VarContext(self.variables + tuple(extra))
@@ -144,9 +158,13 @@ class MonomialOrder:
             raise ValueError(f"unknown monomial order kind {self.kind!r}")
         return [block[:j] for block in blocks for j in range(len(block), 0, -1)]
 
-    def signature(self) -> str:
+    def __post_init__(self):
         p = "" if self.perm is None else ",".join(map(str, self.perm))
-        return f"{self.kind}:{self.split}:{p}"
+        object.__setattr__(self, "_signature", f"{self.kind}:{self.split}:{p}")
+
+    def signature(self) -> str:
+        """The order as text, built once: a key for per-order caches."""
+        return self._signature
 
 
 LEX = MonomialOrder("lex")
@@ -212,22 +230,76 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
 
 
 # ---------------------------------------------------------------------------
+# Coefficients
+
+
+def coefficient(c) -> int | Fraction:
+    """c as a coefficient: an int when integral, else a Fraction.
+
+    TypeError for anything but an int or a Fraction, a float above all.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"a coefficient is an int or a Fraction, not {type(c).__name__}: {c!r}")
+
+
+def quotient(a, b) -> int | Fraction:
+    """The exact coefficient a / b; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return coefficient(Fraction(a) / b)
+
+
+def _integral(terms: dict) -> dict:
+    """terms, each integral Fraction among its coefficients made an int, in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # Polynomials
 
 
 class Polynomial:
-    """Immutable exact polynomial: mapping exponent vector -> nonzero Fraction."""
+    """Immutable exact polynomial: mapping exponent vector -> nonzero coefficient.
+
+    A coefficient is an int when integral and a Fraction otherwise
+    (``coefficient``), so equal polynomials have equal term maps.
+    """
 
     __slots__ = ("ctx", "terms", "_hash")
 
-    def __init__(self, ctx: VarContext, terms: Mapping[Exponent, Fraction]):
+    def __init__(self, ctx: VarContext, terms: Mapping[Exponent, int | Fraction]):
         self.ctx = ctx
-        clean = {e: c for e, c in terms.items() if c != 0}
-        for e in clean:
-            if len(e) != len(ctx):
-                raise ValueError("exponent length does not match context")
+        n = len(ctx)
+        clean = {}
+        for e, c in terms.items():
+            c = coefficient(c)
+            if c:
+                if len(e) != n:
+                    raise ValueError("exponent length does not match context")
+                clean[e] = c
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def from_clean(cls, ctx: VarContext, terms: dict) -> "Polynomial":
+        """The polynomial of a term map that is clean already, taken as is.
+
+        Clean: exponents of the context's length, coefficients nonzero,
+        each an int when integral, else a Fraction. Arithmetic and the
+        Groebner kernel make such maps and skip ``__init__``'s pass.
+        """
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- basic protocol
 
@@ -260,17 +332,17 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Polynomial(self.ctx, terms)
+        return Polynomial.from_clean(self.ctx, _integral(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Polynomial.from_clean(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -279,40 +351,44 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Polynomial):
+            c = coefficient(other)
             if c == 0:
                 return self.ctx.zero()
-            return Polynomial(self.ctx, {e: c * v for e, v in self.terms.items()})
-        other = self._coerce(other)
+            return Polynomial.from_clean(
+                self.ctx, _integral({e: c * v for e, v in self.terms.items()}))
         self._check(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exp_mul(e1, e2)
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return Polynomial(self.ctx, terms)
+        return Polynomial.from_clean(self.ctx, _integral(terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k by square-and-multiply: about 2 log2(k) products, not k."""
         if k < 0:
             raise ValueError("negative power")
         result = self.ctx.one()
-        for _ in range(k):
-            result = result * self
+        square = self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.const(other)
-        raise TypeError(f"cannot combine Polynomial with {type(other)!r}")
+        return self.ctx.const(other)
 
     # -- structure
 
@@ -323,8 +399,8 @@ class Polynomial:
         i = self.ctx.position(var)
         return max((e[i] for e in self.terms), default=-1)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ctx), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * len(self.ctx), 0)
 
     def leading(self, order: MonomialOrder) -> tuple:
         """(exponent, coefficient) of the order-leading term."""
@@ -345,8 +421,8 @@ class Polynomial:
                 continue
             d = list(e)
             d[i] -= 1
-            terms[tuple(d)] = terms.get(tuple(d), Fraction(0)) + c * e[i]
-        return Polynomial(self.ctx, {e: c for e, c in terms.items() if c})
+            terms[tuple(d)] = c * e[i]
+        return Polynomial.from_clean(self.ctx, _integral(terms))
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         vals = [Fraction(point[v.name]) for v in self.ctx.variables]
@@ -413,7 +489,7 @@ class Polynomial:
                     part = _times(part, powers[k - 1])
             for pe, pc in part.items():
                 out[pe] = out.get(pe, 0) + pc
-        return Polynomial(target, out)
+        return Polynomial.from_clean(target, _integral({e: c for e, c in out.items() if c}))
 
     def lift(self, target: VarContext) -> "Polynomial":
         """Reinterpret in a larger context containing all current variables."""
@@ -425,7 +501,7 @@ class Polynomial:
             for p, k in zip(pos, e):
                 ne[p] = k
             terms[tuple(ne)] = c
-        return Polynomial(target, terms)
+        return Polynomial.from_clean(target, terms)
 
     def restrict(self, target: VarContext) -> "Polynomial":
         """Reinterpret in a smaller context; dropped variables must not occur."""
@@ -443,7 +519,7 @@ class Polynomial:
             for i, p in keep:
                 ne[p] = e[i]
             terms[tuple(ne)] = c
-        return Polynomial(target, terms)
+        return Polynomial.from_clean(target, terms)
 
     def is_homogeneous_in(self, positions: Sequence[int]) -> bool:
         degs = {sum(e[i] for i in positions) for e in self.terms}
@@ -458,7 +534,7 @@ class Polynomial:
                 d = list(e)
                 d[i] = 0
                 terms[tuple(d)] = c
-        return Polynomial(self.ctx, terms)
+        return Polynomial.from_clean(self.ctx, terms)
 
     # -- formatting
 
@@ -517,9 +593,9 @@ class _Tokenizer:
         col = self.pos - (self.text.rfind("\n", 0, self.pos) + 1)
         return line, col
 
-    def error(self, message: str) -> ParseError:
+    def error(self, message: str, kind: type = ParseError) -> ParseError:
         line, col = self._line_col()
-        return ParseError(message, line, col)
+        return kind(message, line, col)
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -551,12 +627,27 @@ class _Tokenizer:
 
 
 def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
-    """Parse ASCII polynomial text, e.g. ``y^2 - x^3 - t^2*x^2``."""
+    """Parse ASCII polynomial text, e.g. ``y^2 - x^3 - t^2*x^2``.
+
+    A power whose exponent, degree in one variable or bound on its terms
+    is above ``EXPONENT_CAP`` raises ExponentTooLarge before it is
+    computed, and so does a result of degree above it in one variable.
+    The work of a product under the cap is not bounded.
+    """
     tz = _Tokenizer(text)
     value, tok = _parse_sum(tz, ctx, tz.next_token())
     if tok != ("end", ""):
         raise tz.error(f"trailing input {tok[1]!r}")
+    top = _top_exponent(value)
+    if top > EXPONENT_CAP:
+        tz.pos = 0
+        raise tz.error(f"a product has degree {top} in one variable, "
+                       f"above the cap {EXPONENT_CAP}", ExponentTooLarge)
     return value
+
+
+def _top_exponent(p: Polynomial) -> int:
+    return max((x for e in p.terms for x in e), default=0)
 
 
 def _parse_sum(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:
@@ -600,6 +691,17 @@ def _parse_power(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:
         if tok[0] != "int":
             raise tz.error("exponent must be a nonnegative integer")
         k = int(tok[1])
+        if k > EXPONENT_CAP:
+            raise tz.error(f"exponent {k} is above the cap {EXPONENT_CAP}", ExponentTooLarge)
+        top = k * _top_exponent(base)
+        if top > EXPONENT_CAP:
+            raise tz.error(f"exponent {k} makes a power of degree {top} in one variable, "
+                           f"above the cap {EXPONENT_CAP}", ExponentTooLarge)
+        # base^k has at most as many terms as multisets of k of base's terms
+        size = comb(k + len(base.terms) - 1, k) if base.terms else 1
+        if size > EXPONENT_CAP:
+            raise tz.error(f"exponent {k} on {len(base.terms)} terms allows a power of more "
+                           f"than {EXPONENT_CAP} terms", ExponentTooLarge)
         tok = tz.next_token()
         return base ** k, tok
     return base, tok

@@ -582,6 +582,33 @@ def test_f_off_the_origin_is_refused_only_where_f_is_read(tmp_path, capsys):
     assert main(["conormal", path]) == EXIT_DIAGNOSTIC
 
 
+# (descriptor keys, options, message): an exponent or a power above
+# EXPONENT_CAP, also the most standard monomials the engine counts, is a
+# resource failure refused where it is read, before the power is computed
+_HUGE_EXPONENTS = [
+    ({"f": "x^1000000000000"}, [],
+     "descriptor $.f: exponent 1000000000000 is above the cap 200000 (line 1, col 15)"),
+    ({}, ["--f", "x^1000000000000"],
+     "option --f: exponent 1000000000000 is above the cap 200000"),
+    ({}, ["--f", "(x+y)^200001"], "option --f: exponent 200001 is above the cap 200000"),
+    ({"f": "(x+y)^200000"}, [],
+     "descriptor $.f: exponent 200000 on 2 terms allows a power of more than 200000 terms"),
+    ({"L": "x^150000*x^150000"}, [],
+     "descriptor $.L: a product has degree 300000 in one variable, above the cap 200000"),
+]
+
+
+@pytest.mark.parametrize("keys, extra, message", _HUGE_EXPONENTS,
+                         ids=["f", "--f", "--f-sum", "f-terms", "L-product"])
+def test_exponent_above_the_count_cap_is_refused_at_the_front_door(
+        tmp_path, capsys, keys, extra, message):
+    code = main(["nearby", write_descriptor(tmp_path, dict(PARABOLA, **keys)), *extra])
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE, err
+    assert err.startswith(f"certification/resource failure: {message}")
+    assert "Traceback" not in err
+
+
 def test_oracle_curve_command(tmp_path, capsys):
     path = write_descriptor(tmp_path, ORACLE_CURVE, "curve.json")
     code, out = run_cli(capsys, "oracle-curve", path, "--json")

@@ -104,6 +104,43 @@ def test_gb_selfcheck_property():
         assert selfcheck_groebner(J.groebner_basis())
 
 
+def exact_coefficients(p):
+    """Every coefficient an int when integral and a Fraction otherwise."""
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in p.terms.values())
+
+
+def test_gb_is_reduced_monic_and_exact():
+    # on rational generators every basis is reduced and monic, and bases and
+    # normal forms carry an int wherever a coefficient is integral
+    rng = random.Random(9)
+    for _ in range(25):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = tuple(rng.randint(0, 2) for _ in range(3))
+                terms[e] = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+            gens.append(Polynomial(CTX, terms))
+        J = Ideal(CTX, gens)
+        for order in (DEGREVLEX, LEX):
+            gb = J.groebner_basis(order)
+            leads = [g.leading(order) for g in gb]
+            for g, (lm, lc) in zip(gb, leads):
+                assert lc == 1 and exact_coefficients(g)
+                assert not any(exp_divides(m, e) for e in g.terms for m, _ in leads if m != lm)
+            assert all(exact_coefficients(J.normal_form(g * g + 1, order)) for g in gens)
+
+
+def test_gb_and_normal_form_keep_integral_coefficients_int():
+    J = I("2*x - 4*y", "3*y^2 - 6")
+    assert gens_str(J) == ["x - 2*y", "y^2 - 2"]
+    assert all(type(c) is int for g in J.groebner_basis() for c in g.terms.values())
+    assert J.normal_form(P("x^2 + 1/2*t")) == P("8 + 1/2*t")
+    assert type(J.normal_form(P("x^2")).terms[(0, 0, 0)]) is int
+    assert Ideal(CTX, [P("3*x - 1")]).groebner_basis() == (P("x - 1/3"),)
+
+
 # -- kernel regressions: pair-queue budget, orders, stale reduction entries
 
 CTX_XYZ = base_context(["x", "y", "z"])
@@ -246,7 +283,7 @@ def textbook_remainder(p, gb, order):
         e, c = work.leading(order)
         for (lm, lc), g in leads:
             if all(a <= b for a, b in zip(lm, e)):
-                shift = Polynomial(p.ctx, {tuple(b - a for a, b in zip(lm, e)): c / lc})
+                shift = Polynomial(p.ctx, {tuple(b - a for a, b in zip(lm, e)): Fraction(c) / lc})
                 work = work - shift * g
                 break
         else:
@@ -865,7 +902,7 @@ def test_local_degree_not_zero_dimensional():
 
 
 def test_local_degree_refuses_past_the_monomial_cap():
-    # x^200001 built directly: parsing it would take 200001 multiplications
+    # x^200001 built directly: the parser refuses an exponent above the cap
     big = Polynomial(CTX, {(ideal_module.VECDIM_CAP + 1, 0, 0): Fraction(1)})
     with pytest.raises(ResourceLimitExceeded):
         local_degree(Ideal(CTX, [big, P("y"), P("t")]))
@@ -1159,6 +1196,16 @@ def test_linear_pivot_first_by_generator_then_by_variable():
     gens, ctx, chain = _eliminate_linear([L("y^2 + t + z*x^2"), L("x + z")], CTX_XYZ_T)
     assert [(name, str(image)) for name, image in chain] == [("t", "-x^2*z - y^2"), ("x", "-z")]
     assert gens == [] and ctx.names() == ("y", "z")
+
+
+def test_linear_elimination_divides_exactly():
+    # x = (y - 1)/2 is a Fraction image; x = 2*y keeps int coefficients
+    _, _, chain = _eliminate_linear([L("2*x - y + 1")], CTX_XYZ_T)
+    assert [(name, str(image)) for name, image in chain] == [("x", "1/2*y - 1/2")]
+    assert all(type(c) is Fraction for c in chain[0][1].terms.values())
+    _, _, chain = _eliminate_linear([L("-3*x + 6*y")], CTX_XYZ_T)
+    assert [(name, str(image)) for name, image in chain] == [("x", "2*y")]
+    assert all(type(c) is int for c in chain[0][1].terms.values())
 
 
 def test_linear_eliminations_chain():

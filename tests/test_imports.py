@@ -3,7 +3,8 @@ method is, no engine module imports ``random``, ``sympy`` or ``argparse``,
 a CLI call loads no argparse, gettext or locale, the CLI runs
 and factors with no sympy module loaded and gives the same output where
 sympy cannot be imported at all, no engine function takes a ``limits``
-parameter, and every engine name that bench/spans.py traces exists.
+parameter, no engine module reads a private ``Fraction`` attribute, and
+every engine name that bench/spans.py traces exists.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -236,6 +237,39 @@ def test_scan_flags_limits_threading(tmp_path):
     )
     assert limits_parameters(module) == ["f (line 3)", "g (line 6)"]
     assert limits_names(module) == [1, 4, 7]
+
+
+# Coefficients are read and normalised through Fraction's public numerator
+# and denominator: the private slots behind them are no API, and CI runs
+# Python 3.10-3.13.
+PRIVATE_FRACTION_ATTRIBUTES = {"_numerator", "_denominator"}
+
+
+def private_fraction_reads(path: Path) -> list:
+    """Lines that name a private Fraction attribute, as an attribute or a string."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in PRIVATE_FRACTION_ATTRIBUTES
+                or isinstance(node, ast.Constant) and node.value in PRIVATE_FRACTION_ATTRIBUTES):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_fraction_attributes(path):
+    assert private_fraction_reads(path) == []
+
+
+def test_scan_flags_a_private_fraction_attribute(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from fractions import Fraction\n"
+        "def f(c: Fraction):\n"
+        "    return c._numerator, c.denominator\n"
+        "def g(c):\n"
+        "    return getattr(c, '_denominator'), c.numerator_\n"
+    )
+    assert private_fraction_reads(module) == [3, 5]
 
 
 def referenced_names(paths) -> set:

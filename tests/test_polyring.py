@@ -8,7 +8,9 @@ import pytest
 from gecc_kit.polyring import (
     DEGREVLEX,
     LEX,
+    EXPONENT_CAP,
     ContextMismatch,
+    ExponentTooLarge,
     MonomialOrder,
     ParseError,
     Polynomial,
@@ -225,3 +227,86 @@ def test_substitute_rejects_a_mixed_target():
     other = base_context(["x", "y"])
     with pytest.raises(ContextMismatch):
         P("x*y").substitute({"x": TARGET.gen("a"), "y": other.gen("y")})
+
+
+# -- coefficients: an int when integral, a Fraction otherwise, never a float
+
+
+def all_ints(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial(CTX, {(1, 0, 0): 2.0}),
+    lambda: Polynomial(CTX, {(1, 0, 0): 0.5}),
+    lambda: CTX.const(1.5),
+    lambda: P("x") * 2.0,
+    lambda: 0.5 * P("x"),
+    lambda: P("x") + 1.0,
+    lambda: P("x") - 1.0,
+], ids=["init-integral", "init", "const", "mul", "rmul", "add", "sub"])
+def test_float_coefficient_is_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integral_coefficients_are_ints():
+    p = P("2*x - 4/2*y + 1/3*t^2 + 6/3")
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction, int]
+    assert all_ints(P("(1/2*x + 1/3*y)*(2*x)") - P("2/3*x*y"))  # sum and product
+    assert all_ints(P("1/2*x + 1/2*y") + P("1/2*x + 1/2*y"))
+    assert all_ints(-P("3/4*x - 1/2*y") * 4)  # negation and scaling
+    assert all_ints(P("1/2*x^2 + 1/3*y^3").partial("x"))
+    assert P("1/3*y^3").partial("y") == P("y^2") and all_ints(P("1/3*y^3").partial("y"))
+    images = {"x": TARGET.const(Fraction(3, 2)), "y": parse_polynomial("2/3*a", TARGET),
+              "t": TARGET.one()}
+    assert all_ints(P("x*y + t").substitute(images))
+
+
+def test_integral_fraction_and_int_coefficients_agree():
+    e = (2, 0, 1)
+    a, b = Polynomial(CTX, {e: Fraction(2)}), Polynomial(CTX, {e: 2})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert str(a) == str(b) == "2*x^2*t"
+    assert type(a.terms[e]) is int
+    half = Polynomial(CTX, {e: Fraction(1, 2)})
+    assert half != b and str(half) == "1/2*x^2*t"
+
+
+def test_power_is_square_and_multiply():
+    p = P("x - 2*y + 1/2*t")
+    product = CTX.one()
+    for k in range(12):
+        assert p ** k == product
+        product = product * p
+    # k products would not finish; square-and-multiply takes about 80
+    assert (P("x") ** 10 ** 12).terms == {(10 ** 12, 0, 0): 1}
+    assert P("2*y") ** 100 == Polynomial(CTX, {(0, 100, 0): 2 ** 100})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^1000000000000", "exponent 1000000000000 is above the cap 200000"),
+    ("(x^1000)^1000", "exponent 1000 makes a power of degree 1000000 in one variable"),
+    ("(x+y)^200001", "exponent 200001 is above the cap 200000"),
+    ("(x+y)^200000", "exponent 200000 on 2 terms allows a power of more than 200000 terms"),
+    ("(x+y+t)^631", "exponent 631 on 3 terms allows a power of more than 200000 terms"),
+    ("x^150000*x^150000", "a product has degree 300000 in one variable"),
+], ids=["literal", "power-of-power", "sum", "two-terms", "three-terms", "product"])
+def test_parse_refuses_an_exponent_above_the_cap(text, message):
+    with pytest.raises(ExponentTooLarge) as err:
+        parse_polynomial(text, CTX)
+    assert message in str(err.value)
+    assert isinstance(err.value, ParseError)
+
+
+def test_parse_accepts_a_power_at_the_cap():
+    # (x+y+t)^631 may have C(633, 2) = 200028 terms; x^200000 has one
+    assert EXPONENT_CAP == 200_000
+    assert parse_polynomial("x^200000*y^200000", CTX).total_degree() == 400_000
+    assert parse_polynomial("(x^2*y)^100000", CTX).terms == {(200_000, 100_000, 0): 1}
+
+
+def test_order_signature_is_built_once():
+    order = block_order([2], 3)
+    assert order.signature() == "block:1:2,0,1" and order.signature() is order.signature()
+    assert DEGREVLEX.signature() == "degrevlex:0:" and LEX.signature() == "lex:0:"
