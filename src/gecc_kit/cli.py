@@ -216,7 +216,7 @@ def validate_descriptor(data) -> None:
     for key in ("f", "L", "label"):
         _member(data, "$", key, lambda v: v is None or isinstance(v, str), "a string", None)
     _member(data, "$", "seed", lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "an integer", 0)
+            "an integer", None)
     complexes = _member(data, "$", "complexes", _is_object, "an object", {})
     for cname, tables in complexes.items():
         cpath = f"$.complexes[{json.dumps(cname)}]"

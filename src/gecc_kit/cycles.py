@@ -30,6 +30,7 @@ from .ideal import (
     block_memo,
     dimension_and_degree,
     eliminate,
+    leading_monomials,
     lift_ideal,
     monomial_dimension_and_degree,
     prime_contains_all,
@@ -39,7 +40,6 @@ from .modclass import ModClass
 from .polyring import (
     BASE,
     COTANGENT,
-    DEGREVLEX,
     PROJECTIVE,
     Polynomial,
     VarContext,
@@ -590,10 +590,7 @@ def _mapping_degree(comp: Component, image: Component) -> int:
         P = _chart_restrict(P, comp.ambient, chart)
         if image.ambient.is_projective():
             Q = _chart_restrict(Q, image.ambient, chart)
-    supports = [
-        {v.name for v, x in zip(Q.ctx.variables, g.leading(DEGREVLEX)[0]) if x}
-        for g in Q.groebner_basis()
-    ]
+    supports = [{v.name for v, x in zip(Q.ctx.variables, e) if x} for e in leading_monomials(Q)]
     free = next((
         set(u) for u in itertools.combinations(Q.ctx.names(), image.dim)
         if not any(s <= set(u) for s in supports)
@@ -612,7 +609,7 @@ def _field_degree(I: Ideal, free: set) -> int | None:
     """[K(I):K(free)] for a prime I in which the named variables are independent."""
     bound = [i for i, v in enumerate(I.ctx.variables) if v.name not in free]
     order = block_order(bound, len(I.ctx))
-    leads = [g.leading(order)[0] for g in I.groebner_basis(order)]
+    leads = leading_monomials(I, order)
     dim, count = monomial_dimension_and_degree([tuple(e[i] for i in bound) for e in leads], len(bound))
     if dim > 0:
         return None

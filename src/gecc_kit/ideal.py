@@ -4,12 +4,14 @@ The Buchberger loop works on integer-primitive term dictionaries
 (fraction-free reduction, content stripped as it grows) with
 Gebauer-Moeller pair pruning; reduced bases are normalized monic.
 
-Hot path. Inside a run a monomial is one int: the exponents packed in
-fixed-width fields with a guard bit each, below the order key, which is
-the exponents' dot product with one integer weight per variable (the
-order's weight rows folded in a wide radix). Ints then compare as the
-order does, a product is a sum, a quotient a difference, and divisibility
-and lcm are guard-bit tests, with no loop over variables. A key is
+Hot path. Inside a run a monomial is one int (``polyring._Packing``): the
+exponents packed in fixed-width fields with a guard bit each, below the
+order key, which is the exponents' dot product with one integer weight
+per variable (the order's weight rows folded in a wide radix). Ints then
+compare as the order does, a product is a sum, a quotient a difference,
+and divisibility and lcm are guard-bit tests, with no loop over
+variables. Leading monomials are read off the packed basis
+(``leading_monomials``); no other definition of an order exists. A key is
 computed once, when a polynomial enters the kernel; a shifted term's key
 comes with the sum. A run starts at the narrowest width that holds its
 input; a product that outgrows its field (one guard test per reducer
@@ -40,8 +42,9 @@ block there is none. ``block_memo`` keeps in the same memo, on the same
 terms, what is built from bases or kept for reuse: the (dimension,
 degree) of each degrevlex leading-monomial ideal, conormals, polar
 lengths, factorizations, and each cycle component's intersections with
-divisors and pushforwards. The zero ideal is its own reduced basis,
-taken with no run.
+divisors and pushforwards. The zero ideal is its own reduced basis, and
+a principal ideal's is its generator, packed and made monic; neither
+takes a run.
 
 Derived ideals. A sum ``with_extra``, the auxiliary-variable ideals of
 ``saturate_element`` and ``radical_contains``, and ``local_degree``'s
@@ -49,11 +52,11 @@ I + (x_1^D, ..., x_n^D) start from the parent's reduced degrevlex basis,
 computed first when need be, followed by the new generators. A run takes
 that basis as a prefix whose own pairs are never formed, but only when
 its order ranks the monomials in the prefix's variables as degrevlex
-does (``_trusted``): plain degrevlex, or a block order that eliminates
-none of them and keeps their relative order; never lex. A reduced basis
-lifted into a context that keeps its variables' order is the
-extension's reduced basis, handed over with no run (``lift_ideal``), as
-is a reduced basis whose variables are renamed in place
+does (``MonomialOrder.ranks_as_degrevlex``): plain degrevlex, or a block
+order that eliminates none of them and keeps their relative order; never
+lex. A reduced basis lifted into a context that keeps its variables'
+order is the extension's reduced basis, handed over with no run
+(``lift_ideal``), as is a reduced basis whose variables are renamed in place
 (``renamed_ideal``), and every run's basis is memoised as a generator
 set of its own too. When I is zero-dimensional and 1 lies in I + (h),
 ``saturate_element`` returns I's reduced basis with no elimination.
@@ -76,7 +79,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
@@ -89,8 +91,11 @@ from .polyring import (
     Polynomial,
     VarContext,
     Variable,
+    _Packing,
+    _packing,
+    _width,
+    _width_for,
     block_order,
-    exp_divides,
     quotient,
 )
 
@@ -167,75 +172,6 @@ def engine_counters() -> dict:
 
 class _Overflow(Exception):
     """A packed exponent outgrew its field; the work is redone wider."""
-
-
-class _Packing:
-    """The monomials of one order in n variables as ints, at one field width.
-
-    The exponent of variable i sits in the field of ``width`` bits at bit
-    i * width; the field's top bit is a guard, clear while the exponent is
-    below 2^(width-1). The order's weight rows
-    (``MonomialOrder.weight_rows``), folded in a radix above any row sum of
-    such exponents, give one integer weight per variable, and the key of an
-    exponent is its dot product with them. A monomial is the int
-    key << bits | fields: ints compare as the order does, a product is a
-    sum and a quotient a difference (Bachmann and Schoenemann 1998).
-    """
-
-    __slots__ = ("width", "bits", "guard", "mask", "values", "shifts", "weights")
-
-    def __init__(self, rows: list, n: int, width: int):
-        radix = width - 1 + n.bit_length()  # every row sum stays below 2^radix
-        keys = [0] * n
-        for row in rows:
-            keys = [k << radix for k in keys]
-            for i in row:
-                keys[i] += 1
-        self.width = width
-        self.bits = n * width
-        self.shifts = tuple(range(0, self.bits, width))
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-        self.mask = (1 << self.bits) - 1
-        self.values = (1 << (width - 1)) - 1
-        self.weights = tuple((k << self.bits) | (1 << s) for k, s in zip(keys, self.shifts))
-
-    def monomial(self, e: Sequence[int]) -> int:
-        return sum(map(mul, e, self.weights))
-
-    def exponent(self, m: int) -> tuple:
-        values = self.values
-        return tuple([(m >> s) & values for s in self.shifts])
-
-    def divides(self, a: int, b: int) -> bool:
-        """Monomial a divides b: no field of b less a borrows from its guard bit.
-
-        a and b may carry their keys, which lie above the fields.
-        """
-        guard = self.guard
-        return ((b | guard) - a) & guard == guard
-
-    def lcm(self, a: int, b: int) -> int:
-        """Fields of lcm(a, b), without the key: a guard-bit select."""
-        guard = self.guard
-        ge = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
-        return (b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))) & self.mask
-
-
-@lru_cache(maxsize=None)
-def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
-    return _Packing(order.weight_rows(n), n, width)
-
-
-def _width(polys: Iterable[Polynomial], width: int = 16) -> int:
-    """The narrowest field width, from ``width`` up by doubling, that holds polys."""
-    return _width_for(max((x for p in polys for e in p.terms for x in e), default=0), width)
-
-
-def _width_for(top: int, width: int = 16) -> int:
-    """The narrowest field width, from ``width`` up by doubling, that holds top."""
-    while top >> (width - 1):
-        width *= 2
-    return width
 
 
 def _widening(width: int, attempt):
@@ -491,33 +427,6 @@ def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list
 # Ideals
 
 
-def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    """p divided by its leading coefficient under order."""
-    lc = p.leading(order)[1]
-    return Polynomial.from_clean(p.ctx, {e: quotient(c, lc) for e, c in p.terms.items()})
-
-
-def _trusted(order: MonomialOrder, n: int, prefix: Sequence[Polynomial]) -> bool:
-    """The order ranks the monomials in the prefix's variables as degrevlex does.
-
-    Then a degrevlex Groebner basis is one under the order too: its
-    S-polynomials and their reductions hold no other monomials. That is
-    plain degrevlex, or a permuted degrevlex or block order that keeps
-    those variables' relative order and, for a block order, eliminates
-    none of them; never lex.
-    """
-    if not prefix or order.kind == "lex":
-        return False
-    if order.perm is None and order.kind == "degrevlex":
-        return True
-    support = {i for g in prefix for e in g.terms for i, x in enumerate(e) if x}
-    perm = order.perm if order.perm is not None else range(n)
-    if order.kind == "block" and not support.isdisjoint(perm[:order.split]):
-        return False
-    ranked = [i for i in perm if i in support]
-    return ranked == sorted(ranked)
-
-
 class Ideal:
     """Ideal of Q[ctx], generators plus a per-order reduced-basis cache.
 
@@ -526,7 +435,7 @@ class Ideal:
     same generator set and order, and runs Buchberger otherwise. The
     first ``_prefix`` generators of a derived ideal are a degrevlex
     Groebner basis, which a run trusts when its order ranks their
-    monomials as degrevlex does (``_trusted``).
+    monomials as degrevlex does (``MonomialOrder.ranks_as_degrevlex``).
     """
 
     __slots__ = ("ctx", "generators", "_prefix", "_cache", "_hash")
@@ -583,26 +492,32 @@ class Ideal:
         The run starts at the narrowest field width that holds the
         generators and is redone twice as wide, prefix and all, whenever a
         product overflows. The prefix enters as a Groebner basis whose own
-        pairs are never formed when ``_trusted`` holds for the order. The
-        zero ideal's reduced basis is empty, and a principal ideal's is its
-        generator made monic; neither takes a run, and ``_packed`` packs the
-        basis when first used.
+        pairs are never formed when the order ranks its monomials as
+        degrevlex does. The zero ideal's reduced basis is empty, and a
+        principal ideal's is its packed generator, made monic as a run's
+        basis is; neither takes a run.
         """
-        if len(self.generators) < 2:
-            return [tuple(_monic(g, order) for g in self.generators), {}, None, None]
+        gens = self.generators
+        if not gens:
+            return [(), {}, None, None]
         n = len(self.ctx)
-        k = self._prefix if _trusted(order, n, self.generators[:self._prefix]) else 0
+        prefix = gens[:self._prefix]
+        support = {i for i, col in enumerate(zip(*[e for g in prefix for e in g.terms])) if any(col)}
+        k = len(prefix) if prefix and order.ranks_as_degrevlex(support, n) else 0
 
         def attempt(width: int) -> tuple:
             packing = _packing(order, n, width)
             stats: dict = {}
-            gens = [_encode(packing, g)[0] for g in self.generators]
-            gens[:k] = [_element(g, packing) for g in gens[:k]]
-            return _buchberger(gens, packing, budget, stats), stats, packing
+            encoded = [_encode(packing, g)[0] for g in gens]
+            if len(encoded) == 1:
+                return [_element(encoded[0], packing)], stats, packing
+            encoded[:k] = [_element(g, packing) for g in encoded[:k]]
+            return _buchberger(encoded, packing, budget, stats), stats, packing
 
-        basis, stats, packing = _widening(_width(self.generators), attempt)
-        ENGINE_COUNTERS["groebner_runs"] += 1
-        ENGINE_COUNTERS["spairs"] += stats.get("spairs", 0)
+        basis, stats, packing = _widening(_width(gens), attempt)
+        if len(gens) > 1:
+            ENGINE_COUNTERS["groebner_runs"] += 1
+            ENGINE_COUNTERS["spairs"] += stats.get("spairs", 0)
         # monic, in ascending order of leading monomials as returned
         exponent = packing.exponent
         polys = tuple(
@@ -1005,34 +920,44 @@ def prime_contains_all(P: Ideal, polys: Iterable[Polynomial]) -> bool:
     return all(P.contains(p) for p in polys)
 
 
+def leading_monomials(I: Ideal, order: MonomialOrder = DEGREVLEX) -> list:
+    """The exponents of the leading monomials of I's reduced basis under order.
+
+    In the basis's order, ascending, read off the packed basis.
+    """
+    I.groebner_basis(order)
+    packing, basis = I._packed(order)
+    return [packing.exponent(g[0]) for g in basis]
+
+
 def standard_monomials(I: Ideal) -> list | None:
     """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order.
 
-    Walks the staircase of the degrevlex leading monomials; raises
+    Walks the staircase of the degrevlex leading monomials as packed
+    monomials, whose fields hold every standard monomial; raises
     ResourceLimitExceeded past ``VECDIM_CAP`` monomials. No engine
     function calls it: it is the tests' reference for the count that
     ``dimension_and_degree`` reads from the Hilbert numerator.
     """
     if not _zero_dimensional(I):
         return None
-    n = len(I.ctx)
-    lms = [g.leading(DEGREVLEX)[0] for g in I.groebner_basis()]
+    packing, basis = I._packed(DEGREVLEX)
+    lms = [g[0] for g in basis]
     out: list = []
-    stack = [(0,) * n]
+    stack = [0]
     seen = set(stack)
     while stack:
         m = stack.pop()
-        if any(exp_divides(lm, m) for lm in lms):
+        if any(packing.divides(lm, m) for lm in lms):
             continue
         out.append(m)
         if len(out) > VECDIM_CAP:
             raise ResourceLimitExceeded("standard monomial count exceeded cap")
-        for i in range(n):
-            nm = m[:i] + (m[i] + 1,) + m[i + 1:]
-            if nm not in seen:
-                seen.add(nm)
-                stack.append(nm)
-    return sorted(out, key=DEGREVLEX.key_function(n))
+        for w in packing.weights:
+            if m + w not in seen:
+                seen.add(m + w)
+                stack.append(m + w)
+    return [packing.exponent(m) for m in sorted(out)]
 
 
 def _zero_dimensional(I: Ideal) -> bool:

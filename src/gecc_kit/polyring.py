@@ -8,6 +8,17 @@ A coefficient is an ``int`` when it is integral and a ``Fraction`` only
 when it is not; a float is refused. Equal polynomials therefore have
 equal term maps, and the integer coefficients most polynomials carry
 cost no Fraction construction, normalisation or hashing.
+
+A monomial order is defined once, by its weight rows, and used as a
+``_Packing``: exponents in fixed-width fields of one int, below the order
+key that the rows fold into one weight per variable, so ints compare as
+the order does. The Groebner kernel in ``ideal`` works on these ints, and
+``__str__`` sorts terms by the degrevlex key. No other module reads an
+order's fields.
+
+The parser caps exponents, the degree and term count of a power, and
+the term pairs that one call's products multiply (``EXPONENT_CAP``,
+``PRODUCT_CAP``), and refuses input past them before computing it.
 """
 
 from __future__ import annotations
@@ -16,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from functools import lru_cache
-from operator import add, le, sub
-from typing import Callable, Mapping, Sequence
+from itertools import chain
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 BASE = "base"
 COTANGENT = "cotangent"
@@ -28,6 +40,9 @@ Exponent = tuple  # tuple[int, ...]
 # largest exponent, degree in one variable and term count of a power that
 # ``parse_polynomial`` accepts; ``ideal.VECDIM_CAP`` is the same number
 EXPONENT_CAP = 200_000
+# most term pairs that the products and powers of one ``parse_polynomial``
+# call multiply: (x+y+z)^80 takes 668,763, (x+y+z)^90 is refused
+PRODUCT_CAP = 1_000_000
 
 
 class ContextMismatch(ValueError):
@@ -44,7 +59,8 @@ class ParseError(ValueError):
 
 
 class ExponentTooLarge(ParseError):
-    """Polynomial source text holds an exponent or a power above ``EXPONENT_CAP``."""
+    """Polynomial source text holds an exponent or a power above ``EXPONENT_CAP``,
+    or products of more than ``PRODUCT_CAP`` term pairs."""
 
 
 @dataclass(frozen=True, order=True)
@@ -121,29 +137,27 @@ def base_context(names: Sequence[str]) -> VarContext:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative monomial order with 1 minimal.
+    """Total multiplicative monomial order with 1 minimal, defined by its weight rows.
 
     kind 'block' compares a leading variable block first (both blocks
     degrevlex); ``perm`` optionally permutes exponent slots before
     comparison, which is how elimination blocks for arbitrary variable
-    subsets are formed.
+    subsets are formed. No other module reads these fields: an order
+    reaches the rest of the engine as its ``_packing``.
     """
 
     kind: str = "degrevlex"  # lex | degrevlex | block
     split: int = 0
     perm: tuple | None = None
 
-    def key_function(self, n: int) -> Callable[[Exponent], tuple]:
-        return _key_function(self, n)
-
     def weight_rows(self, n: int) -> list:
         """The order as 0/1 weight rows, each a tuple of the positions weighted 1.
 
-        Comparing the rows' sums in turn is comparing by the order, as
-        ``key_function`` does (Robbiano 1985). A degrevlex block over slots
-        s_0..s_k-1 gives its total degree, then the sums over s_0..s_j for
-        j = k-2 down to 0: with the rows above equal, a larger sum is a
-        smaller last exponent of the block.
+        One monomial is below another when, at the first row whose sums
+        differ, its sum is smaller (Robbiano 1985). A degrevlex block over
+        slots s_0..s_k-1 gives its total degree, then the sums over
+        s_0..s_j for j = k-2 down to 0: with the rows above equal, a larger
+        sum is a smaller last exponent of the block.
         """
         if self.perm is not None and len(self.perm) != n:
             raise ValueError("order permutation length does not match context")
@@ -157,6 +171,21 @@ class MonomialOrder:
         else:
             raise ValueError(f"unknown monomial order kind {self.kind!r}")
         return [block[:j] for block in blocks for j in range(len(block), 0, -1)]
+
+    def ranks_as_degrevlex(self, support: set, n: int) -> bool:
+        """The order ranks the monomials in the variables at support as degrevlex does.
+
+        That is plain degrevlex, or a permuted degrevlex or block order
+        that keeps those variables' relative order and, for a block order,
+        eliminates none of them; never lex.
+        """
+        if self.kind == "lex":
+            return False
+        perm = self.perm if self.perm is not None else range(n)
+        if self.kind == "block" and not support.isdisjoint(perm[:self.split]):
+            return False
+        ranked = [i for i in perm if i in support]
+        return ranked == sorted(ranked)
 
     def __post_init__(self):
         p = "" if self.perm is None else ",".join(map(str, self.perm))
@@ -178,55 +207,80 @@ def block_order(drop_positions: Sequence[int], n: int) -> MonomialOrder:
     return MonomialOrder("block", split=len(drop), perm=drop + rest)
 
 
-def _lex_key(e: Exponent) -> tuple:
-    return e
+# ---------------------------------------------------------------------------
+# Packed monomials
 
 
-def _degrevlex_key(e: Exponent) -> tuple:
-    return (sum(e),) + tuple(-x for x in reversed(e))
+class _Packing:
+    """The monomials of one order in n variables as ints, at one field width.
+
+    The exponent of variable i sits in the field of ``width`` bits at bit
+    i * width; the field's top bit is a guard, clear while the exponent is
+    below 2^(width-1). The order's weight rows, folded in a radix above any
+    row sum of such exponents, give one integer weight per variable, and
+    the key of an exponent is its dot product with them. A monomial is the
+    int key << bits | fields: ints compare as the order does, a product is
+    a sum and a quotient a difference (Bachmann and Schoenemann 1998).
+    """
+
+    __slots__ = ("width", "bits", "guard", "mask", "values", "shifts", "weights")
+
+    def __init__(self, rows: list, n: int, width: int):
+        radix = width - 1 + n.bit_length()  # every row sum stays below 2^radix
+        keys = [0] * n
+        for row in rows:
+            keys = [k << radix for k in keys]
+            for i in row:
+                keys[i] += 1
+        self.width = width
+        self.bits = n * width
+        self.shifts = tuple(range(0, self.bits, width))
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.mask = (1 << self.bits) - 1
+        self.values = (1 << (width - 1)) - 1
+        self.weights = tuple((k << self.bits) | (1 << s) for k, s in zip(keys, self.shifts))
+
+    def monomial(self, e: Sequence[int]) -> int:
+        return sum(map(mul, e, self.weights))
+
+    def exponent(self, m: int) -> tuple:
+        values = self.values
+        return tuple([(m >> s) & values for s in self.shifts])
+
+    def divides(self, a: int, b: int) -> bool:
+        """Monomial a divides b: no field of b less a borrows from its guard bit.
+
+        a and b may carry their keys, which lie above the fields.
+        """
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fields of lcm(a, b), without the key: a guard-bit select."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
+        return (b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))) & self.mask
 
 
 @lru_cache(maxsize=None)
-def _key_function(order: MonomialOrder, n: int) -> Callable[[Exponent], tuple]:
-    if order.perm is not None and len(order.perm) != n:
-        raise ValueError("order permutation length does not match context")
-    if order.kind == "lex":
-        if order.perm is None:
-            return _lex_key
-        perm = order.perm
-        return lambda e: tuple(e[i] for i in perm)
-    if order.kind == "degrevlex":
-        if order.perm is None:
-            return _degrevlex_key
-        perm = order.perm
-        return lambda e: _degrevlex_key(tuple(e[i] for i in perm))
-    if order.kind == "block":
-        perm = order.perm if order.perm is not None else tuple(range(n))
-        split = order.split
-
-        def key(e: Exponent) -> tuple:
-            pe = tuple(e[i] for i in perm)
-            return _degrevlex_key(pe[:split]) + _degrevlex_key(pe[split:])
-
-        return key
-    raise ValueError(f"unknown monomial order kind {order.kind!r}")
+def _packing(order: MonomialOrder, n: int, width: int) -> _Packing:
+    return _Packing(order.weight_rows(n), n, width)
 
 
-def exp_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(add, a, b))
+def _top_exponent(p: Polynomial) -> int:
+    return max(chain.from_iterable(p.terms), default=0)
 
 
-def exp_divides(a: Exponent, b: Exponent) -> bool:
-    """True when monomial a divides monomial b."""
-    return all(map(le, a, b))
+def _width(polys: Iterable[Polynomial], width: int = 16) -> int:
+    """The narrowest field width, from ``width`` up by doubling, that holds polys."""
+    return _width_for(max(map(_top_exponent, polys), default=0), width)
 
 
-def exp_div(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(sub, a, b))
-
-
-def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(max, a, b))
+def _width_for(top: int, width: int = 16) -> int:
+    """The narrowest field width, from ``width`` up by doubling, that holds top."""
+    while top >> (width - 1):
+        width *= 2
+    return width
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +415,7 @@ class Polynomial:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = exp_mul(e1, e2)
+                e = tuple(map(add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
@@ -375,15 +429,7 @@ class Polynomial:
         """self^k by square-and-multiply: about 2 log2(k) products, not k."""
         if k < 0:
             raise ValueError("negative power")
-        result = self.ctx.one()
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        return _power(self, k, mul)
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -401,16 +447,6 @@ class Polynomial:
 
     def constant_term(self) -> int | Fraction:
         return self.terms.get((0,) * len(self.ctx), 0)
-
-    def leading(self, order: MonomialOrder) -> tuple:
-        """(exponent, coefficient) of the order-leading term."""
-        key = order.key_function(len(self.ctx))
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list:
-        key = order.key_function(len(self.ctx))
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def partial(self, var: Variable | str) -> "Polynomial":
         """Formal partial derivative."""
@@ -542,11 +578,14 @@ class Polynomial:
         return f"Polynomial({self})"
 
     def __str__(self) -> str:
+        """The terms in descending degrevlex order, by the packed key."""
         if not self.terms:
             return "0"
         names = self.ctx.names()
+        key = _packing(DEGREVLEX, len(names), _width([self])).monomial
         chunks = []
-        for e, c in self.sorted_terms(DEGREVLEX):
+        for e in sorted(self.terms, key=key, reverse=True):
+            c = self.terms[e]
             factors = []
             for name, k in zip(names, e):
                 if k == 1:
@@ -569,6 +608,19 @@ class Polynomial:
         return out
 
 
+def _power(p: Polynomial, k: int, times) -> Polynomial:
+    """p^k for k >= 0 by square-and-multiply, each product taken by times."""
+    result = p.ctx.one()
+    square = p
+    while k:
+        if k & 1:
+            result = times(result, square)
+        k >>= 1
+        if k:
+            square = times(square, square)
+    return result
+
+
 def _times(a: dict, b: dict) -> dict:
     """Product of two term maps; cancelled terms stay, as zero coefficients."""
     out: dict = {}
@@ -587,6 +639,7 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.pairs = 0  # term pairs multiplied so far, against PRODUCT_CAP
 
     def _line_col(self) -> tuple:
         line = self.text.count("\n", 0, self.pos) + 1
@@ -632,7 +685,8 @@ def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
     A power whose exponent, degree in one variable or bound on its terms
     is above ``EXPONENT_CAP`` raises ExponentTooLarge before it is
     computed, and so does a result of degree above it in one variable.
-    The work of a product under the cap is not bounded.
+    So does a product, also one inside a power, that would take the term
+    pairs multiplied in this call past ``PRODUCT_CAP``.
     """
     tz = _Tokenizer(text)
     value, tok = _parse_sum(tz, ctx, tz.next_token())
@@ -646,8 +700,13 @@ def parse_polynomial(text: str, ctx: VarContext) -> Polynomial:
     return value
 
 
-def _top_exponent(p: Polynomial) -> int:
-    return max((x for e in p.terms for x in e), default=0)
+def _product(tz: _Tokenizer, a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, refused before the parse's term pairs would pass ``PRODUCT_CAP``."""
+    tz.pairs += len(a.terms) * len(b.terms)
+    if tz.pairs > PRODUCT_CAP:
+        raise tz.error(f"products would multiply more than {PRODUCT_CAP} term pairs",
+                       ExponentTooLarge)
+    return a * b
 
 
 def _parse_sum(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:
@@ -676,10 +735,10 @@ def _parse_product(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:
         if tok == ("op", "*"):
             tok = tz.next_token()
             rhs, tok = _parse_power(tz, ctx, tok)
-            value = value * rhs
+            value = _product(tz, value, rhs)
         elif tok[0] in ("name", "int") or tok == ("op", "("):
             rhs, tok = _parse_power(tz, ctx, tok)
-            value = value * rhs
+            value = _product(tz, value, rhs)
         else:
             return value, tok
 
@@ -703,7 +762,7 @@ def _parse_power(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:
             raise tz.error(f"exponent {k} on {len(base.terms)} terms allows a power of more "
                            f"than {EXPONENT_CAP} terms", ExponentTooLarge)
         tok = tz.next_token()
-        return base ** k, tok
+        return _power(base, k, lambda a, b: _product(tz, a, b)), tok
     return base, tok
 
 

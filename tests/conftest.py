@@ -1,5 +1,8 @@
 """Shared fixtures: the running hypersurface example in both coordinate
-orders, and two concrete plane curves."""
+orders, two concrete plane curves, and a textbook reference for the
+monomial orders that the engine defines by weight rows."""
+
+from functools import cmp_to_key
 
 import pytest
 
@@ -75,3 +78,60 @@ def curve_cusp_line():
 @pytest.fixture(scope="session")
 def curve_tangent_triple():
     return tangent_triple_complex()
+
+
+# -- reference monomial orders on exponent tuples, from the textbook
+# definitions (Cox, Little and O'Shea, ch. 2 section 2), independent of the
+# weight rows that define the engine's orders
+
+
+def _lex_compare(a, b) -> int:
+    """The first differing exponent decides: the larger is above."""
+    for x, y in zip(a, b):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+def _degrevlex_compare(a, b) -> int:
+    """The larger total degree is above; on a tie, the last differing
+    exponent decides and the smaller is above."""
+    if sum(a) != sum(b):
+        return -1 if sum(a) < sum(b) else 1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return -1 if x > y else 1
+    return 0
+
+
+def reference_compare(order, a, b) -> int:
+    """-1, 0 or 1 as exponent a is below, equal to or above b under order.
+
+    The slots are read in the order's permutation first; a block order
+    compares its leading block by degrevlex and, on a tie, the rest.
+    """
+    perm = order.perm if order.perm is not None else range(len(a))
+    a, b = [a[i] for i in perm], [b[i] for i in perm]
+    if order.kind == "lex":
+        return _lex_compare(a, b)
+    if order.kind == "degrevlex":
+        return _degrevlex_compare(a, b)
+    assert order.kind == "block"
+    s = order.split
+    return _degrevlex_compare(a[:s], b[:s]) or _degrevlex_compare(a[s:], b[s:])
+
+
+def reference_key(order):
+    """A sort key for exponent tuples under order, by ``reference_compare``."""
+    return cmp_to_key(lambda a, b: reference_compare(order, a, b))
+
+
+def reference_leading(p, order) -> tuple:
+    """(exponent, coefficient) of p's leading term under order."""
+    e = max(p.terms, key=reference_key(order))
+    return e, p.terms[e]
+
+
+def exponent_divides(a, b) -> bool:
+    """The monomial of exponent a divides that of b."""
+    return all(x <= y for x, y in zip(a, b))

@@ -229,6 +229,13 @@ def test_json_determinism(tmp_path, capsys):
     assert report["seed"] == 12345
 
 
+def test_descriptor_without_a_seed_reports_the_default(tmp_path, capsys):
+    data = {k: v for k, v in PARABOLA.items() if k != "seed"}
+    assert descriptor_from_json(data).seed == 12345
+    code, out = run_cli(capsys, "gecc", write_descriptor(tmp_path, data), "--json")
+    assert code == EXIT_OK and json.loads(out)["seed"] == 12345
+
+
 def test_report_round_trip(tmp_path, capsys):
     path = write_descriptor(tmp_path, RUNNING_TXY)
     _, out = run_cli(capsys, "gecc", path, "--json")
@@ -583,8 +590,9 @@ def test_f_off_the_origin_is_refused_only_where_f_is_read(tmp_path, capsys):
 
 
 # (descriptor keys, options, message): an exponent or a power above
-# EXPONENT_CAP, also the most standard monomials the engine counts, is a
-# resource failure refused where it is read, before the power is computed
+# EXPONENT_CAP, also the most standard monomials the engine counts, or
+# products of more than PRODUCT_CAP term pairs, is a resource failure
+# refused where it is read, before the power or product is computed
 _HUGE_EXPONENTS = [
     ({"f": "x^1000000000000"}, [],
      "descriptor $.f: exponent 1000000000000 is above the cap 200000 (line 1, col 15)"),
@@ -595,11 +603,15 @@ _HUGE_EXPONENTS = [
      "descriptor $.f: exponent 200000 on 2 terms allows a power of more than 200000 terms"),
     ({"L": "x^150000*x^150000"}, [],
      "descriptor $.L: a product has degree 300000 in one variable, above the cap 200000"),
+    ({}, ["--f", "(x+y)^2000"],
+     "option --f: products would multiply more than 1000000 term pairs (line 1, col 10)"),
+    ({"L": "(x+y)^600*(x+y)^600*(x+y)^600"}, [],
+     "descriptor $.L: products would multiply more than 1000000 term pairs"),
 ]
 
 
 @pytest.mark.parametrize("keys, extra, message", _HUGE_EXPONENTS,
-                         ids=["f", "--f", "--f-sum", "f-terms", "L-product"])
+                         ids=["f", "--f", "--f-sum", "f-terms", "L-product", "--f-pairs", "L-pairs"])
 def test_exponent_above_the_count_cap_is_refused_at_the_front_door(
         tmp_path, capsys, keys, extra, message):
     code = main(["nearby", write_descriptor(tmp_path, dict(PARABOLA, **keys)), *extra])

@@ -31,6 +31,7 @@ from gecc_kit.ideal import (
     eliminate,
     engine_limits,
     intersect,
+    leading_monomials,
     lift_ideal,
     local_degree,
     monomial_dimension_and_degree,
@@ -44,14 +45,13 @@ from gecc_kit.ideal import (
 from gecc_kit.polyring import (
     LEX,
     Polynomial,
+    _packing,
+    _width,
     base_context,
     block_order,
-    exp_div,
-    exp_divides,
-    exp_lcm,
-    exp_mul,
     parse_polynomial,
 )
+from tests.conftest import exponent_divides, reference_key, reference_leading
 
 CTX = base_context(["x", "y", "t"])
 CTX_W = base_context(["x", "y", "t", "w0", "w1", "w2"])
@@ -125,10 +125,10 @@ def test_gb_is_reduced_monic_and_exact():
         J = Ideal(CTX, gens)
         for order in (DEGREVLEX, LEX):
             gb = J.groebner_basis(order)
-            leads = [g.leading(order) for g in gb]
+            leads = [reference_leading(g, order) for g in gb]
             for g, (lm, lc) in zip(gb, leads):
                 assert lc == 1 and exact_coefficients(g)
-                assert not any(exp_divides(m, e) for e in g.terms for m, _ in leads if m != lm)
+                assert not any(exponent_divides(m, e) for e in g.terms for m, _ in leads if m != lm)
             assert all(exact_coefficients(J.normal_form(g * g + 1, order)) for g in gens)
 
 
@@ -272,15 +272,36 @@ def test_gb_selfcheck_under_orders(order):
             gens.append(Polynomial(CTX_XYZ, terms))
         gb = Ideal(CTX_XYZ, [g for g in gens if not g.is_zero()]).groebner_basis(order)
         assert selfcheck_groebner(gb, order)
-        assert all(g.leading(order)[1] == 1 for g in gb)
+        assert all(reference_leading(g, order)[1] == 1 for g in gb)
+
+
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX, block_order([2], 3), block_order([0, 2], 3)],
+                         ids=["lex", "degrevlex", "block-z", "block-xz"])
+def test_leading_monomials_match_the_reference(order):
+    rng = random.Random(32)
+    for _ in range(20):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0, 0, 0]
+                for _ in range(rng.randint(0, 3)):
+                    e[rng.randrange(3)] += 1
+                terms[tuple(e)] = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            gens.append(Polynomial(CTX_XYZ, terms))
+        J = Ideal(CTX_XYZ, [g for g in gens if not g.is_zero()])
+        gb = J.groebner_basis(order)
+        leads = [reference_leading(g, order)[0] for g in gb]
+        assert leading_monomials(J, order) == leads
+        assert leads == sorted(leads, key=reference_key(order))
 
 
 def textbook_remainder(p, gb, order):
     """Division by the basis in exact fractions, leading term first."""
-    leads = [(g.leading(order), g) for g in gb]
+    leads = [(reference_leading(g, order), g) for g in gb]
     work, remainder = p, {}
     while work:
-        e, c = work.leading(order)
+        e, c = reference_leading(work, order)
         for (lm, lc), g in leads:
             if all(a <= b for a, b in zip(lm, e)):
                 shift = Polynomial(p.ctx, {tuple(b - a for a, b in zip(lm, e)): Fraction(c) / lc})
@@ -308,7 +329,7 @@ def test_normal_form_with_cancellations(order):
     assert J.normal_form(p, order) == expected
     # the fraction-free packed kernel agrees up to a positive scalar, which
     # primitive integer forms remove
-    packing = ideal_module._packing(order, 3, 16)
+    packing = _packing(order, 3, 16)
     basis = [ideal_module._element(ideal_module._encode(packing, g)[0], packing) for g in gb]
     work = ideal_module._encode(packing, p)[0]
     got = ideal_module._reduce(work, basis, packing.guard)[0]
@@ -336,40 +357,41 @@ def test_packed_arithmetic_matches_tuples(width):
     rng = random.Random(5)
     top = 2 ** (width - 1) - 1  # the largest exponent a field holds
     for n in range(1, 13):
-        packing = ideal_module._packing(DEGREVLEX, n, width)
+        packing = _packing(DEGREVLEX, n, width)
         for _ in range(60):
             a, b = random_exponent(rng, n, top), random_exponent(rng, n, top)
             if rng.random() < 0.3:
                 b = tuple(min(top, x + rng.randint(0, 2)) for x in a)  # often a multiple
             pa, pb = packing.monomial(a), packing.monomial(b)
             assert packing.exponent(pa) == a
-            assert packing.divides(pa, pb) == exp_divides(a, b)
-            assert packing.lcm(pa, pb) == packing.monomial(exp_lcm(a, b)) & packing.mask
-            product = exp_mul(a, b)
+            assert packing.divides(pa, pb) == exponent_divides(a, b)
+            assert packing.lcm(pa, pb) == packing.monomial(tuple(map(max, a, b))) & packing.mask
+            product = tuple(x + y for x, y in zip(a, b))
             if max(product) <= top:
                 assert pa + pb == packing.monomial(product)
                 assert not (pa + pb) & packing.guard
             else:  # a field just past the boundary sets its guard bit
                 assert (pa + pb) & packing.guard
-            if exp_divides(b, a):
-                assert pa - pb == packing.monomial(exp_div(a, b))
+            if exponent_divides(b, a):
+                assert pa - pb == packing.monomial(tuple(x - y for x, y in zip(a, b)))
         # one past the largest exponent needs the next width
-        assert ideal_module._width([Polynomial(base_context([f"v{i}" for i in range(n)]),
-                                               {(top,) * n: Fraction(1)})], width) == width
-        assert ideal_module._width([Polynomial(base_context([f"v{i}" for i in range(n)]),
-                                               {(top + 1,) * n: Fraction(1)})], width) == 2 * width
+        assert _width([Polynomial(base_context([f"v{i}" for i in range(n)]),
+                                  {(top,) * n: Fraction(1)})], width) == width
+        assert _width([Polynomial(base_context([f"v{i}" for i in range(n)]),
+                                  {(top + 1,) * n: Fraction(1)})], width) == 2 * width
 
 
 @pytest.mark.parametrize("name", list(PACKED_ORDERS))
 def test_packed_keys_order_as_key_function(name):
+    # the packed keys order exponents as the textbook reference order does
     rng = random.Random(6)
     top = 2 ** 15 - 1
     for n in range(1, 13):
         if name == "block-2-0" and n < 3:
             continue
         order = PACKED_ORDERS[name](n)
-        key = order.key_function(n)
-        packing = ideal_module._packing(order, n, 16)
+        key = reference_key(order)
+        packing = _packing(order, n, 16)
         for _ in range(60):
             a = random_exponent(rng, n, top)
             b = list(a)
@@ -729,7 +751,8 @@ def test_principal_ideal_takes_no_run(monkeypatch, order, g):
     principal = Ideal(CTX, [f])
     basis = principal.groebner_basis(order)
     assert budgets == []
-    assert len(basis) == 1 and basis[0].leading(order) == (f.leading(order)[0], 1)
+    assert len(basis) == 1
+    assert reference_leading(basis[0], order) == (reference_leading(f, order)[0], 1)
     # the same basis and normal form as a run on a redundant generator set
     run = Ideal(CTX, [f, f * P("x+y")])
     assert basis == run.groebner_basis(order)
@@ -1007,7 +1030,7 @@ def test_monomial_dimension_and_degree_by_brute_force():
         assert dim == _independent_dimension(lms, n)
         if dim == 0:
             box = itertools.product(range(4), repeat=n)  # every pure power is at most 3
-            assert degree == sum(1 for m in box if not any(exp_divides(e, m) for e in lms))
+            assert degree == sum(1 for m in box if not any(exponent_divides(e, m) for e in lms))
     # exponents past a 16-bit field: the packing widens
     assert monomial_dimension_and_degree([(40000, 0), (0, 3)], 2) == (0, 120000)
     assert monomial_dimension_and_degree([(40000, 1)], 2) == (1, 40001)

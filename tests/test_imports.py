@@ -3,8 +3,9 @@ method is, no engine module imports ``random``, ``sympy`` or ``argparse``,
 a CLI call loads no argparse, gettext or locale, the CLI runs
 and factors with no sympy module loaded and gives the same output where
 sympy cannot be imported at all, no engine function takes a ``limits``
-parameter, no engine module reads a private ``Fraction`` attribute, and
-every engine name that bench/spans.py traces exists.
+parameter, no engine module reads a private ``Fraction`` attribute or
+names a second definition of a monomial order, and every engine name that
+bench/spans.py traces exists.
 
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
@@ -270,6 +271,19 @@ def test_scan_flags_a_private_fraction_attribute(tmp_path):
         "    return getattr(c, '_denominator'), c.numerator_\n"
     )
     assert private_fraction_reads(module) == [3, 5]
+
+
+# A monomial order has one definition, its weight rows, which only the
+# polynomial module reads; the rest of the engine compares monomials packed.
+ORDER_DEFINITIONS = ("key_function", "sorted_terms", ".leading(")
+
+
+def test_orders_are_defined_once():
+    naming = {p.name: [w for w in ORDER_DEFINITIONS if w in p.read_text()]
+              for p in sorted(SRC.glob("*.py"))}
+    assert {name: words for name, words in naming.items() if words} == {}
+    assert sorted(p.name for p in SRC.glob("*.py") if "weight_rows" in p.read_text()) == [
+        "polyring.py"]
 
 
 def referenced_names(paths) -> set:

@@ -1,6 +1,7 @@
 """Polynomial substrate: arithmetic, derivatives, orders, parsing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,18 @@ from gecc_kit.polyring import (
     DEGREVLEX,
     LEX,
     EXPONENT_CAP,
+    PRODUCT_CAP,
     ContextMismatch,
     ExponentTooLarge,
     MonomialOrder,
     ParseError,
     Polynomial,
     base_context,
+    _packing,
     block_order,
     parse_polynomial,
 )
+from tests.conftest import reference_key
 
 CTX = base_context(["x", "y", "t"])
 
@@ -100,32 +104,33 @@ ORDERS = [LEX, DEGREVLEX, block_order([0], 3), block_order([2, 0], 3)]
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_order_axioms_random(order):
-    rng = random.Random(3)
-    key = order.key_function(3)
-    zero = (0, 0, 0)
-    for _ in range(200):
-        a = tuple(rng.randint(0, 4) for _ in range(3))
-        b = tuple(rng.randint(0, 4) for _ in range(3))
-        c = tuple(rng.randint(0, 4) for _ in range(3))
-        # totality and antisymmetry
-        assert (key(a) < key(b)) + (key(b) < key(a)) + (key(a) == key(b)) == 1
-        # multiplicativity
-        ac = tuple(i + j for i, j in zip(a, c))
-        bc = tuple(i + j for i, j in zip(b, c))
-        if key(a) < key(b):
-            assert key(ac) < key(bc)
-        # 1 is minimal
-        assert not key(a) < key(zero)
-        # transitivity spot check
-        if key(a) < key(b) and key(b) < key(c):
-            assert key(a) < key(c)
+    # the engine's packed key and the textbook reference, each an order
+    for key in (_packing(order, 3, 16).monomial, reference_key(order)):
+        rng = random.Random(3)
+        zero = (0, 0, 0)
+        for _ in range(200):
+            a = tuple(rng.randint(0, 4) for _ in range(3))
+            b = tuple(rng.randint(0, 4) for _ in range(3))
+            c = tuple(rng.randint(0, 4) for _ in range(3))
+            # totality and antisymmetry
+            assert (key(a) < key(b)) + (key(b) < key(a)) + (key(a) == key(b)) == 1
+            # multiplicativity
+            ac = tuple(i + j for i, j in zip(a, c))
+            bc = tuple(i + j for i, j in zip(b, c))
+            if key(a) < key(b):
+                assert key(ac) < key(bc)
+            # 1 is minimal
+            assert not key(a) < key(zero)
+            # transitivity spot check
+            if key(a) < key(b) and key(b) < key(c):
+                assert key(a) < key(c)
 
 
 def test_degrevlex_classic_comparison():
-    key = DEGREVLEX.key_function(3)
     x2y = (2, 1, 0)
     xy2 = (1, 2, 0)
-    assert key(x2y) > key(xy2)
+    for key in (_packing(DEGREVLEX, 3, 16).monomial, reference_key(DEGREVLEX)):
+        assert key(x2y) > key(xy2)
 
 
 def test_parse_implicit_multiplication():
@@ -144,6 +149,25 @@ def test_parse_round_trip():
     for _ in range(30):
         p = random_poly(rng)
         assert parse_polynomial(str(p), CTX) == p
+
+
+def test_str_lists_terms_in_descending_degrevlex_order():
+    # exponents past 2^15 need a packing wider than 16-bit fields
+    rng = random.Random(14)
+    for n in range(1, 13):
+        ctx = base_context([f"v{i}" for i in range(n)])
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randint(1, 8)):
+                e = tuple(rng.choice([0, 0, 1, 2, 2 ** 15 - 1, 2 ** 15, rng.randint(0, 2 ** 17)])
+                          for _ in range(n))
+                terms[e] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
+            p = Polynomial(ctx, terms)
+            text = str(p)
+            chunks = re.split(r" [+-] ", text.lstrip("-"))
+            printed = [next(iter(parse_polynomial(c, ctx).terms)) for c in chunks]
+            assert printed == sorted(p.terms, key=reference_key(DEGREVLEX), reverse=True)
+            assert parse_polynomial(text, ctx) == p
 
 
 def test_homogeneity_detector():
@@ -291,7 +315,10 @@ def test_power_is_square_and_multiply():
     ("(x+y)^200000", "exponent 200000 on 2 terms allows a power of more than 200000 terms"),
     ("(x+y+t)^631", "exponent 631 on 3 terms allows a power of more than 200000 terms"),
     ("x^150000*x^150000", "a product has degree 300000 in one variable"),
-], ids=["literal", "power-of-power", "sum", "two-terms", "three-terms", "product"])
+    ("(x+y+t)^200", "products would multiply more than 1000000 term pairs (line 1, col 11)"),
+    ("(x+y+t)^40*(x+y+t)^40*(x+y+t)^40", "products would multiply more than 1000000 term pairs"),
+], ids=["literal", "power-of-power", "sum", "two-terms", "three-terms", "product",
+        "pairs-power", "pairs-product"])
 def test_parse_refuses_an_exponent_above_the_cap(text, message):
     with pytest.raises(ExponentTooLarge) as err:
         parse_polynomial(text, CTX)
@@ -304,6 +331,14 @@ def test_parse_accepts_a_power_at_the_cap():
     assert EXPONENT_CAP == 200_000
     assert parse_polynomial("x^200000*y^200000", CTX).total_degree() == 400_000
     assert parse_polynomial("(x^2*y)^100000", CTX).terms == {(200_000, 100_000, 0): 1}
+
+
+def test_parse_accepts_products_under_the_pair_cap():
+    # each call has its own count of the term pairs its products multiply
+    assert PRODUCT_CAP == 1_000_000
+    for _ in range(2):
+        assert len(parse_polynomial("(x+y+t)^50", CTX).terms) == 1326
+    assert parse_polynomial("(x+y+t)^25*(x+y+t)^25", CTX) == P("(x+y+t)^50")
 
 
 def test_order_signature_is_built_once():
