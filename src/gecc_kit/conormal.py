@@ -27,7 +27,6 @@ from .ideal import (
     Ideal,
     block_memo,
     lift_ideal,
-    prime_contains_all,
     saturate_element,
 )
 from .polyring import Polynomial, VarContext
@@ -130,24 +129,6 @@ class StratifiedComplex:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def check_vf_union_of_strata(self, ft: Polynomial) -> bool:
-        """V(f) meets X in a union of strata closures."""
-        inside = [s for s in self.strata if prime_contains_all(s.closure_ideal, [ft])]
-        for s in self.strata:
-            if s in inside:
-                continue
-            cut = s.closure_ideal.with_extra([ft])
-            if cut.is_trivial():
-                continue
-            pieces = minimal_primes(cut)
-            for w in pieces:
-                if not any(
-                    prime_contains_all(w.ideal, t.closure_ideal.generators)
-                    for t in inside
-                ):
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------

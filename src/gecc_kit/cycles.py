@@ -137,8 +137,7 @@ class Component:
       ideal over a prime closure, the decomposition engine's
       prime-fiber route;
     - ``vanishing.projectivize``: a component's ideal with the cotangent
-      variables renamed to the tags;
-    - ``hypersurface.classical_polar_cycle``: the zero ideal.
+      variables renamed to the tags.
     So V(ideal) lies in V(J) exactly when J lies in the ideal, which
     ``prime_contains_all`` tests by normal forms. The engine's other
     membership questions are about stratum closures, certified prime when
@@ -406,21 +405,6 @@ class OrdinaryCycle:
 # Spec operations
 
 
-def cycle_add(D: GradedEnrichedCycle, E: GradedEnrichedCycle) -> GradedEnrichedCycle:
-    if D.ambient != E.ambient:
-        raise ValueError("ambient mismatch")
-    out = dict(D.degrees)
-    for k, cyc in E.degrees.items():
-        out[k] = out[k].plus(cyc) if k in out else cyc
-    return GradedEnrichedCycle(D.ambient, out)
-
-
-def scalar_multiply(q: ModClass, E: GradedEnrichedCycle) -> GradedEnrichedCycle:
-    return GradedEnrichedCycle(
-        E.ambient, {k: cyc.scale(q) for k, cyc in E.degrees.items()}
-    )
-
-
 def to_ordinary(E: GradedEnrichedCycle) -> OrdinaryCycle:
     terms: dict = {}
     for k, cyc in E.degrees.items():
@@ -437,19 +421,6 @@ def gap_remove(E: Cycle, J: Ideal) -> tuple:
     return (
         E.map(lambda c: [(c, 1)] if c in inside else [], E.ambient),
         E.map(lambda c: [] if c in inside else [(c, 1)], E.ambient),
-    )
-
-
-def germ_part(E: Cycle) -> Cycle:
-    """Components whose fiber over the origin is nonempty.
-
-    For base-space cycles this keeps components through the origin; for
-    cotangent or tag ambients it keeps those meeting the fiber over it.
-    """
-    ctx = E.ambient.context()
-    pins = [ctx.gen(v) for v in E.ambient.base_vars()]
-    return E.map(
-        lambda c: [] if c.ideal.with_extra(pins).is_trivial() else [(c, 1)], E.ambient
     )
 
 

@@ -20,32 +20,23 @@ from typing import Mapping, Sequence
 
 from . import modclass as mc
 from .cycles import (
-    AmbientSpace,
     Component,
     EnrichedCycle,
     GradedEnrichedCycle,
     OrdinaryCycle,
     ci_intersect,
-    component_from_prime,
     divisor_intersect,
     proper_pushforward,
-    to_ordinary,
 )
 from .conormal import (
     FConstantOnStratum,
     StratifiedComplex,
     conormal_variety,
-    gecc_assemble,
     im_d,
     relative_conormal,
     relative_conormal_cycle,
 )
-from .ideal import (
-    Ideal,
-    block_memo,
-    local_degree,
-    prime_contains_all,
-)
+from .ideal import block_memo, local_degree, prime_contains_all
 from .modclass import ModClass
 from .polyring import Polynomial
 
@@ -154,81 +145,6 @@ def polar_curve(
             degrees[k] = acc
     polar = GradedEnrichedCycle(ambient_u, degrees)
     return PolarReport(polar, per_stratum, gt, ft, SC, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Classical ambient polar curve
-
-
-def _kernel_directions(lt: Polynomial, ambient_u: AmbientSpace) -> list:
-    """Integer basis of directions annihilated by the linear form's differential."""
-    coords = [v.name for v in ambient_u.base_vars()]
-    coeffs = []
-    for name in coords:
-        d = lt.partial(name)
-        if d.total_degree() > 0:
-            raise ValueError("second function must be linear for the classical polar")
-        coeffs.append(d.constant_term())
-    pivot = next((i for i, c in enumerate(coeffs) if c), None)
-    if pivot is None:
-        raise ValueError("linear form is constant")
-    dirs = []
-    for j, c in enumerate(coeffs):
-        if j == pivot:
-            continue
-        vec = [Fraction(0)] * len(coords)
-        vec[pivot] = c
-        vec[j] = -coeffs[pivot]
-        dirs.append(vec)
-    return dirs
-
-
-def classical_polar_cycle(
-    ft: Polynomial,
-    lt: Polynomial,
-    ambient_u: AmbientSpace,
-) -> list:
-    """Hamm-Le-Teissier polar curve of an ambient function as [(component, mult)].
-
-    Directional derivatives of f along the kernel of the linear form cut
-    the ambient space; components inside the critical locus are removed.
-    """
-    ctx = ambient_u.context()
-    coords = [v.name for v in ambient_u.base_vars()]
-    partials = {name: ft.partial(name) for name in coords}
-    sigma = Ideal(ctx, [p for p in partials.values() if not p.is_zero()])
-    cuts = []
-    for vec in _kernel_directions(lt, ambient_u):
-        cut = ctx.zero()
-        for name, c in zip(coords, vec):
-            if c:
-                cut = cut + partials[name] * c
-        cuts.append(cut)
-    whole = component_from_prime(Ideal(ctx, []), ambient_u)
-    inter = ci_intersect(EnrichedCycle(ambient_u, {whole: ModClass.free(1)}), cuts)
-    pieces = []
-    for comp, m in inter.terms.items():
-        if prime_contains_all(comp.ideal, sigma.generators):
-            continue  # contained in the critical locus: gap-removed
-        pieces.append((comp, m.rank))
-    pieces.sort(key=lambda t: t[0].key)
-    return pieces
-
-
-def classical_polar_mu(
-    ft: Polynomial,
-    lt: Polynomial,
-    ambient_u: AmbientSpace,
-) -> int:
-    """(Gamma^1_{f,l} . V(l))_0: the complex-link sphere count at the origin."""
-    pieces = classical_polar_cycle(ft, lt, ambient_u)
-    total = 0
-    for comp, mult in pieces:
-        if comp.dim != 1:
-            raise PolarNotCurve(f"classical polar piece {comp!r} has dim {comp.dim}")
-        cut = comp.ideal.with_extra([lt])
-        total += mult * local_degree(cut)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +293,10 @@ def vanishing_morse_at_origin(
     m0: Mapping[int, ModClass],
     ss_bound: Sequence[Component] | None = None,
 ) -> MorseAtPoint:
-    """Morse modules of the shifted vanishing cycles at the origin."""
+    """Morse modules of the shifted vanishing cycles at the origin.
+
+    No command calls it; bench/spans.py wraps it by name.
+    """
     gen = check_polar_genericity(report, ft, lt, ss_bound)
     if not gen.dim_vl:
         raise GenericityFailure("polar set meets V(L) in positive dimension")
@@ -448,39 +367,6 @@ def star_equals_shriek(
     return records
 
 
-def shriek_support(
-    SC: StratifiedComplex,
-    ft: Polynomial,
-) -> dict:
-    """Support of gecc(i_!i^!): off-V(f) conormals union the nearby support.
-
-    The analysis is a germ at the origin: nearby components whose fiber
-    over the origin is empty are discarded.
-    """
-    full = gecc_assemble(SC)
-    psi = nearby_gecc(SC, ft)
-    ambient_t = SC.tstar_ambient()
-    ctx = ambient_t.context()
-    origin = [ctx.gen(v) for v in ambient_t.base_vars()]
-    out: dict = {}
-    for k in sorted(set(full.degrees) | set(psi.degrees)):
-        comps: list = []
-        for s in SC.visible_strata():
-            if s.morse.get(k) and not s.morse[k].is_zero():
-                if not prime_contains_all(s.closure_ideal, [ft]):
-                    comp = conormal_variety(s, ambient_t)
-                    if comp not in comps:
-                        comps.append(comp)
-        for comp in psi.degree(k).support():
-            if comp.ideal.with_extra(origin).is_trivial():
-                continue  # germ at the origin: no fiber over the point
-            if comp not in comps:
-                comps.append(comp)
-        if comps:
-            out[k] = comps
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Ordinary characteristic-cycle identities
 
@@ -496,19 +382,6 @@ def cc_of_tables(SC: StratifiedComplex, tables: Mapping[str, Mapping[int, ModCla
         if c:
             terms[comp] = terms.get(comp, 0) + c
     return OrdinaryCycle(ambient_t, terms)
-
-
-def cc_constant_sheaf_shifted(SC: StratifiedComplex, stratum_name: str) -> OrdinaryCycle:
-    """CC of the constant sheaf on a smooth closure, shifted by its dimension."""
-    s = SC.stratum(stratum_name)
-    comp = conormal_variety(s, SC.tstar_ambient())
-    return OrdinaryCycle(SC.tstar_ambient(), {comp: 1})
-
-
-def check_shift_identity(E: GradedEnrichedCycle, j: int = 1) -> AssertionRecord:
-    lhs = to_ordinary(E.shift(j))
-    rhs = to_ordinary(E).scaled((-1) ** j)
-    return AssertionRecord(f"shift by {j} flips sign", lhs == rhs, repr(lhs), repr(rhs))
 
 
 def check_triangle(name: str, A: OrdinaryCycle, B: OrdinaryCycle, C: OrdinaryCycle) -> AssertionRecord:
@@ -569,24 +442,3 @@ def curve_gecc_oracle(branches: Sequence[CurveBranch]) -> dict:
     cc_point = {key: val.rank for key, val in point.items()}
     return {"point": point, "branches": branch_tables, "cc_point": cc_point,
             "m": m, "e": e, "m_sub": m_sub, "eta": eta}
-
-
-def analyze_curve_branches(
-    SC: StratifiedComplex,
-    ft: Polynomial,
-    lt: Polynomial,
-) -> list:
-    """Measure branch data from the stratified curve: multiplicities by a
-    generic linear slice, partition by V(f), intersection numbers by local
-    degree."""
-    out = []
-    for s in SC.strata:
-        if s.dim != 1:
-            continue
-        mult = local_degree(s.closure_ideal.with_extra([lt]))
-        in_vf = prime_contains_all(s.closure_ideal, [ft])
-        eta = 0
-        if not in_vf:
-            eta = local_degree(s.closure_ideal.with_extra([ft]))
-        out.append(CurveBranch(s.name, mult, in_vf, eta))
-    return out

@@ -17,17 +17,17 @@ comes with the sum. A run starts at the narrowest width that holds its
 input; a product that outgrows its field (one guard test per reducer
 step, against the reducer's largest exponents) redoes the run twice as
 wide, so the answer never depends on the width. One reduction loop serves
-Buchberger, normal forms and the self-check: the front is a heap of the
-pending monomials, each popped term is reduced by the first basis element
-whose leading monomial divides it, and the fraction-free remainder comes
-with the scalar it carries, so ``normal_form`` returns the exact
-remainder. A polynomial with only int coefficients enters with no common
-denominator (``_encode``), and what leaves the kernel is a Polynomial
-made from its clean term map with no second pass, an int where a
-coefficient is integral and a Fraction otherwise. The pair queue is a
-heap of (lcm, i, j); pruning deletes a pair from the live map only, and
-its stale heap entry is skipped without counting against the S-pair
-budget.
+Buchberger and normal forms (and the tests' basis self-check): the front
+is a heap of the pending monomials, each popped term is reduced by the
+first basis element whose leading monomial divides it, and the
+fraction-free remainder comes with the scalar it carries, so
+``normal_form`` returns the exact remainder. A polynomial with only int
+coefficients enters with no common denominator (``_encode``), and what
+leaves the kernel is a Polynomial made from its clean term map with no
+second pass, an int where a coefficient is integral and a Fraction
+otherwise. The pair queue is a heap of (lcm, i, j); pruning deletes a
+pair from the live map only, and its stale heap entry is skipped without
+counting against the S-pair budget.
 
 Two caches. Each Ideal keeps its reduced basis, the run's stats and its
 packed basis per monomial order; a basis that ``eliminate`` hands over
@@ -65,7 +65,8 @@ Membership. Every ideal the engine asks about is a certified prime (a
 component, a minimal-prime witness, a stratum closure), its own radical,
 so V(P) lies in V(J) exactly when J's generators reduce to 0 mod P
 (``prime_contains_all``). ``radical_contains``, the auxiliary-variable
-test for any ideal, has no engine caller: it is the tests' reference.
+test for any ideal, has no engine caller: it is the tests' reference, kept
+here while the benchmark tracer (bench/spans.py) wraps it by name.
 
 Limits. Every Groebner run reads its S-pair budget from the context
 variable that ``engine_limits`` sets (``DEFAULT_LIMITS`` outside it); the
@@ -542,6 +543,7 @@ class Ideal:
         return packing, basis
 
     def gb_stats(self, order: MonomialOrder = DEGREVLEX) -> dict:
+        """Stats of the run that made the basis; bench/spans.py reads them, no command does."""
         found = self._cache.get(order.signature())
         return {} if found is None else dict(found[1])
 
@@ -710,24 +712,6 @@ def _poly_sub(a: list, b: list) -> list:
 # Spec operations
 
 
-def selfcheck_groebner(gb: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX) -> bool:
-    """Every S-polynomial of the basis reduces to zero."""
-    if not gb:
-        return True
-    n = len(gb[0].ctx)
-
-    def attempt(width: int) -> bool:
-        packing = _packing(order, n, width)
-        basis = [_element(_encode(packing, g)[0], packing) for g in gb]
-        for f, g in itertools.combinations(basis, 2):
-            lcm = packing.monomial(packing.exponent(packing.lcm(f[0], g[0])))
-            if _reduce(_spoly(f, g, lcm, packing.guard), basis, packing.guard)[0]:
-                return False
-        return True
-
-    return _widening(_width(gb), attempt)
-
-
 def extend_context(ctx: VarContext, name: str) -> tuple:
     """(ctx plus one auxiliary base variable, that variable).
 
@@ -746,7 +730,8 @@ def extend_context(ctx: VarContext, name: str) -> tuple:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J via the scaling-variable trick."""
+    """I cap J via the scaling-variable trick. Its one caller is ``saturate``,
+    which only the benchmark's ``kernel`` workload (bench/worker.py) calls."""
     if I.ctx != J.ctx:
         raise ContextMismatch("intersection requires a common context")
     ctx2, tv = extend_context(I.ctx, "_t")
@@ -770,7 +755,8 @@ def saturate(I: Ideal, J: Ideal) -> SaturationResult:
     O'Shea, ch. 4 section 4). The exponent is a membership question: the
     nonzero normal forms mod I of the saturation's generators, multiplied
     by J's generators once per step, until none is left. e is at most
-    ``SATURATION_CAP``; past it, ResourceLimitExceeded.
+    ``SATURATION_CAP``; past it, ResourceLimitExceeded. No command calls
+    it; the benchmark's ``kernel`` workload (bench/worker.py) does.
     """
     if not J.generators:
         raise ValueError("saturation by the zero ideal")
@@ -888,22 +874,14 @@ def radical_contains(I: Ideal, p: Polynomial) -> bool:
     For any ideal, prime or not; no engine path calls it. The engine asks
     only about certified primes, each its own radical, and
     ``prime_contains_all`` answers those by normal forms with no further
-    Groebner run. The tests check those answers against this one.
+    Groebner run. The tests check those answers against this one, and
+    bench/spans.py wraps it by name.
     """
     if p.is_zero() or I.contains(p):
         return True
     ctx2, tv = extend_context(I.ctx, "_r")
     t = ctx2.gen(tv)
     return lift_ideal(I, ctx2).with_extra([ctx2.one() - t * p.lift(ctx2)]).is_trivial()
-
-
-def variety_contained_in(I: Ideal, J: Ideal) -> bool:
-    """V(I) subseteq V(J): every generator of J vanishes on V(I).
-
-    By ``radical_contains``, for an I with no primality certificate; for a
-    certified prime, ``prime_contains_all(I, J.generators)``.
-    """
-    return all(radical_contains(I, g) for g in J.generators)
 
 
 def prime_contains_all(P: Ideal, polys: Iterable[Polynomial]) -> bool:
@@ -928,36 +906,6 @@ def leading_monomials(I: Ideal, order: MonomialOrder = DEGREVLEX) -> list:
     I.groebner_basis(order)
     packing, basis = I._packed(order)
     return [packing.exponent(g[0]) for g in basis]
-
-
-def standard_monomials(I: Ideal) -> list | None:
-    """Monomial basis of Q[ctx]/I when zero-dimensional, in degrevlex order.
-
-    Walks the staircase of the degrevlex leading monomials as packed
-    monomials, whose fields hold every standard monomial; raises
-    ResourceLimitExceeded past ``VECDIM_CAP`` monomials. No engine
-    function calls it: it is the tests' reference for the count that
-    ``dimension_and_degree`` reads from the Hilbert numerator.
-    """
-    if not _zero_dimensional(I):
-        return None
-    packing, basis = I._packed(DEGREVLEX)
-    lms = [g[0] for g in basis]
-    out: list = []
-    stack = [0]
-    seen = set(stack)
-    while stack:
-        m = stack.pop()
-        if any(packing.divides(lm, m) for lm in lms):
-            continue
-        out.append(m)
-        if len(out) > VECDIM_CAP:
-            raise ResourceLimitExceeded("standard monomial count exceeded cap")
-        for w in packing.weights:
-            if m + w not in seen:
-                seen.add(m + w)
-                stack.append(m + w)
-    return [packing.exponent(m) for m in sorted(out)]
 
 
 def _zero_dimensional(I: Ideal) -> bool:

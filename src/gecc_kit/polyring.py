@@ -710,23 +710,23 @@ def _product(tz: _Tokenizer, a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _parse_sum(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:
-    sign = 1
-    while tok == ("op", "+") or tok == ("op", "-"):
-        if tok[1] == "-":
-            sign = -sign
-        tok = tz.next_token()
-    value, tok = _parse_product(tz, ctx, tok)
-    total = value * sign
-    while tok in (("op", "+"), ("op", "-")):
-        sign = 1 if tok[1] == "+" else -1
-        tok = tz.next_token()
+    """Signed products, each added into one term map: linear in the summands."""
+    terms: dict = {}
+    while True:
+        sign = 1
         while tok in (("op", "+"), ("op", "-")):
             if tok[1] == "-":
                 sign = -sign
             tok = tz.next_token()
         value, tok = _parse_product(tz, ctx, tok)
-        total = total + value * sign
-    return total, tok
+        for e, c in value.terms.items():
+            s = terms.get(e, 0) + sign * c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        if tok not in (("op", "+"), ("op", "-")):
+            return Polynomial.from_clean(ctx, _integral(terms)), tok
 
 
 def _parse_product(tz: _Tokenizer, ctx: VarContext, tok) -> tuple:

@@ -92,15 +92,6 @@ class MicrosupportBound:
                     out.append(c)
         return out
 
-    def support_dimension(self) -> int:
-        """Dimension of the base projection of the upper bound."""
-        best = -1
-        for comp in self.upper_components():
-            dropped = [v for v in comp.ideal.ctx.variables if v.kind == "cotangent"]
-            image = eliminate(comp.ideal, dropped, restrict=True)
-            best = max(best, image.dimension())
-        return best
-
 
 def microsupport_phi_bound(
     SC: StratifiedComplex,
@@ -351,22 +342,6 @@ def projectivize(E: Cycle) -> Cycle:
         return [(component_from_prime(ideal, target), 1)]
 
     return E.map(rule, target)
-
-
-def char_polar_cycles(
-    geccP: GradedEnrichedCycle,
-    js: Sequence[int],
-) -> CharPolarCycles:
-    """Slice the projectivized cycle by tag planes and push to the base."""
-    if geccP.ambient.kind != U_P_KIND:
-        raise ValueError("char_polar_cycles expects a projectivized cycle")
-    out: dict = {}
-    for j in js:
-        for k in sorted(geccP.degrees):
-            image = _polar_slice(geccP.degree(k), j)
-            if image:
-                out[(k, j)] = image
-    return CharPolarCycles(geccP.ambient.with_kind(U_KIND), out)
 
 
 def _polar_slice(P: EnrichedCycle, j: int) -> EnrichedCycle:

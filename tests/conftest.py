@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import pytest
 
 from gecc_kit.conormal import Stratum, StratifiedComplex
-from gecc_kit.cycles import AmbientSpace
+from gecc_kit.cycles import AmbientSpace, component_from_prime
 from gecc_kit.ideal import Ideal
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
@@ -19,6 +19,25 @@ SURFACE = "y^2-x^3-t^2*x^2"
 def make_stratum(amb, name, gens, dim, morse):
     ctx = amb.context()
     return Stratum(name, Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), dim, morse)
+
+
+def P(text, sc):
+    """text as a polynomial in the coordinates of the complex sc."""
+    return parse_polynomial(text, sc.ambient.context())
+
+
+def component(amb, *gens):
+    """The component V(gens) of amb; gens must generate a prime."""
+    ctx = amb.context()
+    return component_from_prime(Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), amb)
+
+
+def tcomp(sc, *gens):
+    return component(sc.tstar_ambient(), *gens)
+
+
+def ucomp(sc, *gens):
+    return component(sc.ambient, *gens)
 
 
 def running_example(coords):

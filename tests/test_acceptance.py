@@ -4,31 +4,23 @@ One test per criterion; each prints a single PASS line with its runtime.
 All comparisons are exact equalities of canonical forms.
 """
 
-import random
 import time
 
 import pytest
 
-from gecc_kit.conormal import conormal_variety, gecc_assemble
+from gecc_kit.conormal import conormal_variety
 from gecc_kit.cycles import (
     AmbientSpace,
     EnrichedCycle,
     GradedEnrichedCycle,
-    OrdinaryCycle,
     component_from_prime,
     divisor_intersect,
     ci_intersect,
-    to_ordinary,
 )
 from gecc_kit.hypersurface import (
-    analyze_curve_branches,
-    cc_constant_sheaf_shifted,
     cc_of_tables,
     check_complement_restriction,
-    check_polar_genericity,
     check_triangle,
-    classical_polar_cycle,
-    classical_polar_mu,
     curve_gecc_oracle,
     nearby_gecc,
     nearby_morse_at_origin,
@@ -36,34 +28,25 @@ from gecc_kit.hypersurface import (
     shriek_morse_at_origin,
     vanishing_morse_at_origin,
 )
-from gecc_kit.ideal import Ideal, saturate_element, variety_contained_in
+from gecc_kit.ideal import Ideal, saturate_element
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
 from gecc_kit.vanishing import projectivize, vanishing_pipeline
 import test_properties
-from tests.conftest import SURFACE, make_stratum
+from tests.conftest import SURFACE, P, make_stratum, tcomp, ucomp
+from tests.reference import (
+    analyze_curve_branches,
+    classical_polar_cycle,
+    classical_polar_mu,
+    variety_contained_in,
+)
 
 Z = ModClass.free
-
-
-def P(text, sc):
-    return parse_polynomial(text, sc.ambient.context())
 
 
 def report(criterion, started, detail=""):
     elapsed = time.monotonic() - started
     print(f"PASS criterion {criterion} ({elapsed:.1f}s) {detail}")
-
-
-def tcomp(sc, *gens):
-    amb_t = sc.tstar_ambient()
-    ctx = amb_t.context()
-    return component_from_prime(Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), amb_t)
-
-
-def ucomp(sc, *gens):
-    ctx = sc.ambient.context()
-    return component_from_prime(Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), sc.ambient)
 
 
 def test_criterion_1_classical_polar(sc_xyt):

@@ -14,10 +14,11 @@ from gecc_kit.conormal import (
     relative_conormal,
     relative_conormal_cycle,
 )
-from gecc_kit.cycles import AmbientSpace, component_from_prime
-from gecc_kit.ideal import Ideal, variety_contained_in
+from gecc_kit.cycles import AmbientSpace
+from gecc_kit.ideal import Ideal
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
+from tests.reference import variety_contained_in
 
 Z = ModClass.free
 
@@ -265,12 +266,6 @@ def test_conic_invariant():
         for g in c.ideal.groebner_basis():
             assert g.is_homogeneous_in(wpos)
         assert c.dim == 3
-
-
-def test_vf_union_of_strata_check():
-    SC = running_complex(AMB_XYT)
-    assert SC.check_vf_union_of_strata(P("x", AMB_XYT))
-    assert not SC.check_vf_union_of_strata(P("x-1", AMB_XYT))
 
 
 def test_stratification_validation_errors():

@@ -1,18 +1,12 @@
 """Cross-route consistency checks tying separate theorems together."""
 
-from fractions import Fraction
-
-import pytest
-
 from gecc_kit.conormal import gecc_assemble
 from gecc_kit.cycles import (
     AmbientSpace,
     EnrichedCycle,
     GradedEnrichedCycle,
     component_from_prime,
-    cycle_add,
     divisor_intersect,
-    scalar_multiply,
 )
 from gecc_kit.hypersurface import (
     check_polar_genericity,
@@ -21,16 +15,13 @@ from gecc_kit.hypersurface import (
     polar_curve,
     vanishing_morse_at_origin,
 )
-from gecc_kit.ideal import Ideal, dimension_and_degree, local_degree, radical_contains
+from gecc_kit.ideal import Ideal, dimension_and_degree, local_degree
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
 from gecc_kit.vanishing import lambda_cycles, pi_delta, reconstruct_gecc
+from tests.conftest import P
 
 Z = ModClass.free
-
-
-def P(text, sc):
-    return parse_polynomial(text, sc.ambient.context())
 
 
 def test_rank_consistency_nearby_routes(sc_xyt):
@@ -115,16 +106,14 @@ def test_divisor_bilinearity(sc_xyt):
             Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), amb_t
         )
 
-    D = GradedEnrichedCycle.single(0, EnrichedCycle(amb_t, {comp("x+t^2", "y"): Z(1)}))
-    E = GradedEnrichedCycle.single(0, EnrichedCycle(amb_t, {comp("x", "y"): ModClass(1, (2,))}))
+    D = EnrichedCycle(amb_t, {comp("x+t^2", "y"): Z(1)})
+    E = EnrichedCycle(amb_t, {comp("x", "y"): ModClass(1, (2,))})
     g = parse_polynomial("t", ctx)
-    lhs = divisor_intersect(cycle_add(D, E), g)
-    rhs = cycle_add(divisor_intersect(D, g), divisor_intersect(E, g))
+    lhs = divisor_intersect(D.plus(E), g)
+    rhs = divisor_intersect(D, g).plus(divisor_intersect(E, g))
     assert lhs == rhs
     q = ModClass(2, (3,))
-    assert divisor_intersect(scalar_multiply(q, D), g) == scalar_multiply(
-        q, divisor_intersect(D, g)
-    )
+    assert divisor_intersect(D.scale(q), g) == divisor_intersect(D, g).scale(q)
 
 
 def test_bezout_degree_spot_check():

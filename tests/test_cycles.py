@@ -1,8 +1,6 @@
 """Cycle calculus: sums, scalars, divisor intersections, gap removal,
 pushforward, ordinary cycles."""
 
-from fractions import Fraction
-
 import pytest
 
 from gecc_kit.cycles import (
@@ -12,7 +10,6 @@ from gecc_kit.cycles import (
     GenericInjectivityFailure,
     GradedEnrichedCycle,
     ImproperIntersection,
-    cycle_add,
     ci_intersect,
     component_from_prime,
     divisor_intersect,
@@ -20,7 +17,6 @@ from gecc_kit.cycles import (
     intersection_multiplicity,
     proper_pushforward,
     pushforward_with_degree,
-    scalar_multiply,
     to_ordinary,
 )
 from gecc_kit import cycles as cycles_module
@@ -44,8 +40,12 @@ def comp(*gens, amb=AMB_T):
     return component_from_prime(Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), amb)
 
 
+def enriched(component, m):
+    return EnrichedCycle(component.ambient, {component: m})
+
+
 def single(component, m, degree=0):
-    return GradedEnrichedCycle.single(degree, EnrichedCycle(component.ambient, {component: m}))
+    return GradedEnrichedCycle.single(degree, enriched(component, m))
 
 
 E_GENS = ("y^2-x^3-t^2*x^2", "y*w2+t*x^2*w1", "(x+t^2)*w2+y*t*w1")
@@ -60,26 +60,26 @@ def E_component():
 
 
 def test_cycle_add_identity():
-    D = single(comp("x", "y", "t"), Z(2))
-    assert cycle_add(D, GradedEnrichedCycle.zero(AMB_T)) == D
+    D = enriched(comp("x", "y", "t"), Z(2))
+    assert D.plus(EnrichedCycle(AMB_T)) == D
 
 
 def test_cycle_add_merges_coefficients():
     c = comp("x", "y", "t")
-    total = cycle_add(single(c, Z(2)), single(c, Z(2)))
-    assert total.degree(0).terms[c] == Z(4)
+    total = enriched(c, Z(2)).plus(enriched(c, Z(2)))
+    assert total.terms[c] == Z(4)
     c2 = comp("x", "y", "w2")
-    total2 = cycle_add(single(c2, Z(1)), single(c2, Z(2)))
-    assert total2.degree(0).terms[c2] == Z(3)
+    total2 = enriched(c2, Z(1)).plus(enriched(c2, Z(2)))
+    assert total2.terms[c2] == Z(3)
 
 
 def test_scalar_multiply():
     c = comp("x+t^2", "y")
-    E = single(c, Z(1))
-    assert scalar_multiply(Z(1), E) == E
-    assert scalar_multiply(Z(2), E).degree(0).terms[c] == Z(2)
-    twisted = scalar_multiply(ModClass.cyclic(2), single(c, Z(2)))
-    assert twisted.degree(0).terms[c] == ModClass(0, (2, 2))
+    E = enriched(c, Z(1))
+    assert E.scale(Z(1)) == E
+    assert E.scale(Z(2)).terms[c] == Z(2)
+    twisted = enriched(c, Z(2)).scale(ModClass.cyclic(2))
+    assert twisted.terms[c] == ModClass(0, (2, 2))
 
 
 def test_divisor_intersect_paper_e_component():
@@ -168,16 +168,16 @@ def test_ci_intersect_whole_graph():
 
 
 def test_gap_remove_split():
-    cyc = cycle_add(
-        single(comp("x", "y", "w0", "w1-1", "w2"), Z(2)),
-        single(comp("y", "t^2+x", "2*t*w1-w0", "w2"), Z(2)),
-    )
+    cyc = GradedEnrichedCycle.single(0, EnrichedCycle(AMB_T, {
+        comp("x", "y", "w0", "w1-1", "w2"): Z(2),
+        comp("y", "t^2+x", "2*t*w1-w0", "w2"): Z(2),
+    }))
     graph = Ideal(CTX, [P("w0"), P("w1-1"), P("w2")])
     inside, outside = gap_remove(cyc, graph)
     assert list(inside.degree(0).terms) == [comp("x", "y", "w0", "w1-1", "w2")]
     assert list(outside.degree(0).terms) == [comp("y", "t^2+x", "2*t*w1-w0", "w2")]
     # exact partition
-    assert cycle_add(inside, outside) == cyc
+    assert inside.degree(0).plus(outside.degree(0)) == cyc.degree(0)
     # split by the zero ideal: everything inside
     allin, allout = gap_remove(cyc, Ideal(CTX, []))
     assert allin == cyc and not allout
@@ -296,7 +296,7 @@ def test_to_ordinary_alternating():
 def test_to_ordinary_additivity():
     c1, c2 = comp("x", "y", "t"), comp("x", "y", "w2")
     D = single(c1, Z(2))
-    E = cycle_add(single(c1, Z(1)), single(c2, ModClass(1, (2,))))
-    lhs = to_ordinary(cycle_add(D, E))
+    E = GradedEnrichedCycle.single(0, EnrichedCycle(AMB_T, {c1: Z(1), c2: ModClass(1, (2,))}))
+    lhs = to_ordinary(GradedEnrichedCycle.single(0, D.degree(0).plus(E.degree(0))))
     rhs = to_ordinary(D).plus(to_ordinary(E))
     assert lhs == rhs

@@ -1,10 +1,12 @@
 """Golden reports: every everyday subcommand on the running surface and on
-the cusp-line curve, compared byte for byte with the stored fixtures.
+the cusp-line curve, and ``cc`` and ``oracle-curve`` on ``test_cli.py``'s
+supplied tables and curve branches, compared byte for byte with the stored
+fixtures.
 
-For each case the ``--json`` report, less its ``engine`` counters, and the
-plain transcript must equal ``tests/golden/<case>.json`` and
-``tests/golden/<case>.txt``. A change that alters any reported byte, an
-order included, fails here. To rewrite the fixtures from the engine in
+For each case the ``--json`` report, less its ``engine`` counters (which
+``oracle-curve`` does not report), and the plain transcript must equal
+``tests/golden/<case>.json`` and ``tests/golden/<case>.txt``. A change that
+alters any reported byte, an order included, fails here. To rewrite the fixtures from the engine in
 ``src/`` (only when a report is shown to have been wrong):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,6 +22,7 @@ import tempfile
 import pytest
 
 from gecc_kit.cli import EXIT_OK, main
+from test_cli import CC_TABLES, ORACLE_CURVE
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -55,6 +58,8 @@ GERMS = {
         "L": "x",
         "seed": 1,
     },
+    "tables": CC_TABLES,
+    "curve": ORACLE_CURVE,
 }
 
 COMMANDS = [
@@ -62,7 +67,8 @@ COMMANDS = [
     ("vanishing", "--route", "both"),
 ]
 
-CASES = [(germ, command) for germ in GERMS for command in COMMANDS]
+CASES = [(germ, command) for germ in ("surface", "cusp-line") for command in COMMANDS]
+CASES += [("tables", ("cc",)), ("curve", ("oracle-curve",))]
 
 
 def _name(germ, command):
@@ -82,7 +88,7 @@ def _run(directory, germ, command, *extra):
 def _reports(directory, germ, command):
     """(the --json report less ``engine``, as printed; the plain transcript)."""
     report = json.loads(_run(directory, germ, command, "--json"))
-    del report["engine"]
+    report.pop("engine", None)
     return json.dumps(report, indent=2, sort_keys=True) + "\n", _run(directory, germ, command)
 
 

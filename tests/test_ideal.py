@@ -3,7 +3,6 @@ dimension, radical membership, decomposition, local degree."""
 
 import itertools
 import json
-import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -38,9 +37,6 @@ from gecc_kit.ideal import (
     radical_contains,
     saturate,
     saturate_element,
-    selfcheck_groebner,
-    standard_monomials,
-    variety_contained_in,
 )
 from gecc_kit.polyring import (
     LEX,
@@ -52,6 +48,7 @@ from gecc_kit.polyring import (
     parse_polynomial,
 )
 from tests.conftest import exponent_divides, reference_key, reference_leading
+from tests.reference import selfcheck_groebner, standard_monomials, variety_contained_in
 
 CTX = base_context(["x", "y", "t"])
 CTX_W = base_context(["x", "y", "t", "w0", "w1", "w2"])
@@ -1313,10 +1310,3 @@ def test_each_ideal_takes_one_certification_pass(tmp_path, capsys, monkeypatch):
     assert max(per_pass) == 1
     assert calls["empty runs"] == 0
     assert calls["splits"]
-
-
-def test_only_the_ideal_module_names_standard_monomials():
-    # the staircase walk is the tests' reference for the Hilbert count
-    package = pathlib.Path(ideal_module.__file__).parent
-    naming = sorted(p.name for p in package.glob("*.py") if "standard_monomials" in p.read_text())
-    assert naming == ["ideal.py"]

@@ -76,19 +76,6 @@ def smith_invariant_factors(matrix):
     return sorted(d for d in factors if d > 1)
 
 
-def presentation(mod: ModClass, extra_zero_cols=0):
-    """Diagonal presentation matrix of the class."""
-    n = mod.rank + len(mod.torsion)
-    rows = []
-    for i, d in enumerate(mod.torsion):
-        row = [0] * (n + extra_zero_cols)
-        row[i] = d
-        rows.append(row)
-    if not rows:
-        rows = [[0] * (n + extra_zero_cols or 1)]
-    return rows
-
-
 def test_canonical_form_divisibility():
     m = ModClass(1, (6, 2))
     assert m.torsion == (2, 6)

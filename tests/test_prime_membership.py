@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from gecc_kit import conormal, cycles, hypersurface, vanishing
+from gecc_kit import cycles, hypersurface, vanishing
 from gecc_kit.cli import EXIT_OK, main
 from gecc_kit.ideal import Ideal, prime_contains_all, radical_contains
 from gecc_kit.polyring import base_context, parse_polynomial
@@ -62,7 +62,7 @@ def answers(monkeypatch):
         seen.append(answer)
         return answer
 
-    for module in (conormal, cycles, hypersurface, vanishing):
+    for module in (cycles, hypersurface, vanishing):
         monkeypatch.setattr(module, "prime_contains_all", checked)
     return seen
 

@@ -8,55 +8,30 @@ from gecc_kit.cycles import (
     AmbientSpace,
     EnrichedCycle,
     GradedEnrichedCycle,
-    component_from_prime,
-    cycle_add,
     to_ordinary,
 )
-from gecc_kit.ideal import Ideal
 from gecc_kit.modclass import ModClass
 from gecc_kit.polyring import parse_polynomial
 from gecc_kit.vanishing import (
     NonConicCycle,
+    _polar_slice,
     blowup_exceptional,
-    char_polar_cycles,
     isolating_check,
     lambda_cycles,
     microsupport_phi_bound,
+    phi_support_dimension,
     pi_delta,
     projectivize,
     reconstruct_gecc,
     vanishing_pipeline,
 )
-from tests.conftest import make_stratum
+from tests.conftest import P, component, make_stratum, tcomp, ucomp
 
 Z = ModClass.free
 
 
-def P(text, sc):
-    return parse_polynomial(text, sc.ambient.context())
-
-
-def tcomp(sc, *gens):
-    amb_t = sc.tstar_ambient()
-    ctx = amb_t.context()
-    return component_from_prime(
-        Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), amb_t
-    )
-
-
 def pcomp(sc, *gens):
-    amb_p = sc.ambient.with_kind("UxP")
-    ctx = amb_p.context()
-    return component_from_prime(
-        Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), amb_p
-    )
-
-
-def ucomp(sc, *gens):
-    ctx = sc.ambient.context()
-    return component_from_prime(
-        Ideal(ctx, [parse_polynomial(g, ctx) for g in gens]), sc.ambient
-    )
+    return component(sc.ambient.with_kind("UxP"), *gens)
 
 
 # -- microsupport bound
@@ -67,7 +42,7 @@ def test_microsupport_bound_running_example(sc_txy):
     expected = {tcomp(sc_txy, "x", "y", "w0"), tcomp(sc_txy, "t", "x", "y")}
     assert set(bound.lower[0]) == expected
     assert set(bound.upper[0]) == expected  # the sandwich collapses here
-    assert bound.support_dimension() == 1
+    assert phi_support_dimension(sc_txy, P("x", sc_txy)) == 1
 
 
 def test_microsupport_bound_f_off_strata():
@@ -210,10 +185,9 @@ def test_char_polar_cycles_line_conormal(sc_txy):
             0, EnrichedCycle(sc_txy.tstar_ambient(), {tcomp(sc_txy, "x", "y", "w0"): Z(2)})
         )
     )
-    cpc = char_polar_cycles(proj, [1, 0])
-    assert cpc.get(0, 1).terms == {ucomp(sc_txy, "x", "y"): Z(2)}
+    assert _polar_slice(proj.degree(0), 1).terms == {ucomp(sc_txy, "x", "y"): Z(2)}
     # j = 0: the slice excludes [1:0:0], which the u0 = 0 plane misses
-    assert not cpc.get(0, 0)
+    assert not _polar_slice(proj.degree(0), 0)
 
 
 def test_char_polar_cycles_point_conormal(sc_txy):
@@ -222,8 +196,7 @@ def test_char_polar_cycles_point_conormal(sc_txy):
             0, EnrichedCycle(sc_txy.tstar_ambient(), {tcomp(sc_txy, "t", "x", "y"): Z(4)})
         )
     )
-    cpc = char_polar_cycles(proj, [0])
-    assert cpc.get(0, 0).terms == {ucomp(sc_txy, "t", "x", "y"): Z(4)}
+    assert _polar_slice(proj.degree(0), 0).terms == {ucomp(sc_txy, "t", "x", "y"): Z(4)}
 
 
 # -- reconstruction
