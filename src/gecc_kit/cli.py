@@ -312,7 +312,7 @@ def descriptor_from_json(data: Mapping) -> ProblemDescriptor:
             Stratum(s["name"], Ideal(ctx, gens), s["dim"], _parse_morse(s.get("morse", {})))
         )
     try:
-        SC = StratifiedComplex(ambient, strata, data.get("label", "F"))
+        SC = StratifiedComplex(ambient, strata)
     except StratificationError as exc:
         raise DescriptorError(f"$.strata[{exc.index}].{exc.key}", str(exc)) from None
     f = _parse_at(data["f"], ctx, "$.f") if data.get("f") else None

@@ -76,17 +76,11 @@ class Stratum:
 class StratifiedComplex:
     """Ambient base space plus strata; the full engine input descriptor."""
 
-    def __init__(
-        self,
-        ambient: AmbientSpace,
-        strata: Sequence[Stratum],
-        label: str = "F",
-    ):
+    def __init__(self, ambient: AmbientSpace, strata: Sequence[Stratum]):
         if ambient.kind != U_KIND:
             raise StratificationError("stratified complexes live in a base space U")
         self.ambient = ambient
         self.strata = list(strata)
-        self.label = label
         self._validate()
 
     def _validate(self) -> None:

@@ -41,10 +41,10 @@ from .polyring import (
     BASE,
     COTANGENT,
     PROJECTIVE,
+    MonomialOrder,
     Polynomial,
     VarContext,
     Variable,
-    block_order,
 )
 
 
@@ -579,7 +579,7 @@ def _mapping_degree(comp: Component, image: Component) -> int:
 def _field_degree(I: Ideal, free: set) -> int | None:
     """[K(I):K(free)] for a prime I in which the named variables are independent."""
     bound = [i for i, v in enumerate(I.ctx.variables) if v.name not in free]
-    order = block_order(bound, len(I.ctx))
+    order = MonomialOrder(tuple(bound))
     leads = leading_monomials(I, order)
     dim, count = monomial_dimension_and_degree([tuple(e[i] for i in bound) for e in leads], len(bound))
     if dim > 0:

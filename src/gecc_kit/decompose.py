@@ -30,7 +30,7 @@ from .ideal import (
     lift_ideal,
     saturate_element,
 )
-from .polyring import Polynomial, VarContext, block_order, quotient
+from .polyring import MonomialOrder, Polynomial, VarContext, quotient
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _linear_fiber_with(J: Ideal, gens: list, fiber: tuple, depth: int, hints: li
     # the base is the honest contraction to the fiber-free subring
     base_ideal = eliminate(J, list(fiber), restrict=True)
     # its elimination basis also holds fiber equations solved over the base
-    elim_gb = J.groebner_basis(block_order(positions, len(ctx)))
+    elim_gb = J.groebner_basis(MonomialOrder(tuple(positions)))
     linear_gens += linear([g for g in elim_gb if g not in gens])
     base_ctx = base_ideal.ctx
     if _certify(base_ideal, [], depth + 1) is None:

@@ -51,15 +51,15 @@ Derived ideals. A sum ``with_extra``, the auxiliary-variable ideals of
 I + (x_1^D, ..., x_n^D) start from the parent's reduced degrevlex basis,
 computed first when need be, followed by the new generators. A run takes
 that basis as a prefix whose own pairs are never formed, but only when
-its order ranks the monomials in the prefix's variables as degrevlex
-does (``MonomialOrder.ranks_as_degrevlex``): plain degrevlex, or a block
-order that eliminates none of them and keeps their relative order; never
-lex. A reduced basis lifted into a context that keeps its variables'
-order is the extension's reduced basis, handed over with no run
-(``lift_ideal``), as is a reduced basis whose variables are renamed in place
-(``renamed_ideal``), and every run's basis is memoised as a generator
-set of its own too. When I is zero-dimensional and 1 lies in I + (h),
-``saturate_element`` returns I's reduced basis with no elimination.
+no prefix term involves a position in the order's block: degrevlex, or
+an elimination order that drops none of the prefix's variables and so
+ranks their monomials as degrevlex does. A reduced basis lifted into a
+context that keeps its variables' order is the extension's reduced
+basis, handed over with no run (``lift_ideal``), as is a reduced basis
+whose variables are renamed in place (``renamed_ideal``), and every
+run's basis is memoised as a generator set of its own too. When I is
+zero-dimensional and 1 lies in I + (h), ``saturate_element`` returns I's
+reduced basis with no elimination.
 
 Membership. Every ideal the engine asks about is a certified prime (a
 component, a minimal-prime witness, a stratum closure), its own radical,
@@ -96,7 +96,6 @@ from .polyring import (
     _packing,
     _width,
     _width_for,
-    block_order,
     quotient,
 )
 
@@ -435,8 +434,8 @@ class Ideal:
     ``engine_limits`` block when that block already computed it for the
     same generator set and order, and runs Buchberger otherwise. The
     first ``_prefix`` generators of a derived ideal are a degrevlex
-    Groebner basis, which a run trusts when its order ranks their
-    monomials as degrevlex does (``MonomialOrder.ranks_as_degrevlex``).
+    Groebner basis, which a run trusts when none of their terms involves
+    a position in the order's block.
     """
 
     __slots__ = ("ctx", "generators", "_prefix", "_cache", "_hash")
@@ -451,7 +450,7 @@ class Ideal:
         self.ctx = ctx
         self.generators = tuple(gens)
         self._prefix = 0
-        # order signature -> [reduced basis, stats, packing, packed basis];
+        # order -> [reduced basis, stats, packing, packed basis];
         # packing and packed basis are None until first used
         self._cache: dict = {}
         self._hash = None
@@ -469,22 +468,21 @@ class Ideal:
     # -- Groebner bases
 
     def groebner_basis(self, order: MonomialOrder = DEGREVLEX) -> tuple:
-        sig = order.signature()
-        if sig in self._cache:
-            return self._cache[sig][0]
+        if order in self._cache:
+            return self._cache[order][0]
         limits, memo = _SESSION.get()
         if memo is None:
             found = self._run(order, limits.spair_budget)
         else:
-            key = (self.ctx, frozenset(self.generators), sig)
+            key = (self.ctx, frozenset(self.generators), order)
             found = memo.get(key)
             if found is None:
                 found = memo[key] = self._run(order, limits.spair_budget)
                 # the basis, as a generator set, is its own reduced basis
-                memo.setdefault((self.ctx, frozenset(found[0]), sig), found)
+                memo.setdefault((self.ctx, frozenset(found[0]), order), found)
             else:
                 ENGINE_COUNTERS["basis_memo_hits"] += 1
-        self._cache[sig] = found
+        self._cache[order] = found
         return found[0]
 
     def _run(self, order: MonomialOrder, budget: int) -> list:
@@ -493,9 +491,9 @@ class Ideal:
         The run starts at the narrowest field width that holds the
         generators and is redone twice as wide, prefix and all, whenever a
         product overflows. The prefix enters as a Groebner basis whose own
-        pairs are never formed when the order ranks its monomials as
-        degrevlex does. The zero ideal's reduced basis is empty, and a
-        principal ideal's is its packed generator, made monic as a run's
+        pairs are never formed when none of its terms involves a position
+        in the order's block. The zero ideal's reduced basis is empty, and
+        a principal ideal's is its packed generator, made monic as a run's
         basis is; neither takes a run.
         """
         gens = self.generators
@@ -504,7 +502,7 @@ class Ideal:
         n = len(self.ctx)
         prefix = gens[:self._prefix]
         support = {i for i, col in enumerate(zip(*[e for g in prefix for e in g.terms])) if any(col)}
-        k = len(prefix) if prefix and order.ranks_as_degrevlex(support, n) else 0
+        k = len(prefix) if prefix and support.isdisjoint(order.block) else 0
 
         def attempt(width: int) -> tuple:
             packing = _packing(order, n, width)
@@ -534,7 +532,7 @@ class Ideal:
         Packs the basis on first use, and again, kept so, when a wider
         packing is asked for.
         """
-        entry = self._cache[order.signature()]
+        entry = self._cache[order]
         gb, _, packing, basis = entry
         if packing is None or packing.width < width:
             packing = _packing(order, len(self.ctx), _width(gb, width))
@@ -544,7 +542,7 @@ class Ideal:
 
     def gb_stats(self, order: MonomialOrder = DEGREVLEX) -> dict:
         """Stats of the run that made the basis; bench/spans.py reads them, no command does."""
-        found = self._cache.get(order.signature())
+        found = self._cache.get(order)
         return {} if found is None else dict(found[1])
 
     def normal_form(self, p: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
@@ -818,7 +816,7 @@ def eliminate(
     if not drop:
         return I
     positions = [I.ctx.position(v) for v in drop]
-    gb = I.groebner_basis(block_order(positions, len(I.ctx)))
+    gb = I.groebner_basis(MonomialOrder(tuple(positions)))
     keep = [g for g in gb if not any(e[p] for e in g.terms for p in positions)]
     if not restrict:
         return _with_reduced_basis(I.ctx, keep)
@@ -859,12 +857,11 @@ def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
     made it; its packed form is built when first used.
     """
     J = Ideal(ctx, basis)
-    sig = DEGREVLEX.signature()
     found = [J.generators, {}, None, None]
     memo = _SESSION.get()[1]
     if memo is not None:
-        found = memo.setdefault((ctx, frozenset(J.generators), sig), found)
-    J._cache[sig] = found
+        found = memo.setdefault((ctx, frozenset(J.generators), DEGREVLEX), found)
+    J._cache[DEGREVLEX] = found
     return J
 
 

@@ -13,8 +13,9 @@ A monomial order is defined once, by its weight rows, and used as a
 ``_Packing``: exponents in fixed-width fields of one int, below the order
 key that the rows fold into one weight per variable, so ints compare as
 the order does. The Groebner kernel in ``ideal`` works on these ints, and
-``__str__`` sorts terms by the degrevlex key. No other module reads an
-order's fields.
+``__str__`` sorts terms by the degrevlex key. An order is degrevlex or
+an elimination order, named by the block of positions it drops; no other
+module reads its rows.
 
 The parser caps exponents, the degree and term count of a power, and
 the term pairs that one call's products multiply (``EXPONENT_CAP``,
@@ -139,16 +140,15 @@ def base_context(names: Sequence[str]) -> VarContext:
 class MonomialOrder:
     """Total multiplicative monomial order with 1 minimal, defined by its weight rows.
 
-    kind 'block' compares a leading variable block first (both blocks
-    degrevlex); ``perm`` optionally permutes exponent slots before
-    comparison, which is how elimination blocks for arbitrary variable
-    subsets are formed. No other module reads these fields: an order
-    reaches the rest of the engine as its ``_packing``.
+    ``block`` is the tuple of positions an elimination drops, in the
+    order given; it is compared first, degrevlex, and the other positions
+    after it, degrevlex in context order. The empty block is degrevlex
+    (``DEGREVLEX``). No other module reads the rows: an order reaches the
+    rest of the engine as its ``_packing``, and keys per-order caches as
+    itself.
     """
 
-    kind: str = "degrevlex"  # lex | degrevlex | block
-    split: int = 0
-    perm: tuple | None = None
+    block: tuple = ()
 
     def weight_rows(self, n: int) -> list:
         """The order as 0/1 weight rows, each a tuple of the positions weighted 1.
@@ -159,52 +159,11 @@ class MonomialOrder:
         s_0..s_j for j = k-2 down to 0: with the rows above equal, a larger
         sum is a smaller last exponent of the block.
         """
-        if self.perm is not None and len(self.perm) != n:
-            raise ValueError("order permutation length does not match context")
-        perm = self.perm if self.perm is not None else tuple(range(n))
-        if self.kind == "lex":
-            return [(i,) for i in perm]
-        if self.kind == "degrevlex":
-            blocks = [perm]
-        elif self.kind == "block":
-            blocks = [perm[:self.split], perm[self.split:]]
-        else:
-            raise ValueError(f"unknown monomial order kind {self.kind!r}")
-        return [block[:j] for block in blocks for j in range(len(block), 0, -1)]
-
-    def ranks_as_degrevlex(self, support: set, n: int) -> bool:
-        """The order ranks the monomials in the variables at support as degrevlex does.
-
-        That is plain degrevlex, or a permuted degrevlex or block order
-        that keeps those variables' relative order and, for a block order,
-        eliminates none of them; never lex.
-        """
-        if self.kind == "lex":
-            return False
-        perm = self.perm if self.perm is not None else range(n)
-        if self.kind == "block" and not support.isdisjoint(perm[:self.split]):
-            return False
-        ranked = [i for i in perm if i in support]
-        return ranked == sorted(ranked)
-
-    def __post_init__(self):
-        p = "" if self.perm is None else ",".join(map(str, self.perm))
-        object.__setattr__(self, "_signature", f"{self.kind}:{self.split}:{p}")
-
-    def signature(self) -> str:
-        """The order as text, built once: a key for per-order caches."""
-        return self._signature
+        rest = tuple(i for i in range(n) if i not in self.block)
+        return [b[:j] for b in (self.block, rest) for j in range(len(b), 0, -1)]
 
 
-LEX = MonomialOrder("lex")
-DEGREVLEX = MonomialOrder("degrevlex")
-
-
-def block_order(drop_positions: Sequence[int], n: int) -> MonomialOrder:
-    """Elimination order whose leading block is the given positions."""
-    drop = tuple(drop_positions)
-    rest = tuple(i for i in range(n) if i not in set(drop))
-    return MonomialOrder("block", split=len(drop), perm=drop + rest)
+DEGREVLEX = MonomialOrder()
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def running_example(coords):
         make_stratum(amb, "S4", ["x+t^2", "y"], 1, {0: Z(1)}),
         make_stratum(amb, "S0", ["t", "x", "y"], 0, {0: Z(2)}),
     ]
-    return StratifiedComplex(amb, strata, "running")
+    return StratifiedComplex(amb, strata)
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +74,7 @@ def cusp_line_complex():
         make_stratum(amb, "line", ["y"], 1, {0: Z(1)}),
         make_stratum(amb, "origin", ["x", "y"], 0, {0: Z(2)}),
     ]
-    return StratifiedComplex(amb, strata, "cusp-line")
+    return StratifiedComplex(amb, strata)
 
 
 def tangent_triple_complex():
@@ -86,7 +86,7 @@ def tangent_triple_complex():
         make_stratum(amb, "b2", ["y+x^2"], 1, {0: Z(1)}),
         make_stratum(amb, "origin", ["x", "y"], 0, {0: Z(2)}),
     ]
-    return StratifiedComplex(amb, strata, "tangent-triple")
+    return StratifiedComplex(amb, strata)
 
 
 @pytest.fixture(scope="session")
@@ -104,14 +104,6 @@ def curve_tangent_triple():
 # weight rows that define the engine's orders
 
 
-def _lex_compare(a, b) -> int:
-    """The first differing exponent decides: the larger is above."""
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
 def _degrevlex_compare(a, b) -> int:
     """The larger total degree is above; on a tie, the last differing
     exponent decides and the smaller is above."""
@@ -126,18 +118,12 @@ def _degrevlex_compare(a, b) -> int:
 def reference_compare(order, a, b) -> int:
     """-1, 0 or 1 as exponent a is below, equal to or above b under order.
 
-    The slots are read in the order's permutation first; a block order
-    compares its leading block by degrevlex and, on a tie, the rest.
+    The block's slots, in the block's order, compare by degrevlex first;
+    on a tie, the other slots in context order.
     """
-    perm = order.perm if order.perm is not None else range(len(a))
-    a, b = [a[i] for i in perm], [b[i] for i in perm]
-    if order.kind == "lex":
-        return _lex_compare(a, b)
-    if order.kind == "degrevlex":
-        return _degrevlex_compare(a, b)
-    assert order.kind == "block"
-    s = order.split
-    return _degrevlex_compare(a[:s], b[:s]) or _degrevlex_compare(a[s:], b[s:])
+    rest = [i for i in range(len(a)) if i not in order.block]
+    return (_degrevlex_compare([a[i] for i in order.block], [b[i] for i in order.block])
+            or _degrevlex_compare([a[i] for i in rest], [b[i] for i in rest]))
 
 
 def reference_key(order):

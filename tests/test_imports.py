@@ -11,10 +11,11 @@ bench/spans.py traces exists.
 No linter ships with the package, so these stdlib-ast scans stand in for
 one. An import counts as used when its bound name appears as a name
 anywhere in the module, annotations included. A top-level function or
-class of the engine, or a non-dunder method of a top-level class, counts
-as used when its name is referenced anywhere in src/ or bench/ (a name,
-an attribute, an imported name, or a string equal to it, as in
-bench/spans.py's wrap table) other than at its own definition. A
+class of the engine counts as used when its name is referenced anywhere
+in src/ or bench/ (a name, an attribute, an imported name, or a string
+equal to it, as in bench/spans.py's wrap table); a non-dunder method of
+a top-level class only through an attribute, an imported name or a
+string, so that a local variable of the same name does not count. A
 reference from tests/ does not count: code that only the tests call
 belongs in tests/ (tests/reference.py holds the references they check
 the engine against).
@@ -290,19 +291,21 @@ def test_orders_are_defined_once():
         "polyring.py"]
 
 
-def referenced_names(paths) -> set:
-    names = set()
+def referenced_names(paths) -> tuple:
+    """(names referenced as an attribute, an imported name or a string,
+    names referenced as a bare name)."""
+    reached, bare = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                reached.add(node.attr)
             elif isinstance(node, ast.alias):
-                names.add(node.name.split(".")[-1])
+                reached.add(node.name.split(".")[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.add(node.value)
-    return names
+                reached.add(node.value)
+    return reached, bare
 
 
 def defined_names(tree: ast.Module):
@@ -320,24 +323,28 @@ def defined_names(tree: ast.Module):
 
 
 def unused_defs(modules, paths) -> list:
-    used = referenced_names(paths)
+    reached, bare = referenced_names(paths)
+    named = reached | bare
     unused = []
     for path in modules:
         for name, node in defined_names(ast.parse(path.read_text(encoding="utf-8"))):
-            if node.name not in used:
+            if node.name not in (reached if "." in name else named):
                 unused.append(f"{path.name}: {name} (line {node.lineno})")
     return unused
 
 
-# Value constructors that the tests build fixtures with, where the engine
-# builds the same values another way.
-TEST_CONSTRUCTORS = {
+# Methods that only the tests call: value constructors that they build
+# fixtures with, where the engine builds the same values another way, and
+# one identity of the paper.
+TEST_ONLY_METHODS = {
     # the engine builds a graded cycle from its degree map
     "cycles.py: GradedEnrichedCycle.single",
     # the engine subtracts ordinary cycles with OrdinaryCycle.minus
     "cycles.py: OrdinaryCycle.scaled",
     # Morse modules reach the engine as parsed rank/torsion tables
     "modclass.py: ModClass.cyclic",
+    # the tests check the paper's degree-shift identity with it
+    "cycles.py: GradedEnrichedCycle.shift",
 }
 
 
@@ -350,7 +357,7 @@ def unreached_defs(root: Path) -> list:
 
 def test_no_unused_top_level_defs():
     unreached = unreached_defs(ROOT)
-    assert [u for u in unreached if u.partition(" (line")[0] not in TEST_CONSTRUCTORS] == []
+    assert [u for u in unreached if u.partition(" (line")[0] not in TEST_ONLY_METHODS] == []
 
 
 def test_scan_flags_an_unused_def(tmp_path):
@@ -369,10 +376,14 @@ def test_scan_flags_an_unused_def(tmp_path):
         "        return self.x\n"
         "    def uncalled(self):\n"
         "        return self.called()\n"
+        "    def shadowed(self):\n"  # a local of its name reaches no method
+        "        shadowed = used()\n"
+        "        return shadowed\n"
         "Kept()\n"
     )
     assert unused_defs([module], [module]) == [
-        "sample.py: orphan (line 3)", "sample.py: Orphan (line 5)", "sample.py: Kept.uncalled (line 12)"]
+        "sample.py: orphan (line 3)", "sample.py: Orphan (line 5)", "sample.py: Kept.uncalled (line 12)",
+        "sample.py: Kept.shadowed (line 14)"]
 
 
 def test_scan_flags_a_test_only_def(tmp_path):

@@ -9,16 +9,15 @@ import pytest
 
 from gecc_kit.polyring import (
     DEGREVLEX,
-    LEX,
     EXPONENT_CAP,
     PRODUCT_CAP,
     ContextMismatch,
     ExponentTooLarge,
+    MonomialOrder,
     ParseError,
     Polynomial,
     base_context,
     _packing,
-    block_order,
     parse_polynomial,
 )
 from tests.conftest import reference_key
@@ -99,7 +98,7 @@ def test_ring_axioms_random():
         assert a * b == b * a
 
 
-ORDERS = [LEX, DEGREVLEX, block_order([0], 3), block_order([2, 0], 3)]
+ORDERS = [DEGREVLEX, MonomialOrder((0,)), MonomialOrder((2, 0)), MonomialOrder((1, 2))]
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -355,7 +354,8 @@ def test_parse_of_a_long_sum_is_linear():
     assert parsed == Polynomial(CTX, terms)
 
 
-def test_order_signature_is_built_once():
-    order = block_order([2], 3)
-    assert order.signature() == "block:1:2,0,1" and order.signature() is order.signature()
-    assert DEGREVLEX.signature() == "degrevlex:0:" and LEX.signature() == "lex:0:"
+def test_an_order_is_its_block():
+    # the order itself keys per-order caches
+    assert MonomialOrder((2, 0)) == MonomialOrder((2, 0)) != MonomialOrder((0, 2))
+    assert hash(MonomialOrder((2, 0))) == hash(MonomialOrder((2, 0)))
+    assert MonomialOrder() == DEGREVLEX and hash(MonomialOrder()) == hash(DEGREVLEX)
