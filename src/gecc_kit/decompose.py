@@ -28,6 +28,7 @@ from .ideal import (
     eliminate,
     extend_context,
     lift_ideal,
+    minimal_polynomial,
     saturate_element,
 )
 from .polyring import MonomialOrder, Polynomial, VarContext, quotient
@@ -126,27 +127,24 @@ def _try_point_field(J: Ideal, D: int) -> tuple:
 
     The field test of Gianni, Trager and Zacharias (1988): the quotient is
     a field exactly when a primitive element theta, one whose minimal
-    polynomial m has degree D, has an irreducible m. m generates
-    (J + (T - theta)) cap Q[T] (Cox, Little and O'Shea, ch. 3), one
-    elimination per candidate theta, its degree read against the Hilbert
-    count D. A reducible m of full degree gives its first factor at
-    theta, a zero divisor, as the splitter.
+    polynomial m has degree D, has an irreducible m. m is read off the
+    first linear dependence among the normal forms of theta's powers
+    against J's reduced degrevlex basis (``minimal_polynomial``), its
+    degree against the Hilbert count D. A reducible m of full degree
+    gives its first factor at theta, a zero divisor, as the splitter.
     """
     if D > VECDIM_CAP:
         raise ResourceLimitExceeded("standard monomial count exceeded cap")
     if D == 1:
         return True, None
     ctx = J.ctx
-    big, tv = extend_context(ctx, "_T")
-    lifted = lift_ideal(J, big)
+    _, tv = extend_context(ctx, "_T")
     candidate_weights = [
         tuple(1 if i == j else 0 for i in range(len(ctx))) for j in range(len(ctx))
     ] + [tuple(range(1, len(ctx) + 1)), tuple((i + 1) ** 2 for i in range(len(ctx)))]
     for weights in candidate_weights:
         theta = sum((ctx.gen(v) * w for w, v in zip(weights, ctx.variables) if w), ctx.zero())
-        elim = eliminate(lifted.with_extra([big.gen(tv) - theta.lift(big)]),
-                         list(ctx.variables), restrict=True)
-        (minpoly,) = elim.groebner_basis()
+        minpoly = minimal_polynomial(J, theta, tv)
         if minpoly.total_degree() < D:
             continue  # theta not primitive; try another
         fs = factor_list(minpoly)
@@ -168,11 +166,11 @@ def _jointly_linear(g: Polynomial, positions: list) -> bool:
 
 
 def _try_linear_fiber(J: Ideal, depth: int, hints: list) -> bool:
-    """Prime base + affinely linear fiber, saturated at a pivot product.
+    """Prime base + affinely linear fiber, saturated at each pivot in turn.
 
     Each failed attempt leaves its zero-divisor candidates in hints: the
     base's basis when the base is not certified, else the residuals and
-    the pivot product.
+    the pivots.
     """
     ctx = J.ctx
     gens = list(J.groebner_basis())
@@ -236,13 +234,13 @@ def _linear_fiber_with(J: Ideal, gens: list, fiber: tuple, depth: int, hints: li
         return False
     if not pivots:
         return False
-    witness = base_ctx.one()
-    for p in pivots:
-        witness = witness * p
-    witness = witness.lift(ctx)
-    hints.append(witness)
+    pivots = [p.lift(ctx) for p in pivots]
+    hints.extend(pivots)
+    # I : (ab)^inf = (I : a^inf) : b^inf, one pivot at a time
     candidate = lift_ideal(base_ideal, ctx).with_extra(linear_gens)
-    return saturate_element(candidate, witness) == J
+    for p in pivots:
+        candidate = saturate_element(candidate, p)
+    return candidate == J
 
 
 def _row_reduce_mod(rows: list, ncols: int, base: Ideal) -> tuple:

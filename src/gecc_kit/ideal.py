@@ -44,7 +44,16 @@ degree) of each degrevlex leading-monomial ideal, conormals, polar
 lengths, factorizations, and each cycle component's intersections with
 divisors and pushforwards. The zero ideal is its own reduced basis, and
 a principal ideal's is its generator, packed and made monic; neither
-takes a run.
+takes a run. Nor does a zero-dimensional ideal whose reduced degrevlex
+basis is at hand, in its cache or in the memo under its generator set:
+its basis under any other order is converted from that one by linear
+algebra in the finite quotient ring (FGLM; Faugere, Gianni, Lazard and
+Mora 1993) and stored where a run's would go. A degrevlex basis is never
+computed only to be converted, and positive-dimensional ideals take the
+run, since the conversion does not exist there. It takes at most n*D + 1
+normal forms for a Hilbert count D, and refuses a count past
+``VECDIM_CAP``. The same fraction-free dependence test reads the minimal
+polynomial of an element of the quotient ring (``minimal_polynomial``).
 
 Derived ideals. A sum ``with_extra``, the auxiliary-variable ideals of
 ``saturate_element`` and ``radical_contains``, and ``local_degree``'s
@@ -59,7 +68,8 @@ basis, handed over with no run (``lift_ideal``), as is a reduced basis
 whose variables are renamed in place (``renamed_ideal``), and every
 run's basis is memoised as a generator set of its own too. When I is
 zero-dimensional and 1 lies in I + (h), ``saturate_element`` returns I's
-reduced basis with no elimination.
+reduced basis with no elimination. An elimination of a zero-dimensional
+ideal whose degrevlex basis exists is a conversion, not a run.
 
 Membership. Every ideal the engine asks about is a certified prime (a
 component, a minimal-prime witness, a stratum closure), its own radical,
@@ -158,8 +168,9 @@ def block_memo(key: tuple, build):
     return memo[key]
 
 
-# process-wide counters surfaced on CLI reports; a memo hit is not a run
-ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0, "basis_memo_hits": 0}
+# process-wide counters surfaced on CLI reports; neither a memo hit nor a
+# conversion is a run
+ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0, "basis_memo_hits": 0, "basis_conversions": 0}
 
 
 def engine_counters() -> dict:
@@ -424,6 +435,166 @@ def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list
 
 
 # ---------------------------------------------------------------------------
+# Linear algebra in a finite quotient ring
+
+
+def _times_normal_form(v: dict, s: int, factor: dict, basis: list, guard: int) -> tuple:
+    """(w, t): w/t is the normal form of factor * v/s against basis.
+
+    v/s is a normal form with v an integer term map and s > 0; factor is
+    an integer term map. w and t share no content. Raises ``_Overflow``
+    when a product outgrows its field.
+    """
+    work: dict = {}
+    for f, a in factor.items():
+        for m, c in v.items():
+            m += f
+            if m & guard:
+                raise _Overflow
+            nc = work.get(m, 0) + a * c
+            if nc:
+                work[m] = nc
+            else:
+                del work[m]
+    # remainder = num/den * NF(factor * v), so NF(factor * v/s) = remainder * den / (num * s)
+    remainder, num, den = _reduce(work, basis, guard)
+    scale = num * s
+    if den != 1:
+        remainder = {m: c * den for m, c in remainder.items()}
+    g = math.gcd(_content(remainder), scale)
+    if g > 1:
+        remainder = {m: c // g for m, c in remainder.items()}
+    return remainder, scale // g
+
+
+def _combine(x: dict, a: int, y: dict, b: int) -> dict:
+    """a*x - b*y as a new integer term map, zeros dropped; b is nonzero."""
+    out = {k: a * c for k, c in x.items()} if a != 1 else dict(x)
+    for k, c in y.items():
+        nc = out.get(k, 0) - b * c
+        if nc:
+            out[k] = nc
+        else:
+            del out[k]
+    return out
+
+
+def _dependence(rows: dict, v: dict, c: dict) -> dict | None:
+    """The relation that makes v dependent on rows, or None after v joins them.
+
+    c names v as a combination: its keys are labels (monomials of the
+    target order, powers), and the vectors they label, summed with c's
+    coefficients, give v. Each row is such a (vector, combination),
+    filed under its vector's largest monomial. v is reduced fraction-free
+    at its largest monomial while a row is filed there, its combination
+    carried along and the content of both stripped together. When v
+    reaches 0, c is a relation among the labels; otherwise v joins rows.
+    """
+    while v:
+        top = max(v)
+        row = rows.get(top)
+        if row is None:
+            rows[top] = v, c
+            return None
+        r, cr = row
+        a, b = r[top], v[top]
+        d = math.gcd(a, b)
+        v = _combine(v, a // d, r, b // d)
+        c = _combine(c, a // d, cr, b // d)
+        g = math.gcd(_content(v), _content(c))
+        if g > 1:
+            v = {k: x // g for k, x in v.items()}
+            c = {k: x // g for k, x in c.items()}
+    return c
+
+
+def _fglm(I: Ideal, order: MonomialOrder) -> tuple:
+    """I's reduced basis under order, from its reduced degrevlex basis (I zero-dimensional).
+
+    Faugere, Gianni, Lazard and Mora (1993): candidate monomials are
+    taken in increasing order, each the product of a standard monomial
+    and a variable, and the normal form of each is a variable times its
+    parent's, reduced against the packed degrevlex basis. A candidate
+    whose normal form depends on the staircase's (``_dependence``) gives
+    a basis element, made monic; an independent one joins the staircase.
+    A multiple of a leading monomial found is no candidate, so at most
+    n*D + 1 normal forms are taken. Past ``VECDIM_CAP`` standard
+    monomials, ResourceLimitExceeded; a product that outgrows its field
+    redoes the conversion twice as wide.
+    """
+    n = len(I.ctx)
+
+    def attempt(width: int) -> tuple:
+        dpacking, dbasis = I._packed(DEGREVLEX, width)
+        tpacking = _packing(order, n, dpacking.width)
+        dguard, tguard = dpacking.guard, tpacking.guard
+        steps = list(zip(dpacking.weights, tpacking.weights))
+        rows: dict = {}
+        forms: list = []   # (v, s) per standard monomial: v/s its normal form
+        found: list = []   # (leading monomial, relation)
+        # (candidate, its parent's index in forms, the variable as a degrevlex monomial)
+        queue = [(0, -1, 0)]
+        last = -1
+        while queue:
+            m, parent, step = heappop(queue)
+            over = m | tguard
+            # a candidate met again pops right after itself
+            if m == last or any((over - lm) & tguard == tguard for lm, _ in found):
+                continue
+            last = m
+            v, s = forms[parent] if parent >= 0 else ({0: 1}, 1)
+            v, s = _times_normal_form(v, s, {step: 1}, dbasis, dguard)
+            relation = _dependence(rows, v, {m: s})
+            if relation is not None:
+                found.append((m, relation))
+                continue
+            if len(forms) == VECDIM_CAP:
+                raise ResourceLimitExceeded("standard monomial count exceeded cap")
+            forms.append((v, s))
+            for dstep, tstep in steps:
+                if (m + tstep) & tguard:
+                    raise _Overflow
+                heappush(queue, (m + tstep, len(forms) - 1, dstep))
+        return found, tpacking
+
+    found, packing = _widening(I._packed(DEGREVLEX)[0].width, attempt)
+    exponent = packing.exponent
+    return tuple(
+        Polynomial.from_clean(I.ctx, {exponent(t): quotient(c[t], c[lm]) for t in sorted(c, reverse=True)})
+        for lm, c in found
+    )
+
+
+def minimal_polynomial(I: Ideal, theta: Polynomial, var: Variable) -> Polynomial:
+    """The monic minimal polynomial of theta in Q[ctx]/I, in Q[var]; I zero-dimensional.
+
+    The first linear dependence among the normal forms of theta^k, k = 0,
+    1, ..., each theta times the last, against I's reduced degrevlex basis
+    (``_dependence``, as in ``_fglm``). Past ``VECDIM_CAP`` powers,
+    ResourceLimitExceeded.
+    """
+    I.groebner_basis()
+
+    def attempt(width: int) -> dict:
+        packing, basis = I._packed(DEGREVLEX, width)
+        guard = packing.guard
+        step = _encode(packing, theta)[0]
+        rows: dict = {}
+        v, s = _times_normal_form({0: 1}, 1, {0: 1}, basis, guard)
+        for k in range(VECDIM_CAP + 1):
+            relation = _dependence(rows, v, {k: s})
+            if relation is not None:
+                return relation
+            v, s = _times_normal_form(v, s, step, basis, guard)
+        raise ResourceLimitExceeded("standard monomial count exceeded cap")
+
+    relation = _widening(_width([theta], I._packed(DEGREVLEX)[0].width), attempt)
+    top = max(relation)
+    return Polynomial.from_clean(VarContext([var]), {(k,): quotient(relation[k], relation[top])
+                                                     for k in sorted(relation, reverse=True)})
+
+
+# ---------------------------------------------------------------------------
 # Ideals
 
 
@@ -494,11 +665,19 @@ class Ideal:
         pairs are never formed when none of its terms involves a position
         in the order's block. The zero ideal's reduced basis is empty, and
         a principal ideal's is its packed generator, made monic as a run's
-        basis is; neither takes a run.
+        basis is; neither takes a run. Nor does a zero-dimensional ideal
+        whose reduced degrevlex basis is at hand, in the cache or in the
+        block memo: that basis is converted (``_fglm``), by linear algebra
+        in the finite quotient ring, and the result is packed when first
+        used. A degrevlex basis is never computed only to be converted;
+        in positive dimension the conversion does not exist.
         """
         gens = self.generators
         if not gens:
             return [(), {}, None, None]
+        if len(gens) > 1 and self._degrevlex_at_hand() and _zero_dimensional(self):
+            ENGINE_COUNTERS["basis_conversions"] += 1
+            return [_fglm(self, order), {}, None, None]
         n = len(self.ctx)
         prefix = gens[:self._prefix]
         support = {i for i, col in enumerate(zip(*[e for g in prefix for e in g.terms])) if any(col)}
@@ -525,6 +704,13 @@ class Ideal:
             for lm, lc, tail, _ in basis
         )
         return [polys, stats, packing, basis]
+
+    def _degrevlex_at_hand(self) -> bool:
+        """The reduced degrevlex basis is in the cache or in the block memo."""
+        if DEGREVLEX in self._cache:
+            return True
+        memo = _SESSION.get()[1]
+        return memo is not None and (self.ctx, frozenset(self.generators), DEGREVLEX) in memo
 
     def _packed(self, order: MonomialOrder, width: int = 16) -> tuple:
         """(packing, packed basis) of the cached reduced basis, at least width wide.
@@ -811,7 +997,9 @@ def eliminate(
     order, so the kept elements of the reduced block-order basis are the
     reduced degrevlex basis of the result (Elimination Theorem; Cox,
     Little and O'Shea, ch. 3 section 1), in context or restricted. The
-    result takes them as its basis with no further run.
+    result takes them as its basis with no further run. A
+    zero-dimensional I whose degrevlex basis exists gets the block-order
+    basis by conversion, not by a run (``Ideal._run``).
     """
     if not drop:
         return I

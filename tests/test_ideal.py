@@ -33,10 +33,12 @@ from gecc_kit.ideal import (
     leading_monomials,
     lift_ideal,
     local_degree,
+    minimal_polynomial,
     monomial_dimension_and_degree,
     radical_contains,
     saturate,
     saturate_element,
+    _zero_dimensional,
 )
 from gecc_kit.polyring import (
     MonomialOrder,
@@ -564,16 +566,30 @@ def test_seeded_runs_after_an_order_keeping_lift(monkeypatch):
     ctx = base_context(["a", "x", "b", "y", "z"])
     rng = random.Random(73)
     prefixes = spy_prefixes(monkeypatch)
+    blocks = (MonomialOrder((0,)), MonomialOrder((2, 0)))
+    converted = 0
     for parent, _ in random_parents(73):
         parent.groebner_basis()
         runs = len(prefixes)
         lifted = lift_ideal(parent, ctx)
         assert len(prefixes) == runs  # handed over with no run
         assert lifted.generators == Ideal(ctx, [g.lift(ctx) for g in parent.generators]).groebner_basis()
-        J = lifted.with_extra([random_polynomial(rng, ctx, "a")])
-        for order in (DEGREVLEX, MonomialOrder((0,)), MonomialOrder((2, 0))):
+        extra = random_polynomial(rng, ctx, "a")
+        J = lifted.with_extra([extra])
+        # the block orders before J's degrevlex basis exists, so each takes a run
+        for order in (*blocks, DEGREVLEX):
             assert J.groebner_basis(order) == fresh(J).groebner_basis(order)
             assert prefixes[-2] == len(lifted.generators)
+        # with the degrevlex basis at hand, a zero-dimensional ideal converts it
+        K = lifted.with_extra([extra])
+        K.groebner_basis()
+        runs, conversions = len(prefixes), ideal_module.ENGINE_COUNTERS["basis_conversions"]
+        assert [K.groebner_basis(order) for order in blocks] == [J.groebner_basis(order) for order in blocks]
+        finite = _zero_dimensional(K)
+        assert len(prefixes) - runs == (0 if finite else len(blocks))
+        assert ideal_module.ENGINE_COUNTERS["basis_conversions"] - conversions == (len(blocks) if finite else 0)
+        converted += finite
+    assert converted  # the unit ideals among the parents
 
 
 @pytest.mark.parametrize("order", [MonomialOrder((0, 2)), MonomialOrder((0,)), MonomialOrder((1, 0))],
@@ -677,6 +693,173 @@ def test_a_run_is_memoised_under_its_own_basis(monkeypatch):
         canonical = Ideal(CTX_XYZ, basis)
         assert canonical.groebner_basis() == basis
         assert len(budgets) == 1
+
+
+# -- change of order: a zero-dimensional basis converted by linear algebra
+
+
+def random_finite_ideal(rng, ctx, count=3, coefficients=(-3, -2, -1, 1, 2, 3)):
+    """count random polynomials of degree at most 2 in ctx, each with a constant term."""
+    gens = []
+    for _ in range(count):
+        terms = {(0,) * len(ctx): Fraction(rng.choice(coefficients))}
+        for _ in range(rng.randint(2, 5)):
+            e = [0] * len(ctx)
+            for _ in range(rng.randint(1, 2)):
+                e[rng.randrange(len(ctx))] += 1
+            terms[tuple(e)] = Fraction(rng.choice(coefficients))
+        gens.append(Polynomial(ctx, terms))
+    return Ideal(ctx, gens)
+
+
+CONVERSION_ORDERS = [MonomialOrder((0,)), MonomialOrder((2, 0)), MonomialOrder((1,)),
+                     MonomialOrder((0, 1, 2)), MonomialOrder((2, 1))]
+
+
+def converted_and_run(J, order):
+    """(J's basis under order with its degrevlex basis at hand, a fresh run's)."""
+    J.groebner_basis()
+    return J.groebner_basis(order), Ideal(J.ctx, J.generators).groebner_basis(order)
+
+
+@pytest.mark.parametrize("order", CONVERSION_ORDERS, ids=["block-x", "block-zx", "block-y", "block-xyz", "block-zy"])
+@pytest.mark.parametrize("coefficients", [(-3, -2, -1, 1, 2, 3), (Fraction(-1, 2), Fraction(2, 3), 3, Fraction(5, 7))],
+                         ids=["integral", "fractional"])
+def test_conversion_equals_a_fresh_run(monkeypatch, order, coefficients):
+    rng = random.Random(81)
+    calls = []
+    real = ideal_module._times_normal_form
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ideal_module, "_times_normal_form", spy)
+    conversions = 0
+    for _ in range(12):
+        J = random_finite_ideal(rng, CTX_XYZ, coefficients=coefficients)
+        if not _zero_dimensional(J):
+            continue
+        before = ideal_module.ENGINE_COUNTERS["basis_conversions"]
+        del calls[:]
+        converted, run = converted_and_run(J, order)
+        assert ideal_module.ENGINE_COUNTERS["basis_conversions"] == before + 1
+        # the same basis, term for term, as the run's
+        assert [list(g.terms.items()) for g in converted] == [list(g.terms.items()) for g in run]
+        assert selfcheck_groebner(converted, order)
+        D = dimension_and_degree(J)[1]
+        assert len(calls) <= len(CTX_XYZ) * D + 1
+        conversions += 1
+    assert conversions >= 8
+
+
+@pytest.mark.parametrize("gens, expected", [
+    (("x*y - 1", "x", "y + z"), ["1"]),  # the unit ideal
+    (("x - 1", "y^2 - 2*y + 1", "y - x", "z^2 + 2*z + 1", "z*x + 1"), ["x - 1", "y - 1", "z + 1"]),  # D = 1
+])
+def test_conversion_of_small_quotients(gens, expected):
+    for order in CONVERSION_ORDERS:
+        before = ideal_module.ENGINE_COUNTERS["basis_conversions"]
+        converted, run = converted_and_run(I(*gens, ctx=CTX_XYZ), order)
+        assert ideal_module.ENGINE_COUNTERS["basis_conversions"] == before + 1
+        assert converted == run and sorted(map(str, converted)) == expected
+
+
+def test_conversion_that_outgrows_its_field_widens(monkeypatch):
+    # degrevlex leading monomials x^2 and y^16384 fit 16-bit fields, but the
+    # basis under the block of y holds x^32768
+    ctx = base_context(["x", "y"])
+    order = MonomialOrder((1,))
+    widths = []
+    real = ideal_module._packing
+
+    def spy(o, n, width):
+        widths.append((o, width))
+        return real(o, n, width)
+
+    monkeypatch.setattr(ideal_module, "_packing", spy)
+    J = Ideal(ctx, [P("x^2 - y", ctx), P("y^16384", ctx)])
+    J.groebner_basis()
+    assert J._packed(DEGREVLEX)[0].width == 16
+    del widths[:]
+    converted = J.groebner_basis(order)
+    assert [w for o, w in widths if o == order] == [16, 32]  # redone, and the degrevlex basis repacked
+    assert sorted(map(str, converted)) == ["-x^2 + y", "x^32768"]
+    assert converted == Ideal(ctx, J.generators).groebner_basis(order)
+
+
+def test_positive_dimension_or_no_degrevlex_basis_takes_a_run(monkeypatch):
+    prefixes = spy_prefixes(monkeypatch)
+    order = MonomialOrder((0,))
+    curve = I("x^2 - y*z", "y^2 - x*z + 1", ctx=CTX_XYZ)
+    curve.groebner_basis()
+    runs = len(prefixes)
+    assert curve.groebner_basis(order) == Ideal(CTX_XYZ, curve.generators).groebner_basis(order)
+    assert len(prefixes) == runs + 2  # positive-dimensional: no conversion
+    finite = I("x^2 - 1", "y^2 - x", "z^2 - y + 1", ctx=CTX_XYZ)
+    runs = len(prefixes)
+    basis = finite.groebner_basis(order)  # no degrevlex basis at hand, none computed
+    assert len(prefixes) == runs + 1 and DEGREVLEX not in finite._cache
+    again = I("x^2 - 1", "y^2 - x", "z^2 - y + 1", ctx=CTX_XYZ)
+    again.groebner_basis()
+    runs = len(prefixes)
+    assert again.groebner_basis(order) == basis
+    assert len(prefixes) == runs  # converted
+
+
+def test_conversion_takes_the_degrevlex_basis_from_the_block_memo(monkeypatch):
+    prefixes = spy_prefixes(monkeypatch)
+    gens = ("x^2 - 1", "y^2 - x", "z^2 - y + 1")
+    order = MonomialOrder((2, 0))
+    with engine_limits(EngineLimits()):
+        I(*gens, ctx=CTX_XYZ).groebner_basis()
+        runs = len(prefixes)
+        again = I(*reversed(gens), ctx=CTX_XYZ)
+        assert DEGREVLEX not in again._cache
+        basis = again.groebner_basis(order)
+        assert len(prefixes) == runs
+    assert basis == I(*gens, ctx=CTX_XYZ).groebner_basis(order)
+    assert len(prefixes) == runs + 1
+
+
+def test_conversion_refuses_past_the_monomial_cap(monkeypatch):
+    J = I("x^3 - y", "y^3 - z", "z^2 - 1", ctx=CTX_XYZ)  # 18 standard monomials
+    J.groebner_basis()
+    monkeypatch.setattr(ideal_module, "VECDIM_CAP", 17)
+    with pytest.raises(ResourceLimitExceeded):
+        J.groebner_basis(MonomialOrder((0,)))
+    monkeypatch.setattr(ideal_module, "VECDIM_CAP", 18)
+    assert J.groebner_basis(MonomialOrder((0,))) == Ideal(CTX_XYZ, J.generators).groebner_basis(MonomialOrder((0,)))
+
+
+def test_minimal_polynomial_is_the_elimination_generator():
+    # m(theta) generates (J + (T - theta)) cap Q[T]
+    big = base_context(["x", "y", "z", "T"])
+    T = big.variables[3]
+    rng = random.Random(82)
+    checked = 0
+    for _ in range(6):
+        J = random_finite_ideal(rng, CTX_XYZ)
+        if not _zero_dimensional(J) or J.is_trivial():
+            continue
+        for theta in (P("x", CTX_XYZ), P("x + 2*y + 3*z", CTX_XYZ)):
+            m = minimal_polynomial(J, theta, T)
+            graph = Ideal(big, [g.lift(big) for g in J.generators] + [big.gen(T) - theta.lift(big)])
+            assert (m,) == eliminate(graph, ["x", "y", "z"], restrict=True).groebner_basis()
+            checked += 1
+    assert checked >= 8
+
+
+def test_minimal_polynomial_through_long_reductions():
+    # 66 standard monomials: reducing theta times a normal form takes enough
+    # steps that the remainder's content is stripped into its scalar
+    J = I("3*x^2 + y^3*z", "4*y^3 + 3*x^2*y^2*z + z^5", "5*z^4 + x^2*y^3", ctx=CTX_XYZ)
+    assert dimension_and_degree(J) == (0, 66)
+    theta = P("x + 2*y + 3*z", CTX_XYZ)
+    T = base_context(["x", "y", "z", "T"]).variables[3]
+    m = minimal_polynomial(J, theta, T)
+    assert m.total_degree() == 49 and m.coefficient_of(T, 49) == P("1", m.ctx)
+    assert J.normal_form(m.substitute({"T": theta})).is_zero()
 
 
 # -- elimination

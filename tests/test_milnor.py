@@ -32,6 +32,7 @@ CASES = [
     (("x", "y", "z"), "x", "x^2+y^2+z^2", pham(2, 2, 2), ["x", "y", "z"]),  # A1
     (("x", "y", "z"), "x", "x^2+y^2+z^4", pham(2, 2, 4), ["x", "y", "z"]),  # A3
     (("x", "y", "z"), "x", "x^2+y^3+z^4", pham(2, 3, 4), ["x", "y", "z"]),
+    (("x", "y", "z"), "x", "x^3+y^4+z^5", pham(3, 4, 5), ["x", "y", "z"]),
     (("z", "x", "y"), "z", "x^2+y^3", pham(2, 3), ["w0", "x", "y"]),  # along the z-axis
 ]
 
