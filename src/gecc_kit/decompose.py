@@ -128,10 +128,10 @@ def _try_point_field(J: Ideal, D: int) -> tuple:
     The field test of Gianni, Trager and Zacharias (1988): the quotient is
     a field exactly when a primitive element theta, one whose minimal
     polynomial m has degree D, has an irreducible m. m is read off the
-    first linear dependence among the normal forms of theta's powers
-    against J's reduced degrevlex basis (``minimal_polynomial``), its
-    degree against the Hilbert count D. A reducible m of full degree
-    gives its first factor at theta, a zero divisor, as the splitter.
+    first linear dependence among theta's powers in J's quotient ring
+    (``minimal_polynomial``), its degree against the Hilbert count D. A
+    reducible m of full degree gives its first factor at theta, a zero
+    divisor, as the splitter.
     """
     if D > VECDIM_CAP:
         raise ResourceLimitExceeded("standard monomial count exceeded cap")

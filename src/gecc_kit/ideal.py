@@ -44,16 +44,18 @@ degree) of each degrevlex leading-monomial ideal, conormals, polar
 lengths, factorizations, and each cycle component's intersections with
 divisors and pushforwards. The zero ideal is its own reduced basis, and
 a principal ideal's is its generator, packed and made monic; neither
-takes a run. Nor does a zero-dimensional ideal whose reduced degrevlex
-basis is at hand, in its cache or in the memo under its generator set:
-its basis under any other order is converted from that one by linear
-algebra in the finite quotient ring (FGLM; Faugere, Gianni, Lazard and
-Mora 1993) and stored where a run's would go. A degrevlex basis is never
-computed only to be converted, and positive-dimensional ideals take the
-run, since the conversion does not exist there. It takes at most n*D + 1
-normal forms for a Hilbert count D, and refuses a count past
-``VECDIM_CAP``. The same fraction-free dependence test reads the minimal
-polynomial of an element of the quotient ring (``minimal_polynomial``).
+takes a run.
+
+Quotient rings. A zero-dimensional ideal's finite quotient ring, its
+standard monomials and one integer matrix per variable, is built once
+from its reduced degrevlex basis with no normal form and kept in that
+basis's cache entry, which the block memo shares (``_quotient_ring``).
+Matrix products and one fraction-free dependence test serve a change of
+order (FGLM; Faugere, Gianni, Lazard and Mora 1993), which replaces the
+run whenever the degrevlex basis is at hand, minimal polynomials, and
+``saturate_element``'s unit test. A degrevlex basis is never computed
+only to be converted, and positive-dimensional ideals take the run,
+since the conversion does not exist there.
 
 Derived ideals. A sum ``with_extra``, the auxiliary-variable ideals of
 ``saturate_element`` and ``radical_contains``, and ``local_degree``'s
@@ -67,9 +69,9 @@ context that keeps its variables' order is the extension's reduced
 basis, handed over with no run (``lift_ideal``), as is a reduced basis
 whose variables are renamed in place (``renamed_ideal``), and every
 run's basis is memoised as a generator set of its own too. When I is
-zero-dimensional and 1 lies in I + (h), ``saturate_element`` returns I's
-reduced basis with no elimination. An elimination of a zero-dimensional
-ideal whose degrevlex basis exists is a conversion, not a run.
+zero-dimensional and h a unit mod I, ``saturate_element`` returns I's
+reduced basis with no run. An elimination of a zero-dimensional ideal
+whose degrevlex basis exists is a conversion, not a run.
 
 Membership. Every ideal the engine asks about is a certified prime (a
 component, a minimal-prime witness, a stratum closure), its own radical,
@@ -92,7 +94,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .polyring import (
     DEGREVLEX,
@@ -168,9 +170,10 @@ def block_memo(key: tuple, build):
     return memo[key]
 
 
-# process-wide counters surfaced on CLI reports; neither a memo hit nor a
-# conversion is a run
-ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0, "basis_memo_hits": 0, "basis_conversions": 0}
+# process-wide counters surfaced on CLI reports; neither a memo hit, a
+# conversion nor a quotient ring's construction is a run
+ENGINE_COUNTERS = {"groebner_runs": 0, "spairs": 0, "basis_memo_hits": 0, "basis_conversions": 0,
+                   "quotient_rings": 0}
 
 
 def engine_counters() -> dict:
@@ -438,33 +441,113 @@ def _buchberger(gens: list, packing: _Packing, budget: int, stats: dict) -> list
 # Linear algebra in a finite quotient ring
 
 
-def _times_normal_form(v: dict, s: int, factor: dict, basis: list, guard: int) -> tuple:
-    """(w, t): w/t is the normal form of factor * v/s against basis.
-
-    v/s is a normal form with v an integer term map and s > 0; factor is
-    an integer term map. w and t share no content. Raises ``_Overflow``
-    when a product outgrows its field.
-    """
-    work: dict = {}
-    for f, a in factor.items():
-        for m, c in v.items():
-            m += f
-            if m & guard:
-                raise _Overflow
-            nc = work.get(m, 0) + a * c
-            if nc:
-                work[m] = nc
-            else:
-                del work[m]
-    # remainder = num/den * NF(factor * v), so NF(factor * v/s) = remainder * den / (num * s)
-    remainder, num, den = _reduce(work, basis, guard)
-    scale = num * s
-    if den != 1:
-        remainder = {m: c * den for m, c in remainder.items()}
-    g = math.gcd(_content(remainder), scale)
+def _linear_combination(parts: list, s: int) -> tuple:
+    """(w, t) in lowest terms, t > 0: w/t is the sum of c * v/d over parts (c, (v, d)), over s."""
+    lcm = math.lcm(*[d for _, (_, d) in parts])
+    w: dict = {}
+    for c, (v, d) in parts:
+        c *= lcm // d
+        for r, a in v.items():
+            w[r] = w.get(r, 0) + c * a
+    w = {r: a for r, a in w.items() if a}
+    g = math.gcd(lcm * s, *w.values())
     if g > 1:
-        remainder = {m: c // g for m, c in remainder.items()}
-    return remainder, scale // g
+        w = {r: a // g for r, a in w.items()}
+    return w, lcm * s // g
+
+
+class _QuotientRing(NamedTuple):
+    """Q[ctx]/I for a zero-dimensional I: standard monomials and multiplication matrices.
+
+    ``standard`` holds the exponents of the standard monomials of I's
+    reduced degrevlex basis, ascending. An element is a pair (v, s), v an
+    integer map from their indices and s > 0: the sum of v[k]/s times
+    standard[k]. ``columns[i][k]``, column k of x_i's matrix, is x_i
+    times standard[k], each column over its own denominator.
+    ``parents[k]`` is (j, i) with standard[k] = x_i * standard[j], and
+    (-1, -1) for 1. ``one`` is 1, empty in the zero ring. No packing
+    enters, so a basis repacked wider leaves the ring valid.
+    """
+
+    standard: list
+    parents: list
+    columns: list
+    one: tuple
+
+    def times(self, i: int, v: dict, s: int) -> tuple:
+        """x_i * v/s in lowest terms: x_i's matrix applied to v/s."""
+        columns = self.columns[i]
+        return _linear_combination([(c, columns[k]) for k, c in v.items()], s)
+
+    def apply(self, p: Polynomial, v: dict, s: int) -> tuple:
+        """p * v/s in lowest terms. Each monomial of p is a chain of
+        ``times`` from v/s, and each step is kept for the chains through it."""
+        steps = {(0,) * len(self.columns): (v, s)}
+        parts = []
+        for e, c in p.terms.items():
+            chain = []
+            while e not in steps:
+                i = next(i for i, x in enumerate(e) if x)
+                chain.append((e, i))
+                e = e[:i] + (e[i] - 1,) + e[i + 1:]
+            w = steps[e]
+            for f, i in reversed(chain):
+                w = steps[f] = self.times(i, *w)
+            parts.append((c.numerator, (w[0], w[1] * c.denominator)))
+        return _linear_combination(parts, 1)
+
+
+def _quotient_ring(I: Ideal) -> _QuotientRing:
+    """I's quotient ring, I zero-dimensional, built once and kept in the
+    cache entry of I's reduced degrevlex basis (so in the block memo too).
+
+    Border recursion (Faugere, Gianni, Lazard and Mora 1993): the products
+    of a variable and a standard monomial are taken in increasing
+    degrevlex order. The leading monomial t of lc*t + tail in the basis is
+    -tail/lc, whose monomials are standard; any other nonstandard t is
+    x_i * t' for a nonstandard t' below it, and x_i's matrix applied to
+    t''s element needs only columns of products below t. No normal form
+    is taken. Past ``VECDIM_CAP`` standard monomials,
+    ResourceLimitExceeded. No exponent of a product exceeds a pure power's
+    in the basis, so its packing holds them all.
+    """
+    I.groebner_basis()
+    entry = I._cache[DEGREVLEX]
+    if entry[4] is not None:
+        return entry[4]
+    packing, basis = I._packed(DEGREVLEX)
+    guard, weights = packing.guard, packing.weights
+    lead = {g[0]: g for g in basis}
+    index: dict = {}   # standard monomial -> its index
+    forms: dict = {}   # monomial met -> its element
+    standard, parents = [], []
+    queue = [(0, -1, -1)]   # (monomial, parent's index, variable)
+    while queue:
+        m, j, i = heappop(queue)
+        if m in forms:
+            continue
+        over = m | guard
+        if not any((over - lm) & guard == guard for lm in lead):
+            if len(standard) == VECDIM_CAP:
+                raise ResourceLimitExceeded("standard monomial count exceeded cap")
+            index[m] = k = len(standard)
+            forms[m] = {k: 1}, 1
+            standard.append(m)
+            parents.append((j, i))
+            for i, w in enumerate(weights):
+                heappush(queue, (m + w, k, i))
+        elif m in lead:
+            _, lc, tail, _ = lead[m]
+            forms[m] = {index[t]: -c for t, c in tail.items()}, lc
+        else:
+            # where m's field is 0, m - w borrows into a guard bit: no monomial met
+            w = next(w for w in weights if m - w in forms and m - w not in index)
+            v, s = forms[m - w]
+            forms[m] = _linear_combination([(c, forms[standard[k] + w]) for k, c in v.items()], s)
+    entry[4] = _QuotientRing([packing.exponent(b) for b in standard], parents,
+                             [[forms[b + w] for b in standard] for w in weights], forms[0])
+    ENGINE_COUNTERS["quotient_rings"] += 1
+    return entry[4]
 
 
 def _combine(x: dict, a: int, y: dict, b: int) -> dict:
@@ -485,10 +568,11 @@ def _dependence(rows: dict, v: dict, c: dict) -> dict | None:
     c names v as a combination: its keys are labels (monomials of the
     target order, powers), and the vectors they label, summed with c's
     coefficients, give v. Each row is such a (vector, combination),
-    filed under its vector's largest monomial. v is reduced fraction-free
-    at its largest monomial while a row is filed there, its combination
+    filed under its vector's largest index. v is reduced fraction-free
+    at its largest index while a row is filed there, its combination
     carried along and the content of both stripped together. When v
     reaches 0, c is a relation among the labels; otherwise v joins rows.
+    An empty c asks only whether v is independent.
     """
     while v:
         top = max(v)
@@ -501,61 +585,71 @@ def _dependence(rows: dict, v: dict, c: dict) -> dict | None:
         d = math.gcd(a, b)
         v = _combine(v, a // d, r, b // d)
         c = _combine(c, a // d, cr, b // d)
-        g = math.gcd(_content(v), _content(c))
+        g = math.gcd(*v.values(), *c.values())
         if g > 1:
             v = {k: x // g for k, x in v.items()}
             c = {k: x // g for k, x in c.items()}
     return c
 
 
+def _is_unit(I: Ideal, h: Polynomial) -> bool:
+    """h is a unit mod I, I zero-dimensional: multiplication by h has independent columns.
+
+    Column k is h times standard[k], x_i times its parent's column; the
+    first dependent one (``_dependence``) ends the test.
+    """
+    ring = _quotient_ring(I)
+    rows: dict = {}
+    columns: list = []
+    for j, i in ring.parents:
+        columns.append(ring.times(i, *columns[j]) if columns else ring.apply(h, *ring.one))
+        if _dependence(rows, columns[-1][0], {}) is not None:
+            return False
+    return True
+
+
 def _fglm(I: Ideal, order: MonomialOrder) -> tuple:
-    """I's reduced basis under order, from its reduced degrevlex basis (I zero-dimensional).
+    """I's reduced basis under order, by linear algebra in its quotient ring (I zero-dimensional).
 
     Faugere, Gianni, Lazard and Mora (1993): candidate monomials are
     taken in increasing order, each the product of a standard monomial
-    and a variable, and the normal form of each is a variable times its
-    parent's, reduced against the packed degrevlex basis. A candidate
-    whose normal form depends on the staircase's (``_dependence``) gives
-    a basis element, made monic; an independent one joins the staircase.
-    A multiple of a leading monomial found is no candidate, so at most
-    n*D + 1 normal forms are taken. Past ``VECDIM_CAP`` standard
-    monomials, ResourceLimitExceeded; a product that outgrows its field
-    redoes the conversion twice as wide.
+    and a variable, and each one's element of the quotient ring is that
+    variable's matrix applied to its parent's (``_QuotientRing.times``).
+    A candidate that depends on the staircase's (``_dependence``) gives a
+    basis element, made monic; an independent one joins the staircase. A
+    multiple of a leading monomial found is no candidate, so at most
+    n*D + 1 candidates are tested. A candidate that outgrows its field
+    redoes the conversion twice as wide, with the same ring.
     """
+    ring = _quotient_ring(I)
     n = len(I.ctx)
 
     def attempt(width: int) -> tuple:
-        dpacking, dbasis = I._packed(DEGREVLEX, width)
-        tpacking = _packing(order, n, dpacking.width)
-        dguard, tguard = dpacking.guard, tpacking.guard
-        steps = list(zip(dpacking.weights, tpacking.weights))
+        packing = _packing(order, n, width)
+        guard, weights = packing.guard, packing.weights
         rows: dict = {}
-        forms: list = []   # (v, s) per standard monomial: v/s its normal form
+        forms: list = []   # the staircase's elements (v, s)
         found: list = []   # (leading monomial, relation)
-        # (candidate, its parent's index in forms, the variable as a degrevlex monomial)
-        queue = [(0, -1, 0)]
+        queue = [(0, -1, -1)]   # (candidate, its parent's index in forms, variable)
         last = -1
         while queue:
-            m, parent, step = heappop(queue)
-            over = m | tguard
+            m, parent, i = heappop(queue)
+            over = m | guard
             # a candidate met again pops right after itself
-            if m == last or any((over - lm) & tguard == tguard for lm, _ in found):
+            if m == last or any((over - lm) & guard == guard for lm, _ in found):
                 continue
             last = m
-            v, s = forms[parent] if parent >= 0 else ({0: 1}, 1)
-            v, s = _times_normal_form(v, s, {step: 1}, dbasis, dguard)
+            v, s = ring.times(i, *forms[parent]) if parent >= 0 else ring.one
             relation = _dependence(rows, v, {m: s})
             if relation is not None:
                 found.append((m, relation))
                 continue
-            if len(forms) == VECDIM_CAP:
-                raise ResourceLimitExceeded("standard monomial count exceeded cap")
             forms.append((v, s))
-            for dstep, tstep in steps:
-                if (m + tstep) & tguard:
+            for i, w in enumerate(weights):
+                if (m + w) & guard:
                     raise _Overflow
-                heappush(queue, (m + tstep, len(forms) - 1, dstep))
-        return found, tpacking
+                heappush(queue, (m + w, len(forms) - 1, i))
+        return found, packing
 
     found, packing = _widening(I._packed(DEGREVLEX)[0].width, attempt)
     exponent = packing.exponent
@@ -568,27 +662,18 @@ def _fglm(I: Ideal, order: MonomialOrder) -> tuple:
 def minimal_polynomial(I: Ideal, theta: Polynomial, var: Variable) -> Polynomial:
     """The monic minimal polynomial of theta in Q[ctx]/I, in Q[var]; I zero-dimensional.
 
-    The first linear dependence among the normal forms of theta^k, k = 0,
-    1, ..., each theta times the last, against I's reduced degrevlex basis
-    (``_dependence``, as in ``_fglm``). Past ``VECDIM_CAP`` powers,
+    The first linear dependence (``_dependence``, as in ``_fglm``) among
+    the powers theta^k, k = 0, 1, ..., each theta times the last in I's
+    quotient ring (``_QuotientRing.apply``). It comes by k = D for D
+    standard monomials; past ``VECDIM_CAP`` of them the ring refuses,
     ResourceLimitExceeded.
     """
-    I.groebner_basis()
-
-    def attempt(width: int) -> dict:
-        packing, basis = I._packed(DEGREVLEX, width)
-        guard = packing.guard
-        step = _encode(packing, theta)[0]
-        rows: dict = {}
-        v, s = _times_normal_form({0: 1}, 1, {0: 1}, basis, guard)
-        for k in range(VECDIM_CAP + 1):
-            relation = _dependence(rows, v, {k: s})
-            if relation is not None:
-                return relation
-            v, s = _times_normal_form(v, s, step, basis, guard)
-        raise ResourceLimitExceeded("standard monomial count exceeded cap")
-
-    relation = _widening(_width([theta], I._packed(DEGREVLEX)[0].width), attempt)
+    ring = _quotient_ring(I)
+    rows: dict = {}
+    (v, s), k = ring.one, 0
+    while (relation := _dependence(rows, v, {k: s})) is None:
+        v, s = ring.apply(theta, v, s)
+        k += 1
     top = max(relation)
     return Polynomial.from_clean(VarContext([var]), {(k,): quotient(relation[k], relation[top])
                                                      for k in sorted(relation, reverse=True)})
@@ -621,8 +706,8 @@ class Ideal:
         self.ctx = ctx
         self.generators = tuple(gens)
         self._prefix = 0
-        # order -> [reduced basis, stats, packing, packed basis];
-        # packing and packed basis are None until first used
+        # order -> [reduced basis, stats, packing, packed basis, quotient ring];
+        # each of the last three is None until first used
         self._cache: dict = {}
         self._hash = None
 
@@ -657,7 +742,7 @@ class Ideal:
         return found[0]
 
     def _run(self, order: MonomialOrder, budget: int) -> list:
-        """[reduced basis, stats, packing, packed basis] by one Buchberger run.
+        """[reduced basis, stats, packing, packed basis, None] by one Buchberger run.
 
         The run starts at the narrowest field width that holds the
         generators and is redone twice as wide, prefix and all, whenever a
@@ -668,16 +753,16 @@ class Ideal:
         basis is; neither takes a run. Nor does a zero-dimensional ideal
         whose reduced degrevlex basis is at hand, in the cache or in the
         block memo: that basis is converted (``_fglm``), by linear algebra
-        in the finite quotient ring, and the result is packed when first
-        used. A degrevlex basis is never computed only to be converted;
-        in positive dimension the conversion does not exist.
+        in its quotient ring, and the result is packed when first used.
+        A degrevlex basis is never computed only to be converted; in
+        positive dimension the conversion does not exist.
         """
         gens = self.generators
         if not gens:
-            return [(), {}, None, None]
+            return [(), {}, None, None, None]
         if len(gens) > 1 and self._degrevlex_at_hand() and _zero_dimensional(self):
             ENGINE_COUNTERS["basis_conversions"] += 1
-            return [_fglm(self, order), {}, None, None]
+            return [_fglm(self, order), {}, None, None, None]
         n = len(self.ctx)
         prefix = gens[:self._prefix]
         support = {i for i, col in enumerate(zip(*[e for g in prefix for e in g.terms])) if any(col)}
@@ -703,7 +788,7 @@ class Ideal:
                 self.ctx, {exponent(m): quotient(c, lc) for m, c in [(lm, lc), *tail.items()]})
             for lm, lc, tail, _ in basis
         )
-        return [polys, stats, packing, basis]
+        return [polys, stats, packing, basis, None]
 
     def _degrevlex_at_hand(self) -> bool:
         """The reduced degrevlex basis is in the cache or in the block memo."""
@@ -719,11 +804,11 @@ class Ideal:
         packing is asked for.
         """
         entry = self._cache[order]
-        gb, _, packing, basis = entry
+        gb, _, packing, basis, _ = entry
         if packing is None or packing.width < width:
             packing = _packing(order, len(self.ctx), _width(gb, width))
             basis = [_element(_encode(packing, g)[0], packing) for g in gb]
-            entry[2:] = packing, basis
+            entry[2:4] = packing, basis
         return packing, basis
 
     def gb_stats(self, order: MonomialOrder = DEGREVLEX) -> dict:
@@ -936,22 +1021,26 @@ def saturate(I: Ideal, J: Ideal) -> SaturationResult:
 
     The saturation is the intersection of the I : g^infinity over the
     generators g of J, each by ``saturate_element`` (Cox, Little and
-    O'Shea, ch. 4 section 4). The exponent is a membership question: the
-    nonzero normal forms mod I of the saturation's generators, multiplied
-    by J's generators once per step, until none is left. e is at most
-    ``SATURATION_CAP``; past it, ResourceLimitExceeded. No command calls
-    it; the benchmark's ``kernel`` workload (bench/worker.py) does.
+    O'Shea, ch. 4 section 4). e is 0 exactly when the saturation is I,
+    which their reduced bases show with no normal form. Otherwise e is a
+    membership question: the nonzero normal forms mod I of the
+    saturation's generators, multiplied by J's generators once per step,
+    until none is left. e is at most ``SATURATION_CAP``; past it,
+    ResourceLimitExceeded. No command calls it; the benchmark's
+    ``kernel`` workload (bench/worker.py) does.
     """
     if not J.generators:
         raise ValueError("saturation by the zero ideal")
     sat = saturate_element(I, J.generators[0])
     for g in J.generators[1:]:
         sat = intersect(sat, saturate_element(I, g))
+    if sat == I:
+        return SaturationResult(sat, 0)
     pending = _nonzero_normal_forms(I, sat.generators)
-    for e in range(SATURATION_CAP + 1):
+    for e in range(1, SATURATION_CAP + 1):
+        pending = _nonzero_normal_forms(I, [f * g for f in pending for g in J.generators])
         if not pending:
             return SaturationResult(sat, e)
-        pending = _nonzero_normal_forms(I, [f * g for f in pending for g in J.generators])
     raise ResourceLimitExceeded(f"saturation exponent exceeds cap {SATURATION_CAP}")
 
 
@@ -965,8 +1054,9 @@ def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
     """(I : h^infinity) via the auxiliary-variable trick (single elimination).
 
     A unit h leaves I: a constant h returns I itself, and when I is
-    zero-dimensional and 1 lies in I + (h) (a degrevlex run seeded with
-    I's reduced basis) the result is I's reduced basis, with no
+    zero-dimensional and multiplication by h is invertible on its
+    quotient ring (``_is_unit``: the matrix's columns are independent;
+    no Groebner run) the result is I's reduced basis, with no
     elimination. Only zero-dimensional I are tested: in positive
     dimension the engine's saturations practically never meet a unit,
     and a unit there still takes the elimination, to the same ideal.
@@ -978,7 +1068,7 @@ def saturate_element(I: Ideal, h: Polynomial) -> Ideal:
         raise ValueError("saturation by zero")
     if h.total_degree() == 0:
         return I
-    if _zero_dimensional(I) and I.with_extra([h]).is_trivial():
+    if _zero_dimensional(I) and _is_unit(I, h):
         return _with_reduced_basis(I.ctx, I.groebner_basis())
     ctx2, tv = extend_context(I.ctx, "_s")
     t = ctx2.gen(tv)
@@ -1045,7 +1135,7 @@ def _with_reduced_basis(ctx: VarContext, basis: Sequence[Polynomial]) -> Ideal:
     made it; its packed form is built when first used.
     """
     J = Ideal(ctx, basis)
-    found = [J.generators, {}, None, None]
+    found = [J.generators, {}, None, None, None]
     memo = _SESSION.get()[1]
     if memo is not None:
         found = memo.setdefault((ctx, frozenset(J.generators), DEGREVLEX), found)

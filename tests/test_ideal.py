@@ -38,6 +38,8 @@ from gecc_kit.ideal import (
     radical_contains,
     saturate,
     saturate_element,
+    _is_unit,
+    _quotient_ring,
     _zero_dimensional,
 )
 from gecc_kit.polyring import (
@@ -637,10 +639,15 @@ def test_unit_exit_returns_the_reduced_basis(monkeypatch):
     basis = finite.groebner_basis()
     orders = spy_orders(monkeypatch)
     sat = saturate_element(finite, P("x + 3*z", CTX_XYZ))
-    assert orders == [DEGREVLEX]  # 1 in I + (h); no block-order run
+    assert orders == []  # h is a unit of the quotient ring: no run at all
     assert sat.generators == basis and sat.groebner_basis() == basis
+    forms = []
+    real = Ideal.normal_form
+    monkeypatch.setattr(Ideal, "normal_form",
+                        lambda self, p, *order: forms.append(p) or real(self, p, *order))
     res = saturate(finite, I("x + 3*z", ctx=CTX_XYZ))
     assert res.exponent == 0 and res.ideal.generators == basis
+    assert forms == []  # the saturation is I, so e = 0 with no normal form
     # the Rabinowitsch route reaches the same ideal
     ctx2 = base_context(["x", "y", "z", "s"])
     rabinowitsch = Ideal(ctx2, [P(g, ctx2) for g in FINITE] + [P("1 - s*x - 3*s*z", ctx2)])
@@ -728,13 +735,13 @@ def converted_and_run(J, order):
 def test_conversion_equals_a_fresh_run(monkeypatch, order, coefficients):
     rng = random.Random(81)
     calls = []
-    real = ideal_module._times_normal_form
+    real = ideal_module._dependence
 
     def spy(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(ideal_module, "_times_normal_form", spy)
+    monkeypatch.setattr(ideal_module, "_dependence", spy)
     conversions = 0
     for _ in range(12):
         J = random_finite_ideal(rng, CTX_XYZ, coefficients=coefficients)
@@ -783,7 +790,7 @@ def test_conversion_that_outgrows_its_field_widens(monkeypatch):
     assert J._packed(DEGREVLEX)[0].width == 16
     del widths[:]
     converted = J.groebner_basis(order)
-    assert [w for o, w in widths if o == order] == [16, 32]  # redone, and the degrevlex basis repacked
+    assert [w for o, w in widths if o == order] == [16, 32]  # redone twice as wide, on the same quotient ring
     assert sorted(map(str, converted)) == ["-x^2 + y", "x^32768"]
     assert converted == Ideal(ctx, J.generators).groebner_basis(order)
 
@@ -828,6 +835,9 @@ def test_conversion_refuses_past_the_monomial_cap(monkeypatch):
     monkeypatch.setattr(ideal_module, "VECDIM_CAP", 17)
     with pytest.raises(ResourceLimitExceeded):
         J.groebner_basis(MonomialOrder((0,)))
+    with pytest.raises(ResourceLimitExceeded):
+        minimal_polynomial(J, P("x", CTX_XYZ), base_context(["x", "y", "z", "T"]).variables[3])
+    assert J._cache[DEGREVLEX][4] is None  # the quotient ring's build refused, and kept nothing
     monkeypatch.setattr(ideal_module, "VECDIM_CAP", 18)
     assert J.groebner_basis(MonomialOrder((0,))) == Ideal(CTX_XYZ, J.generators).groebner_basis(MonomialOrder((0,)))
 
@@ -859,6 +869,124 @@ def test_minimal_polynomial_through_long_reductions():
     T = base_context(["x", "y", "z", "T"]).variables[3]
     m = minimal_polynomial(J, theta, T)
     assert m.total_degree() == 49 and m.coefficient_of(T, 49) == P("1", m.ctx)
+    assert J.normal_form(m.substitute({"T": theta})).is_zero()
+
+
+# -- quotient rings: standard monomials and multiplication matrices
+
+
+def ring_element(J, v, s):
+    """The polynomial that the element v/s of J's quotient ring stands for."""
+    standard = _quotient_ring(J).standard
+    return Polynomial(J.ctx, {standard[k]: Fraction(c, s) for k, c in v.items()})
+
+
+def assert_ring_is_normal_forms(J):
+    ring = _quotient_ring(J)
+    assert ring.standard == standard_monomials(J)
+    assert ring_element(J, *ring.one) == J.normal_form(J.ctx.one())
+    for k, (j, i) in enumerate(ring.parents[1:], 1):
+        assert ring.standard[k] == tuple(e + (p == i) for p, e in enumerate(ring.standard[j]))
+    for i, x in enumerate(J.ctx.variables):
+        assert len(ring.columns[i]) == len(ring.standard)
+        for b, column in zip(ring.standard, ring.columns[i]):
+            assert ring_element(J, *column) == J.normal_form(J.ctx.gen(x) * Polynomial(J.ctx, {b: 1}))
+
+
+@pytest.mark.parametrize("names", [["x", "y"], ["x", "y", "z"], ["x", "y", "z", "w"]], ids=["2", "3", "4"])
+def test_quotient_ring_columns_are_normal_forms(names):
+    ctx = base_context(names)
+    rng = random.Random(90 + len(names))
+    checked = 0
+    for _ in range(6):
+        J = random_finite_ideal(rng, ctx, count=len(names))
+        if _zero_dimensional(J) and not J.is_trivial():
+            assert_ring_is_normal_forms(J)
+            checked += 1
+    assert checked >= 3
+
+
+def test_quotient_ring_of_the_unit_ideal_has_no_standard_monomial():
+    J = I("x*y - 1", "x", "y + z", ctx=CTX_XYZ)
+    ring = _quotient_ring(J)
+    assert ring.standard == [] and ring.one == ({}, 1) and ring.columns == [[], [], []]
+    assert_ring_is_normal_forms(J)
+    assert _is_unit(J, P("x", CTX_XYZ))  # every element of the zero ring is a unit
+
+
+def test_quotient_ring_outlives_a_wider_packing():
+    ctx = base_context(["x", "y"])
+    J = Ideal(ctx, [P("x^2 - y", ctx), P("y^3 - 2*x + 1", ctx)])
+    ring = _quotient_ring(J)
+    assert J._packed(DEGREVLEX)[0].width == 16
+    rings = ideal_module.ENGINE_COUNTERS["quotient_rings"]
+    # x^40000 outgrows the 16-bit fields, so the basis is repacked wider
+    assert J.normal_form(P("x^40000", ctx)) == J.normal_form(P("x^40000", ctx) - ctx.one()) + ctx.one()
+    assert J._packed(DEGREVLEX)[0].width == 32
+    assert _quotient_ring(J) is ring and ideal_module.ENGINE_COUNTERS["quotient_rings"] == rings
+    assert_ring_is_normal_forms(J)
+    order = MonomialOrder((0,))
+    assert J.groebner_basis(order) == Ideal(ctx, J.generators).groebner_basis(order)
+
+
+def test_one_quotient_ring_per_basis_in_a_block():
+    with engine_limits(EngineLimits()):
+        rings = ideal_module.ENGINE_COUNTERS["quotient_rings"]
+        first, second = I(*FINITE, ctx=CTX_XYZ), I(*reversed(FINITE), ctx=CTX_XYZ)
+        assert saturate_element(first, P("x + 3*z", CTX_XYZ)).generators == first.groebner_basis()
+        second.groebner_basis(MonomialOrder((0,)))  # a conversion, with the same ring
+        assert _quotient_ring(second) is _quotient_ring(first)
+        assert ideal_module.ENGINE_COUNTERS["quotient_rings"] == rings + 1
+
+
+DOUBLE = ("x^3 - x^2", "y - x", "z^2")  # x = 0 doubled, x = 1; z nilpotent
+
+
+@pytest.mark.parametrize("gens, h, unit", [
+    (FINITE, "x + 3*z", True),
+    (FINITE, "x - 1", False),  # vanishes at (1, 1, 2) only
+    (DOUBLE, "x^2 - x", False),  # vanishes at both points
+    (DOUBLE, "z", False),  # nilpotent
+    (DOUBLE, "1 + z - 2*y", True),
+    (FINITE, "1/3*x^2 + 1/2*y*z - 1/7", True),
+    (FINITE, "1/2*x^2 + 1/2*x - 1", False),  # vanishes at (1, 1, 2) only
+], ids=["unit", "one-point", "both-points", "nilpotent", "unit-off-the-points",
+        "fractional-unit", "fractional-one-point"])
+def test_unit_test_agrees_with_the_sum_ideal(gens, h, unit):
+    J, h = I(*gens, ctx=CTX_XYZ), P(h, CTX_XYZ)
+    assert _is_unit(J, h) == J.with_extra([h]).is_trivial() == unit
+
+
+def test_unit_test_agrees_on_seeded_ideals():
+    rng = random.Random(92)
+    seen = set()
+    for _ in range(12):
+        J = random_finite_ideal(rng, CTX_XYZ)
+        if not _zero_dimensional(J):
+            continue
+        inside = J.generators[0] * P("y - 2", CTX_XYZ)  # 0 mod J: a unit only in the zero ring
+        for h in (random_polynomial(rng, CTX_XYZ), inside, inside + P("z", CTX_XYZ)):
+            unit = _is_unit(J, h)
+            assert unit == J.with_extra([h]).is_trivial()
+            seen.add(unit)
+    assert seen == {True, False}
+
+
+def test_quotient_ring_takes_no_normal_form(monkeypatch):
+    J = I("x^2 - y*z - 1", "y^2 - x + z", "z^2 - x*y + 2", ctx=CTX_XYZ)
+    assert dimension_and_degree(J)[0] == 0
+    calls = []
+    real = ideal_module._reduce
+    monkeypatch.setattr(ideal_module, "_reduce", lambda *args: calls.append(1) or real(*args))
+    _quotient_ring(J)
+    order = MonomialOrder((0, 1))
+    converted = J.groebner_basis(order)
+    theta = P("x + 2*y + 3*z", CTX_XYZ)
+    m = minimal_polynomial(J, theta, base_context(["x", "y", "z", "T"]).variables[3])
+    assert _is_unit(J, theta) in (True, False)
+    assert calls == []
+    monkeypatch.undo()
+    assert converted == Ideal(CTX_XYZ, J.generators).groebner_basis(order)
     assert J.normal_form(m.substitute({"T": theta})).is_zero()
 
 

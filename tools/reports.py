@@ -15,7 +15,7 @@ inputs (``bench/inputs.py``) are loaded. OUT receives, for seeds 1-3:
 A change that should alter no output is checked by running this on the
 parent and on the change and comparing the two files with ``diff``;
 the last line printed sums the ``engine`` counters (Groebner runs,
-S-pairs and basis conversions). Processes run with
+S-pairs, basis conversions and quotient rings built). Processes run with
 ``PYTHONHASHSEED=0``, as the benchmark's do.
 """
 
@@ -125,7 +125,8 @@ def main(argv: list) -> int:
     print(f"{len(records)} reports ({sum('error' in r for r in records)} errors), "
           f"{sum(e.get('groebner_runs', 0) for e in engine)} Groebner runs, "
           f"{sum(e.get('spairs', 0) for e in engine)} S-pairs, "
-          f"{sum(e.get('basis_conversions', 0) for e in engine)} basis conversions; "
+          f"{sum(e.get('basis_conversions', 0) for e in engine)} basis conversions, "
+          f"{sum(e.get('quotient_rings', 0) for e in engine)} quotient rings; "
           f"{sum(map(len, report['kernel'].values()))} kernel results")
     return 0
 
